@@ -4,7 +4,8 @@
 # directory so it never perturbs the regular dev build.
 #
 # Modes (combinable with --quick):
-#   (none)    -Werror build + full test suite in build-check/
+#   (none)    -Werror build + full test suite in build-check/, plus the
+#             perfbench self-test (python3 perfbench/run.py --selftest)
 #   --asan    AddressSanitizer build + full test suite in build-asan/
 #   --ubsan   UndefinedBehaviorSanitizer build + full test suite in build-ubsan/
 #   --native  -march=native build (QUTES_NATIVE=ON) + full test suite in
@@ -134,6 +135,16 @@ wait "$QUTESD_PID" || { echo "check.sh: qutesd exited non-zero after SIGTERM" >&
 grep -q '"service.cache_hits": *1' "$QUTESD_METRICS" \
   || { echo "check.sh: qutesd metrics snapshot missing the cache hit" >&2; exit 1; }
 echo "check.sh: qutesd daemon smoke passed (cold miss, warm hit, graceful drain)."
+
+# Source-to-counts benchmark self-test (default mode only): builds perfbench/
+# against src/ into .bench_build/ and runs its oracles, so a change that
+# breaks the benchmark's build or its oracles fails here instead of in a
+# benchmark run. The benchmark always builds its own Release tree, so the
+# sanitizer and native modes would only repeat it.
+if [[ -z "$SANITIZE" && "$NATIVE" == 0 ]]; then
+  python3 perfbench/run.py --selftest
+  echo "check.sh: perfbench self-test passed."
+fi
 
 # Perf smoke: fused+reordered SIMD execution must beat the portable unfused
 # path by a comfortable floor on a small brickwork circuit. Catches "the fast

@@ -64,11 +64,7 @@ FusionPlan plan_fusion(const QuantumCircuit& circ, const RunConfig& config,
       return gate_acquires_noise(in, config.backend.noise);
     };
   }
-  PassManager fuser;
-  fuser.emplace<FuseGates>(fusion_options);
-  PropertySet properties;
-  (void)fuser.run(circ, properties);
-  return std::move(*properties.fusion_plan);
+  return build_fusion_plan(circ.instructions(), fusion_options);
 }
 
 /// True if any wire-local unitary spans more than two qubits (which the MPS
@@ -223,6 +219,7 @@ public:
   BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
     caps.max_qubits = sim::StateVector::kMaxQubits;
+    caps.max_clbits = kMaxPackedClbits;
     return caps;
   }
 
@@ -607,6 +604,7 @@ public:
     caps.fused_adjacent_only = true;
     caps.supports_noise = false;  // no trajectory channels on an MPS (yet)
     caps.max_qubits = 64;         // sampling packs outcomes into a uint64
+    caps.max_clbits = kMaxPackedClbits;
     caps.prefers_linear_layout = true;
     return caps;
   }

@@ -212,6 +212,18 @@ PreparedRun prepare_run(const QuantumCircuit& circuit, const RunConfig& config) 
                        " backend only runs static circuits (no reset, no "
                        "conditions, no mid-circuit measurement feeding gates)");
   }
+  // Only the per-shot trajectory path packs the classical register; static
+  // noiseless runs sample through a wire map of any width.
+  if (caps.max_clbits != 0 && circ.num_clbits() > caps.max_clbits &&
+      (config.backend.noise.enabled() || !Executor::is_static(circ))) {
+    throw CircuitError(
+        "circuit has " + std::to_string(circ.num_clbits()) +
+        " classical bits but the " + prep.backend->name() +
+        " backend's per-shot trajectory path keeps the classical register in "
+        "one " + std::to_string(caps.max_clbits) +
+        "-bit word; a noiseless circuit that only measures at the end has no "
+        "such limit, nor does the stabilizer backend for Clifford circuits");
+  }
   if (!caps.supported_gates.empty()) {
     for (const Instruction& in : circ.instructions()) {
       if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) {
@@ -377,6 +389,12 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
 Executor::Trajectory Executor::run_single(const QuantumCircuit& circuit) const {
   if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
   reject_unbound(circuit, "run_single");
+  if (circuit.num_clbits() > kMaxPackedClbits) {
+    throw CircuitError("Executor::run_single: circuit has " +
+                       std::to_string(circuit.num_clbits()) +
+                       " classical bits but the trajectory returns them in one " +
+                       std::to_string(kMaxPackedClbits) + "-bit word");
+  }
   Rng rng(config_.seed);
   Trajectory traj{sim::StateVector(circuit.num_qubits()), 0};
   for (const Instruction& in : circuit.instructions()) {

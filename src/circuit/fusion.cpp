@@ -1,33 +1,23 @@
 #include "qutes/circuit/fusion.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "qutes/circuit/executor.hpp"
-#include "qutes/common/error.hpp"
 #include "qutes/sim/statevector.hpp"
 
 namespace qutes::circ {
 
 namespace {
 
-/// A block still accepting gates. `qubits[j]` is the wire local bit j acts
-/// on; `sources` are the absorbed instruction indices in source order.
+/// A block still accepting gates: the wires it spans (local bit j acts on
+/// `qubits[j]`) and the instruction indices it absorbed. Blocks merge and
+/// pack only when disjoint, so `sources` keeps every wire's gates in source
+/// order — a valid order to apply them in.
 struct OpenBlock {
   std::vector<std::size_t> qubits;
-  sim::MatrixN matrix;
   std::vector<std::size_t> sources;
 };
-
-/// Positions of `qubits` within `within` (which must contain them all).
-std::vector<std::size_t> positions_in(const std::vector<std::size_t>& qubits,
-                                      const std::vector<std::size_t>& within) {
-  std::vector<std::size_t> pos(qubits.size());
-  for (std::size_t j = 0; j < qubits.size(); ++j) {
-    const auto it = std::find(within.begin(), within.end(), qubits[j]);
-    pos[j] = static_cast<std::size_t>(it - within.begin());
-  }
-  return pos;
-}
 
 bool intersects(const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
   for (std::size_t q : a) {
@@ -42,42 +32,47 @@ bool wires_contiguous(const std::vector<std::size_t>& qubits) {
   return *hi - *lo + 1 == qubits.size();
 }
 
-}  // namespace
+/// The dense matrix of a finished block, built once at its width w. The
+/// 2^w x 2^w row-major matrix is held as a 2w-qubit state (column index in
+/// the low w bits, row index in the high w bits) starting at the identity;
+/// each gate, remapped onto the row bits, left-multiplies it in place
+/// through apply_instruction, so a block applies exactly the kernels
+/// unfused execution would. The state must be normalized, so the identity
+/// enters scaled by 1/sqrt(2^w) and the entries leave scaled back.
+sim::MatrixN block_matrix(std::span<const Instruction> instructions,
+                          const OpenBlock& block) {
+  const std::size_t w = block.qubits.size();
+  const std::size_t d = std::size_t{1} << w;
+  const double scale = std::sqrt(static_cast<double>(d));
+  std::vector<sim::cplx> identity(d * d);
+  for (std::size_t i = 0; i < d; ++i) identity[i * d + i] = 1.0 / scale;
+  sim::StateVector state = sim::StateVector::from_amplitudes(std::move(identity));
 
-sim::MatrixN instruction_matrix(const Instruction& in) {
-  if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase ||
-      in.qubits.empty()) {
-    throw CircuitError(std::string("instruction_matrix: not a wire-local unitary: ") +
-                       gate_name(in.type));
-  }
-  if (in.is_parameterized()) {
-    throw CircuitError(std::string("instruction_matrix: ") + gate_name(in.type) +
-                       " has unbound symbolic parameters");
-  }
-  const std::size_t k = in.qubits.size();
-  if (k > sim::MatrixN::kMaxQubits) {
-    throw CircuitError("instruction_matrix: gate spans " + std::to_string(k) +
-                       " qubits (> MatrixN::kMaxQubits)");
-  }
-  // Remap onto local wires 0..k-1 and read the matrix off basis columns via
-  // the regular instruction interpreter, so fusion agrees with unfused
-  // execution gate type by gate type.
-  Instruction local = in;
-  local.condition.reset();
-  for (std::size_t j = 0; j < k; ++j) local.qubits[j] = j;
-  sim::MatrixN mat(k);
-  std::uint64_t scratch = 0;
-  Rng dummy(0);
-  for (std::size_t col = 0; col < (std::size_t{1} << k); ++col) {
-    sim::StateVector sv(k);
-    sv.set_basis_state(col);
-    apply_instruction(sv, local, scratch, dummy);
-    for (std::size_t row = 0; row < (std::size_t{1} << k); ++row) {
-      mat.at(row, col) = sv.amplitude(row);
+  Instruction local{};
+  std::uint64_t no_clbits = 0;
+  Rng no_draws(0);  // fusable gates are unitary: nothing is drawn
+  for (std::size_t s : block.sources) {
+    const Instruction& in = instructions[s];
+    local.type = in.type;
+    local.params = in.params;
+    local.qubits.clear();
+    for (std::size_t q : in.qubits) {
+      const auto j = std::find(block.qubits.begin(), block.qubits.end(), q) -
+                     block.qubits.begin();
+      local.qubits.push_back(w + static_cast<std::size_t>(j));
     }
+    apply_instruction(state, local, no_clbits, no_draws);
   }
-  return mat;
+
+  sim::MatrixN matrix(w);
+  const auto entries = state.amplitudes();
+  for (std::size_t r = 0; r < d; ++r) {
+    for (std::size_t c = 0; c < d; ++c) matrix.at(r, c) = entries[r * d + c] * scale;
+  }
+  return matrix;
 }
+
+}  // namespace
 
 bool is_fusable(const Instruction& in, std::size_t max_fused_qubits) {
   return is_unitary_gate(in.type) && in.type != GateType::GlobalPhase &&
@@ -119,7 +114,7 @@ FusionPlan build_fusion_plan(std::span<const Instruction> instructions,
     }
     FusedOp op;
     op.fused = true;
-    op.matrix = std::move(b.matrix);
+    op.matrix = block_matrix(instructions, b);
     op.qubits = std::move(b.qubits);
     op.gate_count = b.sources.size();
     plan.fused_gates += op.gate_count;
@@ -128,8 +123,8 @@ FusionPlan build_fusion_plan(std::span<const Instruction> instructions,
   };
   // Emit a batch of blocks that flush together. Open blocks are pairwise
   // disjoint, hence commuting, so first-fit packing them into wider blocks
-  // (creation order, product composed via embedding) is exact — and a layer
-  // of narrow blocks becomes one sweep instead of one per block.
+  // (creation order) is exact — and a layer of narrow blocks becomes one
+  // sweep instead of one per block.
   const auto emit_group = [&](std::vector<OpenBlock>&& group) {
     if (options.coalesce_blocks && group.size() > 1) {
       std::vector<OpenBlock> bins;
@@ -143,11 +138,6 @@ FusionPlan build_fusion_plan(std::span<const Instruction> instructions,
           if (options.require_adjacent_wires && !wires_contiguous(merged)) {
             continue;
           }
-          sim::MatrixN widened =
-              bin.matrix.embedded(merged.size(), positions_in(bin.qubits, merged));
-          bin.matrix =
-              b.matrix.embedded(merged.size(), positions_in(b.qubits, merged)) *
-              widened;
           bin.qubits = std::move(merged);
           bin.sources.insert(bin.sources.end(), b.sources.begin(),
                              b.sources.end());
@@ -218,21 +208,10 @@ FusionPlan build_fusion_plan(std::span<const Instruction> instructions,
         (!options.require_adjacent_wires || wires_contiguous(merged_qubits))) {
       OpenBlock combined;
       combined.qubits = std::move(merged_qubits);
-      combined.matrix = sim::MatrixN::identity(combined.qubits.size());
       for (std::size_t b : touching) {
-        // Overlapping blocks are disjoint from each other, so composing them
-        // in creation order is exact.
-        combined.matrix =
-            open[b].matrix.embedded(combined.qubits.size(),
-                                    positions_in(open[b].qubits, combined.qubits)) *
-            combined.matrix;
         combined.sources.insert(combined.sources.end(), open[b].sources.begin(),
                                 open[b].sources.end());
       }
-      combined.matrix =
-          instruction_matrix(in).embedded(combined.qubits.size(),
-                                          positions_in(in.qubits, combined.qubits)) *
-          combined.matrix;
       combined.sources.push_back(i);
       for (std::size_t t = touching.size(); t-- > 0;) {
         open.erase(open.begin() + static_cast<std::ptrdiff_t>(touching[t]));
@@ -248,11 +227,7 @@ FusionPlan build_fusion_plan(std::span<const Instruction> instructions,
       emit_raw(i);
       continue;
     }
-    OpenBlock fresh;
-    fresh.qubits = in.qubits;
-    fresh.matrix = instruction_matrix(in);
-    fresh.sources = {i};
-    open.push_back(std::move(fresh));
+    open.push_back(OpenBlock{in.qubits, {i}});
   }
   flush_all();
   return plan;

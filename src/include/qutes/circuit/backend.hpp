@@ -50,6 +50,10 @@ struct BackendCapabilities {
   bool supports_noise = true;
   /// Hard qubit-count ceiling (0 = no backend-specific ceiling).
   std::size_t max_qubits = 0;
+  /// Widest classical register the per-shot trajectory path can hold
+  /// (0 = no limit). Static noiseless runs sample through a wire map and
+  /// are never limited.
+  std::size_t max_clbits = 0;
   /// Performs best when 2q gates touch neighboring wires — pair with the
   /// `hardware` pipeline preset (linear-topology routing) to feed it that
   /// layout.

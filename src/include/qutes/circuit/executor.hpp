@@ -16,10 +16,10 @@
 //    trajectory loop is OpenMP-parallel; every shot draws from its own
 //    counter-derived RNG stream (Rng(seed, shot)), so counts are
 //    bit-identical for a fixed seed regardless of thread count.
-// Runtime gate fusion is the FuseGates pass — each backend composes a
-// one-pass manager internally, clamping the block width (and, for
-// chain-layout backends, wire contiguity) to its published capabilities:
-// adjacent unitaries are pre-multiplied into dense blocks of up to
+// Runtime gate fusion (fusion.hpp) is planned inside each backend, which
+// calls build_fusion_plan directly with the block width (and, for
+// chain-layout backends, wire contiguity) clamped to its published
+// capabilities: adjacent unitaries become dense blocks of up to
 // `backend.max_fused_qubits` wires, cutting the number of full-state sweeps.
 // On the noisy path, gates that acquire noise stay unfused so channels still
 // attach per gate.
@@ -66,8 +66,8 @@ struct ExecutionResult {
   std::size_t fused_blocks = 0;
   std::map<std::size_t, std::size_t> fused_width_histogram;
   /// Per-pass instrumentation from RunConfig::pipeline (empty when no
-  /// pipeline was supplied). The executor's internal FuseGates planning is
-  /// reported through the fused_* fields above, not here.
+  /// pipeline was supplied). The backend's own fusion planning is not a
+  /// pass; it is reported through the fused_* fields above.
   std::vector<PassStats> pass_stats;
   /// Name of the backend that produced this result.
   std::string backend;
@@ -131,7 +131,8 @@ public:
 
   /// Run a single trajectory and return the final state plus the classical
   /// bits (as a packed integer, clbit 0 = LSB). Useful for tests that
-  /// inspect amplitudes.
+  /// inspect amplitudes. Throws CircuitError for circuits with more than
+  /// kMaxPackedClbits classical bits.
   struct Trajectory {
     sim::StateVector state;
     std::uint64_t clbits = 0;
@@ -144,6 +145,11 @@ public:
 private:
   RunConfig config_;
 };
+
+/// Classical bits a packed `std::uint64_t` register holds: the register of
+/// apply_instruction, run_single, and the statevector and MPS trajectory
+/// loops. Wider registers are rejected before they run.
+inline constexpr std::size_t kMaxPackedClbits = 64;
 
 /// Apply one instruction to a state (measure writes into `clbits`). Exposed
 /// for the language runtime, which executes instructions as it logs them.

@@ -10,11 +10,19 @@
 // The pass is greedy and keeps a set of *open* blocks with pairwise-disjoint
 // wire sets. Because disjoint operators commute, an open block may legally
 // be emitted after raw instructions that touched other wires; the plan
-// therefore preserves semantics exactly (up to floating-point roundoff of
-// the pre-multiplied matrices). Measurements, resets, barriers, classically
+// therefore preserves semantics exactly (up to floating-point roundoff in
+// the block matrices). Measurements, resets, barriers, classically
 // conditioned gates, and gates the caller pins via `keep_raw` (e.g. gates
 // that acquire noise in a trajectory run) are never fused; they flush any
 // open block they overlap.
+//
+// Every merge and packing decision is taken on wire sets alone: an open
+// block is just its wires and the source indices it absorbed. Each emitted
+// block's matrix is then built once, at its final width w, by applying its
+// gates in source order to the identity through the statevector kernels
+// (the 2^w x 2^w matrix held as a 2w-qubit state): O(4^w 2^k) per k-qubit
+// gate, paid once. Those kernel calls count toward the sv.kernel.* dispatch
+// metrics.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +55,7 @@ struct FusionOptions {
   bool require_adjacent_wires = false;
   /// Pack disjoint open blocks into wider ones when they flush together
   /// (first-fit, creation order). Disjoint operators commute, so the packed
-  /// product is exact; the win is that a layer of narrow blocks costs one
+  /// block is exact; the win is that a layer of narrow blocks costs one
   /// amplitude sweep instead of one per block. This is what keeps structured
   /// circuits (Grover: H/X layers fenced by a wide oracle) from degenerating
   /// into singleton blocks.
@@ -79,13 +87,6 @@ struct FusionPlan {
     return n;
   }
 };
-
-/// Dense matrix of a unitary, unconditioned instruction over its own qubit
-/// list (local bit j = in.qubits[j]). Built by applying the instruction to
-/// each basis column, so it is consistent with apply_instruction by
-/// construction. Throws CircuitError for non-unitary/structural
-/// instructions or blocks wider than MatrixN::kMaxQubits.
-[[nodiscard]] sim::MatrixN instruction_matrix(const Instruction& in);
 
 /// True if `in` can enter a fused block under the given width limit: an
 /// unconditioned unitary gate on 1..max_fused_qubits wires (GlobalPhase and

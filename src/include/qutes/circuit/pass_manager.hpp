@@ -73,8 +73,9 @@ struct PropertySet {
   /// pass restored the layout with trailing SWAPs.
   std::vector<std::size_t> final_layout;
   std::size_t swaps_inserted = 0;
-  /// Runtime gate-fusion plan produced by FuseGates; the Executor replays it
-  /// instead of planning fusion itself when present and compatible.
+  /// Runtime gate-fusion plan produced by FuseGates, for callers that replay
+  /// a pipeline's output themselves. Executor backends do not read it: they
+  /// plan fusion directly, clamped to their capabilities.
   std::optional<FusionPlan> fusion_plan;
   /// One entry per executed pass, in order.
   std::vector<PassStats> stats;

@@ -10,7 +10,6 @@
 #include <array>
 #include <complex>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace qutes::sim {
@@ -93,12 +92,6 @@ public:
   [[nodiscard]] MatrixN operator*(const MatrixN& rhs) const;
 
   [[nodiscard]] MatrixN adjoint() const;
-
-  /// Embed into a wider block: this matrix's qubit j becomes local bit
-  /// `positions[j]` of the new `new_num_qubits`-qubit block; all other bits
-  /// get the identity. Positions must be distinct and in range.
-  [[nodiscard]] MatrixN embedded(std::size_t new_num_qubits,
-                                 std::span<const std::size_t> positions) const;
 
   /// Max-norm distance to another matrix of the same width.
   [[nodiscard]] double distance(const MatrixN& rhs) const;

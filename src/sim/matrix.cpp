@@ -114,42 +114,6 @@ MatrixN MatrixN::adjoint() const {
   return out;
 }
 
-MatrixN MatrixN::embedded(std::size_t new_num_qubits,
-                          std::span<const std::size_t> positions) const {
-  if (positions.size() != num_qubits_) {
-    throw InvalidArgument("MatrixN::embedded: one position per qubit required");
-  }
-  std::size_t mask = 0;
-  for (std::size_t p : positions) {
-    if (p >= new_num_qubits) {
-      throw InvalidArgument("MatrixN::embedded: position out of range");
-    }
-    if (mask & (std::size_t{1} << p)) {
-      throw InvalidArgument("MatrixN::embedded: duplicate position");
-    }
-    mask |= std::size_t{1} << p;
-  }
-  // Gather the participating bits of a wide index back into this matrix's
-  // local ordering.
-  const auto extract = [&](std::size_t wide) {
-    std::size_t local = 0;
-    for (std::size_t j = 0; j < positions.size(); ++j) {
-      local |= ((wide >> positions[j]) & 1u) << j;
-    }
-    return local;
-  };
-  MatrixN out(new_num_qubits);
-  const std::size_t d = out.dim();
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t c = 0; c < d; ++c) {
-      // Identity on the non-participating bits: entries that change them
-      // vanish, the rest copy the source matrix.
-      out.at(r, c) = ((r ^ c) & ~mask) ? cplx{} : (*this)(extract(r), extract(c));
-    }
-  }
-  return out;
-}
-
 double MatrixN::distance(const MatrixN& rhs) const {
   if (num_qubits_ != rhs.num_qubits_) {
     throw InvalidArgument("MatrixN::distance: width mismatch");

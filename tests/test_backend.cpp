@@ -183,6 +183,44 @@ TEST(BackendCapabilities, MpsRefusesNoiseModels) {
   }
 }
 
+TEST(BackendCapabilities, WideClassicalRegisterRejectedOnPackedTrajectories) {
+  // Regression: on the statevector and mps trajectory paths, measuring into
+  // c[69] of a 70-bit register once set c[69] and, through an undefined
+  // 64-bit shift, c[5] too. Both keep the register in one word, so both
+  // must refuse it and name the limit.
+  circ::QuantumCircuit c(2, 70);
+  c.x(0).measure(0, 69).reset(0);
+  for (const char* name : {"statevector", "mps"}) {
+    qutes::RunConfig options;
+    options.backend.name = name;
+    try {
+      (void)circ::Executor(options).run(c);
+      FAIL() << name << " ran a 70-bit register on its trajectory path";
+    } catch (const CircuitError& e) {
+      EXPECT_NE(std::string(e.what()).find("64-bit"), std::string::npos) << e.what();
+    }
+  }
+  // The tableau stores one byte per bit and runs it exactly.
+  qutes::RunConfig options;
+  options.backend.name = "stabilizer";
+  options.shots = 16;
+  const std::string only_69 = "1" + std::string(69, '0');
+  EXPECT_EQ(circ::Executor(options).run(c).counts, (sim::Counts{{only_69, 16}}));
+}
+
+TEST(BackendCapabilities, WideClassicalRegisterRunsOnStaticPaths) {
+  circ::QuantumCircuit c(2, 70);
+  c.x(0).measure(0, 69);
+  const std::string only_69 = "1" + std::string(69, '0');
+  for (const char* name : {"statevector", "density", "mps", "stabilizer"}) {
+    qutes::RunConfig options;
+    options.backend.name = name;
+    options.shots = 16;
+    EXPECT_EQ(circ::Executor(options).run(c).counts, (sim::Counts{{only_69, 16}}))
+        << name;
+  }
+}
+
 TEST(BackendCapabilities, DensityRefusesDynamicCircuits) {
   circ::QuantumCircuit c(2, 2);
   c.h(0).measure(0, 0);

@@ -91,6 +91,12 @@ TEST(Executor, RunSingleExposesStateAndClbits) {
   EXPECT_NEAR(traj.state.probability_one(0), 1.0, 1e-12);
 }
 
+TEST(Executor, RunSingleRejectsRegistersWiderThanItsWord) {
+  QuantumCircuit c(1, kMaxPackedClbits + 1);
+  c.x(0).measure(0, kMaxPackedClbits);
+  EXPECT_THROW((void)Executor(opts(1, 5)).run_single(c), CircuitError);
+}
+
 TEST(Executor, ResetInCircuit) {
   QuantumCircuit c(1, 1);
   c.h(0).reset(0).measure(0, 0);

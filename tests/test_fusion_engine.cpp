@@ -8,9 +8,11 @@
 #endif
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "qutes/algorithms/grover.hpp"
+#include "qutes/algorithms/qft.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/fusion.hpp"
 #include "qutes/common/error.hpp"
@@ -48,9 +50,7 @@ sim::StateVector evolve_unfused(const QuantumCircuit& c) {
 }
 
 /// Evolution through a fusion plan.
-sim::StateVector evolve_fused(const QuantumCircuit& c, std::size_t max_fused) {
-  FusionOptions options;
-  options.max_fused_qubits = max_fused;
+sim::StateVector evolve_fused(const QuantumCircuit& c, const FusionOptions& options) {
   const FusionPlan plan = build_fusion_plan(c.instructions(), options);
   sim::StateVector sv(c.num_qubits());
   std::uint64_t scratch = 0;
@@ -66,14 +66,29 @@ sim::StateVector evolve_fused(const QuantumCircuit& c, std::size_t max_fused) {
 }
 
 TEST(FusionEngine, FusedStateMatchesUnfusedOnRandomCircuits) {
+  // Each option changes which blocks form, so each gets the whole sweep:
+  // 0 defaults, 1 adjacent wires only, 2 no coalescing, 3 every third gate
+  // pinned raw.
   Rng rng(0xf05e);
   for (std::size_t n = 2; n <= 10; ++n) {
-    for (std::size_t max_fused = 2; max_fused <= 5; ++max_fused) {
+    for (std::size_t max_fused = 2; max_fused <= sim::MatrixN::kMaxQubits;
+         ++max_fused) {
       const QuantumCircuit c = random_circuit(n, 12 * n, rng);
       const sim::StateVector reference = evolve_unfused(c);
-      const sim::StateVector fused = evolve_fused(c, max_fused);
-      EXPECT_NEAR(fused.fidelity(reference), 1.0, 1e-9)
-          << "n=" << n << " max_fused=" << max_fused;
+      const Instruction* first = c.instructions().data();
+      for (int variant = 0; variant < 4; ++variant) {
+        FusionOptions options;
+        options.max_fused_qubits = max_fused;
+        options.require_adjacent_wires = variant == 1;
+        options.coalesce_blocks = variant != 2;
+        if (variant == 3) {
+          options.keep_raw = [first](const Instruction& in) {
+            return (&in - first) % 3 == 0;
+          };
+        }
+        EXPECT_NEAR(evolve_fused(c, options).fidelity(reference), 1.0, 1e-9)
+            << "n=" << n << " max_fused=" << max_fused << " variant=" << variant;
+      }
     }
   }
 }
@@ -126,29 +141,6 @@ TEST(FusionEngine, DisabledFusionReplaysSourceVerbatim) {
   EXPECT_GT(fused.fused_gates, 0u);
   EXPECT_EQ(unfused.fused_gates, 0u);
   EXPECT_EQ(fused.counts, unfused.counts);
-}
-
-TEST(FusionEngine, InstructionMatrixMatchesDirectApplication) {
-  Rng rng(123);
-  for (int rep = 0; rep < 20; ++rep) {
-    const QuantumCircuit c = random_circuit(4, 1, rng);
-    ASSERT_EQ(c.size(), 1u);
-    const Instruction& in = c.instructions()[0];
-    const sim::MatrixN mat = instruction_matrix(in);
-    EXPECT_TRUE(mat.is_unitary(1e-10));
-    // Apply to a random product state both ways.
-    sim::StateVector a(4), b(4);
-    for (std::size_t q = 0; q < 4; ++q) {
-      const double theta = rng.uniform() * 3.0;
-      a.apply_1q(sim::gates::RY(theta), q);
-      b.apply_1q(sim::gates::RY(theta), q);
-    }
-    std::uint64_t scratch = 0;
-    Rng dummy(0);
-    apply_instruction(a, in, scratch, dummy);
-    b.apply_kq(mat, in.qubits);
-    EXPECT_NEAR(a.fidelity(b), 1.0, 1e-10);
-  }
 }
 
 TEST(FusionEngine, MeasureAndConditionBreakFusionCorrectly) {
@@ -260,8 +252,7 @@ TEST(FusionEngine, GroverLayersCoalesceIntoMultiWireBlocks) {
     if (in.type != GateType::Measure) unitary_part.append(in);
   }
   const sim::StateVector reference = evolve_unfused(unitary_part);
-  const sim::StateVector fused =
-      evolve_fused(unitary_part, FusionOptions{}.max_fused_qubits);
+  const sim::StateVector fused = evolve_fused(unitary_part, FusionOptions{});
   EXPECT_NEAR(fused.fidelity(reference), 1.0, 1e-9);
 }
 
@@ -291,8 +282,35 @@ TEST(FusionEngine, CoalescingPacksDisjointSameLayerBlocks) {
   EXPECT_TRUE(packed.width_histogram.count(5));
 
   const sim::StateVector reference = evolve_unfused(c);
-  const sim::StateVector fused = evolve_fused(c, 5);
+  const sim::StateVector fused = evolve_fused(c, on);
   EXPECT_NEAR(fused.fidelity(reference), 1.0, 1e-12);
+}
+
+TEST(FusionEngine, PlansOfFixedCircuitsArePinned) {
+  // Block decisions pinned on three structured circuits: a planner change
+  // that forms different blocks must update these numbers on purpose.
+  std::vector<std::size_t> wires(12);
+  for (std::size_t q = 0; q < wires.size(); ++q) wires[q] = q;
+  QuantumCircuit qft_mirror = algo::make_qft(12);
+  qft_mirror.barrier();
+  qft_mirror.compose(algo::make_qft(12).inverse(), wires);
+  const std::uint64_t marked[] = {(std::uint64_t{1} << 10) - 1};
+  const struct {
+    const char* name;
+    QuantumCircuit circuit;
+    std::size_t fused_gates;
+    std::map<std::size_t, std::size_t> widths;
+  } cases[] = {
+      {"qft12_mirror", qft_mirror, 164, {{2, 3}, {3, 4}, {4, 15}, {5, 20}}},
+      {"brickwork10", qutes::testing::brickwork_circuit(10, 8, 52), 116,
+       {{2, 4}, {3, 2}, {4, 2}, {5, 5}}},
+      {"grover10", algo::build_grover_circuit(10, marked, 3), 130, {{1, 10}, {5, 12}}},
+  };
+  for (const auto& c : cases) {
+    const FusionPlan plan = build_fusion_plan(c.circuit.instructions(), FusionOptions{});
+    EXPECT_EQ(plan.fused_gates, c.fused_gates) << c.name;
+    EXPECT_EQ(plan.width_histogram, c.widths) << c.name;
+  }
 }
 
 TEST(FusionEngine, ApplyKqValidatesArguments) {

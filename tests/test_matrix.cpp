@@ -114,42 +114,19 @@ TEST(MatrixN, IdentityAndLifts) {
   EXPECT_NEAR(std::abs(zx(3, 2) - cplx{-1.0}), 0.0, kTol);
 }
 
-TEST(MatrixN, EmbeddedMatchesKron) {
-  // Embedding a 1q gate at local position p of a 2q block must match the
-  // explicit kron: position 0 -> kron(I, U), position 1 -> kron(U, I).
-  const MatrixN u = MatrixN::from_1q(H());
-  const std::size_t at0[1] = {0};
-  const std::size_t at1[1] = {1};
-  EXPECT_LT(u.embedded(2, at0).distance(MatrixN::from_2q(kron(I(), H()))),
-            kTol);
-  EXPECT_LT(u.embedded(2, at1).distance(MatrixN::from_2q(kron(H(), I()))),
-            kTol);
-  // Identity embedding (same width, in-order positions) is a no-op.
-  const MatrixN zx = MatrixN::from_2q(kron(Z(), X()));
-  const std::size_t direct[2] = {0, 1};
-  EXPECT_LT(zx.embedded(2, direct).distance(zx), kTol);
-  // Reversed positions swap which wire each factor acts on.
-  const std::size_t swapped[2] = {1, 0};
-  EXPECT_LT(zx.embedded(2, swapped).distance(MatrixN::from_2q(kron(X(), Z()))),
-            kTol);
-}
-
 TEST(MatrixN, ComposeAndAdjointRoundTrip) {
-  const MatrixN h = MatrixN::from_1q(H());
-  const std::size_t at0[1] = {0};
-  const std::size_t at1[1] = {1};
-  const MatrixN big =
-      h.embedded(3, at1) * MatrixN::from_1q(RX(0.3)).embedded(3, at0);
+  // H on the high qubit times RX on the low one is their kron.
+  const MatrixN big = MatrixN::from_2q(kron(H(), I())) *
+                      MatrixN::from_2q(kron(I(), RX(0.3)));
+  EXPECT_LT(big.distance(MatrixN::from_2q(kron(H(), RX(0.3)))), kTol);
   EXPECT_TRUE(big.is_unitary(kTol));
-  EXPECT_LT((big * big.adjoint()).distance(MatrixN::identity(3)), kTol);
+  EXPECT_LT((big * big.adjoint()).distance(MatrixN::identity(2)), kTol);
 }
 
-TEST(MatrixN, EmbeddedRejectsBadArguments) {
-  const MatrixN u = MatrixN::from_1q(H());
-  const std::size_t out[1] = {3};
-  EXPECT_THROW(u.embedded(2, out), qutes::InvalidArgument);
-  const std::size_t ok[1] = {0};
-  EXPECT_THROW(u.embedded(MatrixN::kMaxQubits + 1, ok),
+TEST(MatrixN, RejectsBadWidths) {
+  EXPECT_THROW(MatrixN(0), qutes::InvalidArgument);
+  EXPECT_THROW(MatrixN(MatrixN::kMaxQubits + 1), qutes::InvalidArgument);
+  EXPECT_THROW((void)(MatrixN::identity(2) * MatrixN::identity(3)),
                qutes::InvalidArgument);
 }
 
