@@ -105,6 +105,22 @@ python3 scripts/check_trace.py "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" \
   --require backend.execute
 echo "check.sh: observability trace/metrics smoke passed."
 
+# Trajectory-path smoke: cyclic_shift prints (measures) its register
+# mid-program, so its 256-shot replay runs on the shot-group engine. The
+# trace must show the engine's group span, and the replay histogram must be
+# byte-identical at OpenMP team 1 and 4.
+for threads in 1 4; do
+  OMP_NUM_THREADS=$threads "$BUILD_DIR"/tools/qutes run examples/programs/cyclic_shift.qut \
+    --replay 256 --trace "$OBS_DIR/replay_t$threads.json" 2>&1 >/dev/null \
+    | sed -n '/^--- replay/,/^wrote /{/^wrote /!p}' >"$OBS_DIR/replay_t$threads.txt"
+done
+python3 scripts/check_trace.py "$OBS_DIR/replay_t4.json" --require sv.group
+[[ -s "$OBS_DIR/replay_t1.txt" ]] \
+  || { echo "check.sh: the cyclic_shift replay printed no histogram" >&2; exit 1; }
+diff "$OBS_DIR/replay_t1.txt" "$OBS_DIR/replay_t4.txt" \
+  || { echo "check.sh: replay histogram differs between OMP_NUM_THREADS=1 and 4" >&2; exit 1; }
+echo "check.sh: trajectory-path replay smoke passed (group spans, thread-invariant histogram)."
+
 # qutesd daemon smoke: boot the daemon on a private socket, issue a
 # cold/warm request pair through the CLI client (the warm one must report a
 # cache hit), then SIGTERM and require a graceful exit that unlinks the

@@ -1,10 +1,12 @@
 #include "qutes/circuit/backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <exception>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "qutes/circuit/fusion.hpp"
@@ -79,11 +81,10 @@ bool has_wide_unitary(const QuantumCircuit& circ) {
   return false;
 }
 
-/// Apply one instruction to an MPS (measure writes into `clbits`). The MPS
-/// analog of apply_instruction(StateVector&, ...); expects gates of at most
-/// two qubits (wider circuits are lowered before reaching this point).
-void apply_instruction_mps(sim::Mps& mps, const Instruction& in,
-                           std::uint64_t& clbits, Rng& rng) {
+/// Apply one gate, barrier or global phase to an MPS. The MPS analog of
+/// apply_gate(StateVector&, ...); expects gates of at most two qubits
+/// (wider circuits are lowered before reaching this point).
+void apply_gate(sim::Mps& mps, const Instruction& in) {
   const auto controlled = [&](const sim::Matrix2& u) {
     if (in.qubits.size() != 2) {
       throw CircuitError(std::string("mps backend: gate ") + gate_name(in.type) +
@@ -122,15 +123,8 @@ void apply_instruction_mps(sim::Mps& mps, const Instruction& in,
     case GateType::CSWAP:
       throw CircuitError(
           "mps backend: CSWAP was not lowered to the {u, cx} basis");
-    case GateType::Measure:
-      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-        const int bit = mps.measure(in.qubits[i], rng);
-        clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
-      }
-      break;
-    case GateType::Reset:
-      mps.reset_qubit(in.qubits[0], rng);
-      break;
+    case GateType::Measure: case GateType::Reset:
+      throw CircuitError("mps backend: measure/reset reached the gate dispatcher");
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
@@ -156,13 +150,11 @@ bool is_clifford_gate(GateType type) noexcept {
   }
 }
 
-/// Apply one instruction to a stabilizer tableau (measure writes into
-/// `clbits`, one byte per classical bit — the tableau runs at widths far
-/// past what a packed uint64 register could hold). The tableau analog of
-/// apply_instruction(StateVector&, ...); non-Clifford gates cannot reach it
-/// (the executor rejects them by name first) but throw defensively anyway.
-void apply_instruction_stab(sim::Stabilizer& tab, const Instruction& in,
-                            std::vector<std::uint8_t>& clbits, Rng& rng) {
+/// Apply one Clifford gate, barrier or global phase to a stabilizer
+/// tableau. The tableau analog of apply_gate(StateVector&, ...); non-Clifford
+/// gates cannot reach it (the executor rejects them by name first) but throw
+/// defensively anyway.
+void apply_gate(sim::Stabilizer& tab, const Instruction& in) {
   switch (in.type) {
     case GateType::H: tab.apply_h(in.qubits[0]); break;
     case GateType::S: tab.apply_s(in.qubits[0]); break;
@@ -173,15 +165,9 @@ void apply_instruction_stab(sim::Stabilizer& tab, const Instruction& in,
     case GateType::CX: tab.apply_cx(in.qubits[0], in.qubits[1]); break;
     case GateType::CZ: tab.apply_cz(in.qubits[0], in.qubits[1]); break;
     case GateType::SWAP: tab.apply_swap(in.qubits[0], in.qubits[1]); break;
-    case GateType::Measure:
-      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-        clbits[in.clbits[i]] =
-            static_cast<std::uint8_t>(tab.measure(in.qubits[i], rng));
-      }
-      break;
-    case GateType::Reset:
-      tab.reset_qubit(in.qubits[0], rng);
-      break;
+    case GateType::Measure: case GateType::Reset:
+      throw CircuitError(
+          "stabilizer backend: measure/reset reached the gate dispatcher");
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
@@ -206,12 +192,342 @@ std::string key_from_basis(std::uint64_t basis,
   return key;
 }
 
+/// MSB-first key of a classical register held one byte per bit.
+std::string key_from_bits(const std::vector<std::uint8_t>& bits) {
+  std::string key(bits.size(), '0');
+  for (std::size_t c = 0; c < bits.size(); ++c) {
+    if (bits[c]) key[bits.size() - 1 - c] = '1';
+  }
+  return key;
+}
+
+// ---- shot-group engine ------------------------------------------------------
+//
+// The trajectory path of the statevector, MPS and stabilizer backends. A
+// group of shots shares one state and one classical register. At every
+// random event (a measured or reset qubit, a noise channel, a readout flip)
+// each shot draws from its own Rng(seed, shot) exactly what a lone
+// trajectory would draw there. The group continues with the outcome most of
+// its shots drew; the shots that drew another outcome leave as a new group
+// per outcome, replayed from |0...0> later. Up to the event where it left, a
+// replayed group sees the same states and redraws the same values, so every
+// shot's draws, state and register are those of its own trajectory, while
+// each distinct outcome path is evolved once. Groups run as OpenMP tasks: a
+// task builds its state fresh, evolves it, merges its counts and frees it
+// before it queues the groups that left, so a thread holds one state at a
+// time and the split (and `evolutions`) does not depend on the thread count.
+
+/// The shots of one group, each with its own counter-derived stream.
+class ShotGroup {
+public:
+  ShotGroup(std::vector<std::size_t> shots, std::uint64_t seed)
+      : shots_(std::move(shots)) {
+    rngs_.reserve(shots_.size());
+    for (const std::size_t s : shots_) rngs_.emplace_back(seed, s);
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& shots() const noexcept {
+    return shots_;
+  }
+
+  /// One random event: every shot draws an outcome below kOutcomes with
+  /// `draw_one(rng)`. The group keeps the most common outcome (the lowest on
+  /// a tie) and returns it; the shots that drew another one leave.
+  template <class Draw>
+  int draw(Draw&& draw_one) {
+    std::array<std::size_t, kOutcomes> tally{};
+    outcomes_.resize(shots_.size());
+    for (std::size_t i = 0; i < shots_.size(); ++i) {
+      const auto outcome = static_cast<std::size_t>(draw_one(rngs_[i]));
+      outcomes_[i] = static_cast<std::uint8_t>(outcome);
+      ++tally[outcome];
+    }
+    const auto kept = static_cast<std::size_t>(
+        std::max_element(tally.begin(), tally.end()) - tally.begin());
+    if (tally[kept] == shots_.size()) return static_cast<int>(kept);
+    std::array<std::vector<std::size_t>, kOutcomes> leaving;
+    std::size_t stay = 0;
+    for (std::size_t i = 0; i < shots_.size(); ++i) {
+      if (outcomes_[i] == kept) {
+        shots_[stay] = shots_[i];
+        rngs_[stay] = rngs_[i];
+        ++stay;
+      } else {
+        leaving[outcomes_[i]].push_back(shots_[i]);
+      }
+    }
+    shots_.resize(stay);
+    rngs_.resize(stay);
+    for (std::vector<std::size_t>& group : leaving) {
+      if (!group.empty()) departed_.push_back(std::move(group));
+    }
+    return static_cast<int>(kept);
+  }
+
+  /// The groups that left, one per (event, outcome).
+  [[nodiscard]] std::vector<std::vector<std::size_t>> take_departed() {
+    return std::move(departed_);
+  }
+
+private:
+  /// Widest event: no error or an X, Y or Z from a depolarizing channel.
+  static constexpr std::size_t kOutcomes = 4;
+
+  std::vector<std::size_t> shots_;
+  std::vector<Rng> rngs_;
+  std::vector<std::uint8_t> outcomes_;
+  std::vector<std::vector<std::size_t>> departed_;
+};
+
+/// Measure `qubit` of a state that exposes probability_one and collapse (the
+/// statevector and the MPS): every shot draws its uniform, the group
+/// collapses once onto the outcome it keeps.
+template <class State>
+int collapse_drawn(State& state, std::size_t qubit, ShotGroup& group) {
+  const double p1 = state.probability_one(qubit);
+  const int bit = group.draw([p1](Rng& rng) { return rng.uniform() < p1 ? 1 : 0; });
+  state.collapse(qubit, bit, bit ? p1 : 1.0 - p1);
+  return bit;
+}
+
+/// Runs one backend's trajectory path as shot groups. `Hooks` adapts the
+/// backend's simulator:
+///   State                                   the simulator state type
+///   State fresh() const                     |0...0>
+///   void apply_fused(State&, const FusedOp&) const
+///   void apply(State&, const Instruction&, ShotGroup&) const
+///       a gate, barrier or global phase, plus any noise it acquires
+///   int measure(State&, std::size_t qubit, ShotGroup&) const
+///       collapse the qubit; returns the bit to record
+///   void reset(State&, std::size_t qubit, ShotGroup&) const
+///   void finish(const State&, ExecutionResult&) const
+///       per-group diagnostics, called under the merge lock
+template <class Hooks>
+class ShotGroupEngine {
+public:
+  ShotGroupEngine(const Hooks& hooks, const QuantumCircuit& circ,
+                  const FusionPlan& plan, const RunConfig& config,
+                  obs::Counter& gates_metric, const char* group_span,
+                  ExecutionResult& result)
+      : hooks_(hooks), circ_(circ), plan_(plan), config_(config),
+        gates_metric_(gates_metric), group_span_(group_span), result_(result) {}
+
+  void run() {
+    result_.trajectories = config_.shots;
+    result_.fast_path = false;
+    if (config_.record_memory) result_.memory.assign(config_.shots, {});
+    if (config_.shots == 0) return;
+    std::vector<std::size_t> all(config_.shots);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+#pragma omp parallel if (config_.backend.parallel_shots && config_.shots > 1)
+#pragma omp single
+    run_group(std::move(all));
+    if (error_) std::rethrow_exception(error_);
+  }
+
+private:
+  /// Evolve one group, then queue the groups that left it as tasks.
+  void run_group(std::vector<std::size_t> shots) {
+    std::vector<std::vector<std::size_t>> departed;
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        departed = evolve(std::move(shots));
+      } catch (...) {
+        // A task cannot propagate an exception: keep the first one and
+        // rethrow it after the parallel region.
+        if (!failed_.exchange(true)) error_ = std::current_exception();
+      }
+    }
+    for (std::vector<std::size_t>& group : departed) {
+      std::vector<std::size_t> next = std::move(group);
+#pragma omp task firstprivate(next)
+      run_group(std::move(next));
+    }
+  }
+
+  std::vector<std::vector<std::size_t>> evolve(std::vector<std::size_t> shots) {
+    obs::Span span(group_span_);
+    ShotGroup group(std::move(shots), config_.seed);
+    typename Hooks::State state = hooks_.fresh();
+    std::vector<std::uint8_t> clbits(circ_.num_clbits(), 0);
+    std::size_t applied = 0;
+    const auto& instrs = circ_.instructions();
+    for (const FusedOp& op : plan_.ops) {
+      if (op.fused) {
+        hooks_.apply_fused(state, op);
+        ++applied;
+        continue;
+      }
+      const Instruction& in = instrs[op.instruction];
+      // The condition is read once, before the instruction runs.
+      if (in.condition && clbits[in.condition->clbit] != in.condition->value) {
+        continue;
+      }
+      if (in.type == GateType::Measure) {
+        for (std::size_t i = 0; i < in.qubits.size(); ++i) {
+          clbits[in.clbits[i]] =
+              static_cast<std::uint8_t>(hooks_.measure(state, in.qubits[i], group));
+        }
+      } else if (in.type == GateType::Reset) {
+        hooks_.reset(state, in.qubits[0], group);
+      } else {
+        hooks_.apply(state, in, group);
+        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) ++applied;
+      }
+    }
+    const std::string key = key_from_bits(clbits);
+    if (config_.record_memory) {
+      for (const std::size_t s : group.shots()) result_.memory[s] = key;
+    }
+#pragma omp critical(qutes_shot_group_merge)
+    {
+      result_.counts[key] += group.shots().size();
+      ++result_.evolutions;
+      gates_metric_.add(applied);
+      hooks_.finish(state, result_);
+    }
+    return group.take_departed();
+  }
+
+  const Hooks& hooks_;
+  const QuantumCircuit& circ_;
+  const FusionPlan& plan_;
+  const RunConfig& config_;
+  obs::Counter& gates_metric_;
+  const char* group_span_;
+  ExecutionResult& result_;
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;
+};
+
+/// Shot-group hooks of the dense statevector, which also realizes the
+/// NoiseModel as Monte-Carlo channels: depolarizing and damping after each
+/// gate that acquires noise, readout flips on each measured bit.
+struct StatevectorHooks {
+  using State = sim::StateVector;
+  std::size_t num_qubits;
+  const sim::NoiseModel& noise;
+
+  [[nodiscard]] State fresh() const { return State(num_qubits); }
+
+  void apply_fused(State& sv, const FusedOp& op) const {
+    sv.apply_kq(op.matrix, op.qubits);
+  }
+
+  void apply(State& sv, const Instruction& in, ShotGroup& group) const {
+    apply_gate(sv, in);
+    if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) return;
+    const auto depolarize = [&](std::size_t q, double p) {
+      sim::apply_pauli(
+          sv, q, group.draw([p](Rng& rng) { return sim::draw_depolarizing(p, rng); }));
+    };
+    if (in.qubits.size() == 1 && noise.depolarizing_1q > 0.0) {
+      depolarize(in.qubits[0], noise.depolarizing_1q);
+    } else if (in.qubits.size() >= 2 && noise.depolarizing_2q > 0.0) {
+      for (const std::size_t q : in.qubits) depolarize(q, noise.depolarizing_2q);
+    }
+    if (noise.amplitude_damping > 0.0) {
+      const double gamma = noise.amplitude_damping;
+      for (const std::size_t q : in.qubits) {
+        const double p1 = sv.probability_one(q);
+        const int decay = group.draw(
+            [gamma, p1](Rng& rng) { return sim::draw_decay(gamma, p1, rng); });
+        sim::apply_damping_branch(sv, q, gamma, decay == 1);
+      }
+    }
+  }
+
+  int measure(State& sv, std::size_t q, ShotGroup& group) const {
+    const int bit = collapse_drawn(sv, q, group);
+    if (noise.readout_error <= 0.0) return bit;
+    const double p = noise.readout_error;
+    return bit ^ group.draw([p](Rng& rng) { return sim::draw_readout_flip(p, rng); });
+  }
+
+  void reset(State& sv, std::size_t q, ShotGroup& group) const {
+    if (collapse_drawn(sv, q, group) == 1) sv.apply_1q(X(), q);
+  }
+
+  void finish(const State&, ExecutionResult&) const {}
+};
+
+/// Shot-group hooks of the matrix product state (noiseless).
+struct MpsHooks {
+  using State = sim::Mps;
+  std::size_t num_qubits;
+  sim::MpsOptions options;
+  obs::Counter& truncations;
+
+  [[nodiscard]] State fresh() const { return State(num_qubits, options); }
+
+  void apply_fused(State& mps, const FusedOp& op) const {
+    mps.apply_kq(op.matrix, op.qubits);
+  }
+
+  void apply(State& mps, const Instruction& in, ShotGroup&) const {
+    apply_gate(mps, in);
+  }
+
+  int measure(State& mps, std::size_t q, ShotGroup& group) const {
+    return collapse_drawn(mps, q, group);
+  }
+
+  void reset(State& mps, std::size_t q, ShotGroup& group) const {
+    if (collapse_drawn(mps, q, group) == 1) mps.apply_1q(X(), q);
+  }
+
+  void finish(const State& mps, ExecutionResult& result) const {
+    result.truncation_error = std::max(result.truncation_error, mps.truncation_error());
+    result.max_bond_dim_reached =
+        std::max(result.max_bond_dim_reached, mps.max_bond_dim_reached());
+    truncations.add(mps.svd_truncations());
+  }
+};
+
+/// Shot-group hooks of the stabilizer tableau (noiseless, Clifford only). A
+/// measurement draws a coin for every shot only when its outcome is random.
+struct StabilizerHooks {
+  using State = sim::Stabilizer;
+  std::size_t num_qubits;
+  obs::Counter& measurements;
+  obs::Counter& random_outcomes;
+  obs::Gauge& peak_bytes;
+
+  [[nodiscard]] State fresh() const { return State(num_qubits); }
+
+  void apply_fused(State&, const FusedOp&) const {
+    throw CircuitError(
+        "stabilizer backend received a fused dense block (fusion should be "
+        "capability-clamped to width 1)");
+  }
+
+  void apply(State& tab, const Instruction& in, ShotGroup&) const {
+    apply_gate(tab, in);
+  }
+
+  int measure(State& tab, std::size_t q, ShotGroup& group) const {
+    return tab.measure_with(q, [&group] {
+      return group.draw([](Rng& rng) { return static_cast<int>(rng.below(2)); });
+    });
+  }
+
+  void reset(State& tab, std::size_t q, ShotGroup& group) const {
+    if (measure(tab, q, group) == 1) tab.apply_x(q);
+  }
+
+  void finish(const State& tab, ExecutionResult&) const {
+    measurements.add(tab.measurements());
+    random_outcomes.add(tab.random_outcomes());
+    peak_bytes.set_max(static_cast<double>(tab.memory_bytes()));
+  }
+};
+
 // ---- statevector ------------------------------------------------------------
 
-/// Dense 2^n-amplitude simulation: the original executor engine, verbatim.
-/// Static noiseless circuits evolve once and sample from the final
-/// distribution; everything else runs one trajectory per shot with
-/// Monte-Carlo noise, OpenMP-parallel over counter-derived RNG streams.
+/// Dense 2^n-amplitude simulation. Static noiseless circuits evolve once and
+/// sample from the final distribution; everything else runs on the
+/// shot-group engine with Monte-Carlo noise, one evolution per distinct
+/// outcome path.
 class StatevectorBackend final : public Backend {
 public:
   std::string name() const override { return "statevector"; }
@@ -219,7 +535,6 @@ public:
   BackendCapabilities capabilities() const override {
     BackendCapabilities caps;
     caps.max_qubits = sim::StateVector::kMaxQubits;
-    caps.max_clbits = kMaxPackedClbits;
     return caps;
   }
 
@@ -233,7 +548,6 @@ public:
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/!fast);
     record_fusion_stats(result, plan);
-    const auto& instrs = circ.instructions();
     peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
 
     if (fast) {
@@ -243,101 +557,15 @@ public:
       sample_static(cdf, sv.dim(), wire, config.seed, config.shots,
                     config.record_memory, result);
       result.trajectories = 1;
+      result.evolutions = 1;
       result.fast_path = true;
       return;
     }
 
-    // Dynamic/noisy path: one trajectory per shot.
     obs::Span shots_span("sv.shots");
-
-    const auto shots = static_cast<std::int64_t>(config.shots);
-    if (config.record_memory) result.memory.assign(config.shots, {});
-
-    // Each shot owns a counter-derived RNG stream, so the loop can run on any
-    // number of threads and still produce bit-identical counts: per-shot
-    // outcomes depend only on (seed, shot), memory slots are indexed by shot,
-    // and merging per-thread histograms is an order-independent sum.
-    const sim::NoiseModel& noise = config.backend.noise;
-    const auto run_shot = [&](std::size_t s, std::size_t& applied) {
-      obs::Span span("sv.shot");
-      Rng rng(config.seed, s);
-      sim::StateVector sv(circ.num_qubits());
-      std::uint64_t clbits = 0;
-      for (const FusedOp& op : plan.ops) {
-        if (op.fused) {
-          sv.apply_kq(op.matrix, op.qubits);
-          ++applied;
-          continue;
-        }
-        const Instruction& in = instrs[op.instruction];
-        if (in.condition &&
-            static_cast<int>(test_bit(clbits, in.condition->clbit)) !=
-                in.condition->value) {
-          continue;
-        }
-        if (in.type == GateType::Measure && noise.readout_error > 0.0) {
-          for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-            int bit = sv.measure(in.qubits[i], rng);
-            bit = sim::apply_readout_error(bit, noise.readout_error, rng);
-            clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
-          }
-        } else {
-          apply_instruction(sv, in, clbits, rng);
-        }
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-          if (in.qubits.size() == 1 && noise.depolarizing_1q > 0.0) {
-            sim::apply_depolarizing(sv, in.qubits[0], noise.depolarizing_1q, rng);
-          } else if (in.qubits.size() >= 2 && noise.depolarizing_2q > 0.0) {
-            for (std::size_t q : in.qubits) {
-              sim::apply_depolarizing(sv, q, noise.depolarizing_2q, rng);
-            }
-          }
-          if (noise.amplitude_damping > 0.0) {
-            for (std::size_t q : in.qubits) {
-              sim::apply_amplitude_damping(sv, q, noise.amplitude_damping, rng);
-            }
-          }
-        }
-      }
-      return to_bitstring(clbits, circ.num_clbits());
-    };
-
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      std::size_t local_applied = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          const std::string key =
-              run_shot(static_cast<std::size_t>(s), local_applied);
-          ++local[key];
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          // OpenMP loops cannot propagate exceptions; capture the first one
-          // and rethrow after the region.
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_executor_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_executor_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        gates_metric.add(local_applied);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-
-    result.trajectories = config.shots;
-    result.fast_path = false;
+    ShotGroupEngine(StatevectorHooks{circ.num_qubits(), config.backend.noise}, circ,
+                    plan, config, gates_metric, "sv.group", result)
+        .run();
   }
 
   void execute_batch(const QuantumCircuit& circ, const RunConfig& config,
@@ -345,9 +573,10 @@ public:
                      std::vector<ExecutionResult>& results) const override {
     const bool fast = !config.backend.noise.enabled() && Executor::is_static(circ);
     if (!fast) {
-      // The dynamic/noisy path is per-shot trajectories either way; there is
-      // no seed-independent work worth sharing. The base loop is already
-      // bit-identical to sequential execution.
+      // On the trajectory path every draw, and so every shot group, depends
+      // on the item's seed: there is no seed-independent work to share, so
+      // each item runs the shot-group engine on its own. The base loop is
+      // already bit-identical to sequential execution.
       Backend::execute_batch(circ, config, items, results);
       return;
     }
@@ -369,6 +598,7 @@ public:
       sample_static(cdf, sv.dim(), wire, items[i].seed, items[i].shots,
                     items[i].record_memory, results[i]);
       results[i].trajectories = 1;
+      results[i].evolutions = 1;
       results[i].fast_path = true;
     }
   }
@@ -385,8 +615,6 @@ private:
     static obs::Counter& gates_metric =
         obs::metrics().counter(obs::names::kSvGatesApplied);
     const auto& instrs = circ.instructions();
-    Rng rng(0);  // never drawn from: no measure/reset reaches apply_instruction
-    std::uint64_t scratch = 0;
     {
       obs::Span span("sv.evolve");
       std::size_t applied = 0;
@@ -403,7 +631,7 @@ private:
           }
           continue;
         }
-        apply_instruction(sv, in, scratch, rng);
+        apply_gate(sv, in);
         if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
           ++applied;
         }
@@ -515,6 +743,7 @@ public:
       if (config.record_memory) result.memory.push_back(key);
     }
     result.trajectories = 1;
+    result.evolutions = 1;
     result.fast_path = true;
   }
 
@@ -592,8 +821,8 @@ private:
 /// Tensor-network simulation. Gates wider than two qubits are lowered to
 /// {u, cx} first; fusion is capped at contiguous 2q blocks by the capability
 /// query. Static circuits evolve one MPS and draw shots from a shared
-/// Sampler; dynamic circuits run one MPS trajectory per shot. Both shot
-/// loops use Rng(seed, shot) streams, so counts are thread-count-invariant.
+/// Sampler; dynamic circuits run on the shot-group engine. Both draw from
+/// Rng(seed, shot) streams, so counts are thread-count-invariant.
 class MpsBackend final : public Backend {
 public:
   std::string name() const override { return "mps"; }
@@ -604,7 +833,6 @@ public:
     caps.fused_adjacent_only = true;
     caps.supports_noise = false;  // no trajectory channels on an MPS (yet)
     caps.max_qubits = 64;         // sampling packs outcomes into a uint64
-    caps.max_clbits = kMaxPackedClbits;
     caps.prefers_linear_layout = true;
     return caps;
   }
@@ -636,21 +864,18 @@ public:
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     record_fusion_stats(result, plan);
-    const auto& instrs = circ.instructions();
 
     sim::MpsOptions mps_options;
     mps_options.max_bond_dim = config.backend.max_bond_dim;
     mps_options.truncation_threshold = config.backend.truncation_threshold;
 
-    const auto shots = static_cast<std::int64_t>(config.shots);
-    if (config.record_memory) result.memory.assign(config.shots, {});
-
     if (Executor::is_static(circ)) {
       // Evolve one MPS, then sample every shot from a shared read-only
       // Sampler — per-shot cost is O(n chi^3), independent of shot history.
-      Rng rng(config.seed);
+      const auto shots = static_cast<std::int64_t>(config.shots);
+      if (config.record_memory) result.memory.assign(config.shots, {});
+      const auto& instrs = circ.instructions();
       sim::Mps mps(circ.num_qubits(), mps_options);
-      std::uint64_t scratch = 0;
       std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
       {
         obs::Span span("mps.evolve");
@@ -668,7 +893,7 @@ public:
             }
             continue;
           }
-          apply_instruction_mps(mps, in, scratch, rng);
+          apply_gate(mps, in);
           if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
             ++applied;
           }
@@ -712,85 +937,17 @@ public:
       if (error) std::rethrow_exception(error);
 
       result.trajectories = 1;
+      result.evolutions = 1;
       result.fast_path = true;
       return;
     }
 
-    // Dynamic path: one MPS trajectory per shot, same counter-derived RNG
-    // discipline as the statevector backend.
     obs::Span shots_span("mps.shots");
-    const auto run_shot = [&](std::size_t s, double& trunc, std::size_t& bond,
-                              std::size_t& applied, std::size_t& truncations) {
-      obs::Span span("mps.shot");
-      Rng rng(config.seed, s);
-      sim::Mps mps(circ.num_qubits(), mps_options);
-      std::uint64_t clbits = 0;
-      for (const FusedOp& op : plan.ops) {
-        if (op.fused) {
-          mps.apply_kq(op.matrix, op.qubits);
-          ++applied;
-          continue;
-        }
-        const Instruction& in = instrs[op.instruction];
-        if (in.condition &&
-            static_cast<int>(test_bit(clbits, in.condition->clbit)) !=
-                in.condition->value) {
-          continue;
-        }
-        apply_instruction_mps(mps, in, clbits, rng);
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-        }
-      }
-      trunc = std::max(trunc, mps.truncation_error());
-      bond = std::max(bond, mps.max_bond_dim_reached());
-      truncations += mps.svd_truncations();
-      return to_bitstring(clbits, circ.num_clbits());
-    };
-
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      double local_trunc = 0.0;
-      std::size_t local_bond = 0;
-      std::size_t local_applied = 0;
-      std::size_t local_truncations = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          const std::string key =
-              run_shot(static_cast<std::size_t>(s), local_trunc, local_bond,
-                       local_applied, local_truncations);
-          ++local[key];
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_mps_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_mps_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        result.truncation_error = std::max(result.truncation_error, local_trunc);
-        result.max_bond_dim_reached =
-            std::max(result.max_bond_dim_reached, local_bond);
-        gates_metric.add(local_applied);
-        truncations_metric.add(local_truncations);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-
+    ShotGroupEngine(MpsHooks{circ.num_qubits(), mps_options, truncations_metric},
+                    circ, plan, config, gates_metric, "mps.group", result)
+        .run();
     bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
     trunc_gauge.set_max(result.truncation_error);
-    result.trajectories = config.shots;
-    result.fast_path = false;
   }
 };
 
@@ -801,9 +958,9 @@ public:
 /// so the executor rejects anything else by name and fusion is clamped to
 /// width 1 — no dense blocks ever reach the tableau). Static circuits evolve
 /// the unitary prefix once, then every shot copies the evolved tableau and
-/// measures it; dynamic circuits run one tableau trajectory per shot. Both
-/// shot loops draw from Rng(seed, shot) streams, so counts are bit-identical
-/// at any thread count.
+/// measures it; dynamic circuits run on the shot-group engine. Both draw
+/// from Rng(seed, shot) streams, so counts are bit-identical at any thread
+/// count.
 class StabilizerBackend final : public Backend {
 public:
   std::string name() const override { return "stabilizer"; }
@@ -835,43 +992,19 @@ public:
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     record_fusion_stats(result, plan);
-    const auto& instrs = circ.instructions();
-
-    const auto shots = static_cast<std::int64_t>(config.shots);
-    if (config.record_memory) result.memory.assign(config.shots, {});
-
-    const auto key_of = [&](const std::vector<std::uint8_t>& clbits) {
-      std::string key(circ.num_clbits(), '0');
-      for (std::size_t c = 0; c < clbits.size(); ++c) {
-        if (clbits[c]) key[circ.num_clbits() - 1 - c] = '1';
-      }
-      return key;
-    };
-
-    const auto run_instruction = [&](sim::Stabilizer& tab, const Instruction& in,
-                                     std::vector<std::uint8_t>& clbits,
-                                     Rng& rng, std::size_t& applied) {
-      if (in.condition && static_cast<int>(clbits[in.condition->clbit]) !=
-                              in.condition->value) {
-        return;
-      }
-      apply_instruction_stab(tab, in, clbits, rng);
-      if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-        ++applied;
-      }
-    };
 
     if (Executor::is_static(circ)) {
       // Evolve the unitary prefix once (a static circuit's measurements only
       // record wiring), then each shot copies the evolved tableau and
       // performs its measurements with its own Rng(seed, shot) stream — a
       // copy is O(n^2 / 64) bytes, far cheaper than replaying the gates.
+      const auto shots = static_cast<std::int64_t>(config.shots);
+      if (config.record_memory) result.memory.assign(config.shots, {});
+      const auto& instrs = circ.instructions();
       sim::Stabilizer evolved(circ.num_qubits());
       std::vector<std::pair<std::size_t, std::size_t>> wire;  // (qubit, clbit)
       {
         obs::Span span("stab.evolve");
-        Rng rng(config.seed);
-        std::vector<std::uint8_t> scratch(circ.num_clbits(), 0);
         std::size_t applied = 0;
         for (const FusedOp& op : plan.ops) {
           if (op.fused) {
@@ -886,7 +1019,10 @@ public:
             }
             continue;
           }
-          run_instruction(evolved, in, scratch, rng, applied);
+          apply_gate(evolved, in);
+          if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
+            ++applied;
+          }
         }
         gates_metric.add(applied);
       }
@@ -910,7 +1046,7 @@ public:
             for (const auto& [qubit, clbit] : wire) {
               clbits[clbit] = static_cast<std::uint8_t>(tab.measure(qubit, rng));
             }
-            const std::string key = key_of(clbits);
+            const std::string key = key_from_bits(clbits);
             ++local[key];
             local_measurements += tab.measurements();
             local_random += tab.random_outcomes();
@@ -936,70 +1072,16 @@ public:
       random_metric.add(total_random);
 
       result.trajectories = 1;
+      result.evolutions = 1;
       result.fast_path = true;
       return;
     }
 
-    // Dynamic path (mid-circuit measurement feeding gates, reset, c_if): one
-    // tableau trajectory per shot, same counter-derived RNG discipline as
-    // the statevector backend.
     obs::Span shots_span("stab.shots");
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::size_t total_measurements = 0, total_random = 0;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-    {
-      sim::Counts local;
-      std::size_t local_applied = 0;
-      std::size_t local_measurements = 0, local_random = 0;
-#pragma omp for schedule(static)
-      for (std::int64_t s = 0; s < shots; ++s) {
-        if (failed.load(std::memory_order_relaxed)) continue;
-        try {
-          obs::Span span("stab.shot");
-          Rng rng(config.seed, static_cast<std::uint64_t>(s));
-          sim::Stabilizer tab(circ.num_qubits());
-          std::vector<std::uint8_t> clbits(circ.num_clbits(), 0);
-          for (const FusedOp& op : plan.ops) {
-            if (op.fused) {
-              throw CircuitError(
-                  "stabilizer backend received a fused dense block (fusion "
-                  "should be capability-clamped to width 1)");
-            }
-            run_instruction(tab, instrs[op.instruction], clbits, rng,
-                            local_applied);
-          }
-          const std::string key = key_of(clbits);
-          ++local[key];
-          local_measurements += tab.measurements();
-          local_random += tab.random_outcomes();
-          if (s == 0) {
-            peak_bytes.set_max(static_cast<double>(tab.memory_bytes()));
-          }
-          if (config.record_memory) {
-            result.memory[static_cast<std::size_t>(s)] = key;
-          }
-        } catch (...) {
-          if (!failed.exchange(true)) {
-#pragma omp critical(qutes_stab_error)
-            error = std::current_exception();
-          }
-        }
-      }
-#pragma omp critical(qutes_stab_merge)
-      {
-        for (const auto& [key, n] : local) result.counts[key] += n;
-        gates_metric.add(local_applied);
-        total_measurements += local_measurements;
-        total_random += local_random;
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    measurements_metric.add(total_measurements);
-    random_metric.add(total_random);
-
-    result.trajectories = config.shots;
-    result.fast_path = false;
+    ShotGroupEngine(StabilizerHooks{circ.num_qubits(), measurements_metric,
+                                    random_metric, peak_bytes},
+                    circ, plan, config, gates_metric, "stab.group", result)
+        .run();
   }
 };
 
@@ -1080,15 +1162,13 @@ sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
   const QuantumCircuit& circ = *target;
 
   sim::Mps mps(circ.num_qubits(), options);
-  Rng rng(0);
-  std::uint64_t scratch = 0;
   for (const Instruction& in : circ.instructions()) {
     if (in.condition || in.type == GateType::Measure || in.type == GateType::Reset) {
       throw CircuitError(
           "evolve_mps: circuit has measurement/reset/conditions; use the "
           "executor's mps backend instead");
     }
-    apply_instruction_mps(mps, in, scratch, rng);
+    apply_gate(mps, in);
   }
   if (circ.global_phase() != 0.0) mps.apply_global_phase(circ.global_phase());
   return mps;
@@ -1096,8 +1176,6 @@ sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
 
 sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
   sim::Stabilizer tab(circuit.num_qubits());
-  Rng rng(0);
-  std::vector<std::uint8_t> scratch;
   for (const Instruction& in : circuit.instructions()) {
     if (in.condition || in.type == GateType::Measure ||
         in.type == GateType::Reset) {
@@ -1110,7 +1188,7 @@ sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
       throw CircuitError("evolve_stabilizer: non-Clifford gate " +
                          std::string(gate_name(in.type)));
     }
-    apply_instruction_stab(tab, in, scratch, rng);
+    apply_gate(tab, in);
   }
   // Global phase is unobservable on a tableau; nothing to record.
   return tab;

@@ -34,6 +34,19 @@ void apply_controlled(sim::StateVector& sv, const Instruction& in,
 
 void apply_instruction(sim::StateVector& sv, const Instruction& in,
                        std::uint64_t& clbits, Rng& rng) {
+  if (in.type == GateType::Measure) {
+    for (std::size_t i = 0; i < in.qubits.size(); ++i) {
+      const int bit = sv.measure(in.qubits[i], rng);
+      clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
+    }
+  } else if (in.type == GateType::Reset) {
+    sv.reset_qubit(in.qubits[0], rng);
+  } else {
+    apply_gate(sv, in);
+  }
+}
+
+void apply_gate(sim::StateVector& sv, const Instruction& in) {
   switch (in.type) {
     case GateType::H: sv.apply_1q(H(), in.qubits[0]); break;
     case GateType::X: sv.apply_1q(X(), in.qubits[0]); break;
@@ -92,19 +105,9 @@ void apply_instruction(sim::StateVector& sv, const Instruction& in,
       sv.apply_multi_controlled_1q(X(), ca, b);
       break;
     }
-    case GateType::Measure:
-      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-        const int bit = sv.measure(in.qubits[i], rng);
-        if (bit) {
-          clbits = set_bit(clbits, in.clbits[i]);
-        } else {
-          clbits = clear_bit(clbits, in.clbits[i]);
-        }
-      }
-      break;
-    case GateType::Reset:
-      sv.reset_qubit(in.qubits[0], rng);
-      break;
+    case GateType::Measure: case GateType::Reset:
+      throw CircuitError(std::string("apply_gate: ") + gate_name(in.type) +
+                         " is not a gate; apply_instruction runs it");
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
@@ -212,18 +215,6 @@ PreparedRun prepare_run(const QuantumCircuit& circuit, const RunConfig& config) 
                        " backend only runs static circuits (no reset, no "
                        "conditions, no mid-circuit measurement feeding gates)");
   }
-  // Only the per-shot trajectory path packs the classical register; static
-  // noiseless runs sample through a wire map of any width.
-  if (caps.max_clbits != 0 && circ.num_clbits() > caps.max_clbits &&
-      (config.backend.noise.enabled() || !Executor::is_static(circ))) {
-    throw CircuitError(
-        "circuit has " + std::to_string(circ.num_clbits()) +
-        " classical bits but the " + prep.backend->name() +
-        " backend's per-shot trajectory path keeps the classical register in "
-        "one " + std::to_string(caps.max_clbits) +
-        "-bit word; a noiseless circuit that only measures at the end has no "
-        "such limit, nor does the stabilizer backend for Clifford circuits");
-  }
   if (!caps.supported_gates.empty()) {
     for (const Instruction& in : circ.instructions()) {
       if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) {
@@ -278,7 +269,10 @@ ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
   shots_metric.add(config_.shots);
   static obs::Counter& trajectories_metric =
       obs::metrics().counter(obs::names::kTrajectories);
+  static obs::Counter& evolutions_metric =
+      obs::metrics().counter(obs::names::kEvolutions);
   trajectories_metric.add(result.trajectories);
+  evolutions_metric.add(result.evolutions);
   const double elapsed_ms = run_span.elapsed_ms();
   if (obs::metrics_enabled() && elapsed_ms > 0.0) {
     shots_per_sec.set(static_cast<double>(config_.shots) * 1e3 / elapsed_ms);
@@ -321,14 +315,19 @@ std::vector<ExecutionResult> Executor::run_batch(
   runs_metric.add(items.size());
   std::size_t total_shots = 0;
   std::size_t total_trajectories = 0;
+  std::size_t total_evolutions = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     total_shots += items[i].shots;
     total_trajectories += results[i].trajectories;
+    total_evolutions += results[i].evolutions;
   }
   shots_metric.add(total_shots);
   static obs::Counter& trajectories_metric =
       obs::metrics().counter(obs::names::kTrajectories);
+  static obs::Counter& evolutions_metric =
+      obs::metrics().counter(obs::names::kEvolutions);
   trajectories_metric.add(total_trajectories);
+  evolutions_metric.add(total_evolutions);
   return results;
 }
 
@@ -360,6 +359,7 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
   std::vector<ExecutionResult> results(items.size());
   std::size_t total_shots = 0;
   std::size_t total_trajectories = 0;
+  std::size_t total_evolutions = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const QuantumCircuit bound = prep.circ->bind(items[i].params);
     RunConfig item_config = config_;
@@ -375,6 +375,7 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
     }
     total_shots += items[i].shots;
     total_trajectories += result.trajectories;
+    total_evolutions += result.evolutions;
   }
 
   runs_metric.add(items.size());
@@ -382,7 +383,10 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
   shots_metric.add(total_shots);
   static obs::Counter& trajectories_metric =
       obs::metrics().counter(obs::names::kTrajectories);
+  static obs::Counter& evolutions_metric =
+      obs::metrics().counter(obs::names::kEvolutions);
   trajectories_metric.add(total_trajectories);
+  evolutions_metric.add(total_evolutions);
   return results;
 }
 

@@ -36,7 +36,7 @@ bool wires_contiguous(const std::vector<std::size_t>& qubits) {
 /// 2^w x 2^w row-major matrix is held as a 2w-qubit state (column index in
 /// the low w bits, row index in the high w bits) starting at the identity;
 /// each gate, remapped onto the row bits, left-multiplies it in place
-/// through apply_instruction, so a block applies exactly the kernels
+/// through apply_gate, so a block applies exactly the kernels
 /// unfused execution would. The state must be normalized, so the identity
 /// enters scaled by 1/sqrt(2^w) and the entries leave scaled back.
 sim::MatrixN block_matrix(std::span<const Instruction> instructions,
@@ -49,8 +49,6 @@ sim::MatrixN block_matrix(std::span<const Instruction> instructions,
   sim::StateVector state = sim::StateVector::from_amplitudes(std::move(identity));
 
   Instruction local{};
-  std::uint64_t no_clbits = 0;
-  Rng no_draws(0);  // fusable gates are unitary: nothing is drawn
   for (std::size_t s : block.sources) {
     const Instruction& in = instructions[s];
     local.type = in.type;
@@ -61,7 +59,7 @@ sim::MatrixN block_matrix(std::span<const Instruction> instructions,
                      block.qubits.begin();
       local.qubits.push_back(w + static_cast<std::size_t>(j));
     }
-    apply_instruction(state, local, no_clbits, no_draws);
+    apply_gate(state, local);
   }
 
   sim::MatrixN matrix(w);

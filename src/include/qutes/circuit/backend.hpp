@@ -6,7 +6,7 @@
 // between `AerSimulator` and its `method=` strings, which is where the paper
 // sends every circuit. Four methods ship built in:
 //
-//   "statevector"  dense 2^n amplitudes; exact, fast path + per-shot
+//   "statevector"  dense 2^n amplitudes; exact, fast path + shot-group
 //                  trajectories, trajectory (Monte-Carlo) noise; ~30 qubits.
 //   "density"      exact mixed states, 4^n entries; closed-form noise
 //                  channels instead of trajectory averaging; ~13 qubits.
@@ -50,10 +50,6 @@ struct BackendCapabilities {
   bool supports_noise = true;
   /// Hard qubit-count ceiling (0 = no backend-specific ceiling).
   std::size_t max_qubits = 0;
-  /// Widest classical register the per-shot trajectory path can hold
-  /// (0 = no limit). Static noiseless runs sample through a wire map and
-  /// are never limited.
-  std::size_t max_clbits = 0;
   /// Performs best when 2q gates touch neighboring wires — pair with the
   /// `hardware` pipeline preset (linear-topology routing) to feed it that
   /// layout.
@@ -78,7 +74,7 @@ public:
   [[nodiscard]] virtual BackendCapabilities capabilities() const = 0;
 
   /// Run `circuit` under `config` (already validated by the Executor),
-  /// writing counts, memory, trajectories, fusion diagnostics, and
+  /// writing counts, memory, trajectories, evolutions, fusion diagnostics, and
   /// backend-specific fields into `result` (whose pipeline-level fields the
   /// Executor has already filled).
   virtual void execute(const QuantumCircuit& circuit, const RunConfig& config,

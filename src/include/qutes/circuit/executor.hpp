@@ -11,10 +11,11 @@
 //  * static circuits (no mid-circuit measurement feeding gates, no reset,
 //    no conditions, no noise) evolve the state once and sample `shots`
 //    outcomes from the final distribution;
-//  * dynamic circuits re-run one full trajectory per shot, honoring
-//    measurement collapse, reset, c_if conditions, and noise channels. The
-//    trajectory loop is OpenMP-parallel; every shot draws from its own
-//    counter-derived RNG stream (Rng(seed, shot)), so counts are
+//  * dynamic and noisy circuits take the trajectory path, honoring
+//    measurement collapse, reset, c_if conditions, and noise channels. Every
+//    shot draws from its own counter-derived RNG stream (Rng(seed, shot)),
+//    and shots that draw the same outcomes share one evolution (the
+//    shot-group engine in backend.cpp), so counts and per-shot memory are
 //    bit-identical for a fixed seed regardless of thread count.
 // Runtime gate fusion (fusion.hpp) is planned inside each backend, which
 // calls build_fusion_plan directly with the block width (and, for
@@ -55,8 +56,13 @@ struct ExecutionResult {
   sim::Counts counts;
   /// Per-shot outcomes when RunConfig::record_memory is set (else empty).
   std::vector<std::string> memory;
-  /// Number of trajectories actually simulated (1 for the static fast path).
+  /// Shots simulated as trajectories: `shots` on the trajectory path, 1 on
+  /// a static fast path (whose one evolution serves every shot).
   std::size_t trajectories = 0;
+  /// State evolutions actually run: 1 on a static fast path, the number of
+  /// shot groups on the trajectory path, where shots that draw the same
+  /// mid-circuit outcomes share one evolution.
+  std::size_t evolutions = 0;
   /// Whether the static fast path was taken.
   bool fast_path = false;
   /// Gate-fusion diagnostics: source gates absorbed into fused blocks, the
@@ -147,13 +153,18 @@ private:
 };
 
 /// Classical bits a packed `std::uint64_t` register holds: the register of
-/// apply_instruction, run_single, and the statevector and MPS trajectory
-/// loops. Wider registers are rejected before they run.
+/// apply_instruction and run_single. Wider registers are rejected before
+/// they run.
 inline constexpr std::size_t kMaxPackedClbits = 64;
 
 /// Apply one instruction to a state (measure writes into `clbits`). Exposed
 /// for the language runtime, which executes instructions as it logs them.
 void apply_instruction(sim::StateVector& sv, const Instruction& instr,
                        std::uint64_t& clbits, Rng& rng);
+
+/// Apply one unitary gate, barrier or global phase to a state; throws
+/// CircuitError for measure and reset, which draw randomness and write a
+/// register (apply_instruction runs those).
+void apply_gate(sim::StateVector& sv, const Instruction& instr);
 
 }  // namespace qutes::circ

@@ -233,7 +233,8 @@ inline constexpr const char* kSwapsInserted = "pipeline.swaps_inserted";// count
 // executor
 inline constexpr const char* kExecutorRuns = "executor.runs";           // counter
 inline constexpr const char* kExecutorShots = "executor.shots";         // counter
-inline constexpr const char* kTrajectories = "executor.trajectories";   // counter
+inline constexpr const char* kTrajectories = "executor.trajectories";   // counter (shots on trajectory paths, 1 per static run)
+inline constexpr const char* kEvolutions = "executor.evolutions";       // counter (state evolutions: 1 per static run, 1 per shot group)
 inline constexpr const char* kShotsPerSec = "executor.shots_per_sec";   // gauge (latest run)
 inline constexpr const char* kAutoStabilizer = "executor.auto_stabilizer";   // counter (--backend auto -> stabilizer)
 inline constexpr const char* kAutoStatevector = "executor.auto_statevector"; // counter (--backend auto -> statevector)

@@ -94,7 +94,12 @@ public:
   [[nodiscard]] double probability_one(std::size_t qubit) const;
 
   /// Projectively measure one qubit: collapses the chain and returns 0/1.
+  /// That is probability_one, one uniform draw, then collapse.
   int measure(std::size_t qubit, Rng& rng);
+
+  /// Project `qubit` onto `outcome`, whose probability is `prob`, and
+  /// rescale by 1/sqrt(prob). Throws SimulationError when `prob` vanishes.
+  void collapse(std::size_t qubit, int outcome, double prob);
 
   /// Measure `qubit` and, if it came up 1, flip it back to |0>.
   void reset_qubit(std::size_t qubit, Rng& rng);
@@ -178,9 +183,6 @@ private:
   [[nodiscard]] std::vector<cplx> left_environment(std::size_t q) const;
   /// Right environment of sites q..n-1.
   [[nodiscard]] std::vector<cplx> right_environment(std::size_t q) const;
-
-  /// Project qubit q onto `outcome` and rescale by 1/sqrt(prob).
-  void collapse(std::size_t qubit, int outcome, double prob);
 
   std::size_t num_qubits_ = 0;
   MpsOptions options_;

@@ -50,4 +50,30 @@ void apply_amplitude_damping(StateVector& sv, std::size_t qubit, double gamma, R
 /// Flip a classical measurement outcome with probability `p`.
 [[nodiscard]] int apply_readout_error(int outcome, double p, Rng& rng);
 
+// ---- the channels in two halves ----------------------------------------------
+//
+// Each channel above is an RNG-only draw followed by a state-only apply. A
+// shot group (the executor's trajectory engine) draws once per shot and
+// applies once per group; the one-call forms run the halves back to back,
+// so both consume the same randomness.
+
+/// Draw one depolarizing event: 0 for no error, 1/2/3 for an X/Y/Z error.
+/// One uniform, plus one below(3) when an error fires.
+[[nodiscard]] int draw_depolarizing(double p, Rng& rng);
+
+/// Apply a drawn Pauli (0 identity, 1 X, 2 Y, 3 Z) to `qubit`.
+void apply_pauli(StateVector& sv, std::size_t qubit, int pauli);
+
+/// Draw whether an amplitude-damping event decays, given the damping
+/// parameter `gamma` > 0 and the qubit's excited population `p1`. One
+/// uniform.
+[[nodiscard]] bool draw_decay(double gamma, double p1, Rng& rng);
+
+/// Apply the drawn Kraus branch of amplitude damping to `qubit`: K1 (decay
+/// to |0>) when `decay`, else K0; the state is renormalized.
+void apply_damping_branch(StateVector& sv, std::size_t qubit, double gamma, bool decay);
+
+/// Draw whether a readout error flips a reported bit. One uniform.
+[[nodiscard]] bool draw_readout_flip(double p, Rng& rng);
+
 }  // namespace qutes::sim

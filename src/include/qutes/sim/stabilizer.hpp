@@ -61,9 +61,21 @@ public:
   [[nodiscard]] bool is_deterministic(std::size_t q) const;
 
   /// Projectively measure qubit `q` in the Z basis. The deterministic branch
-  /// reads the outcome off row sums into the scratch row without consuming
-  /// randomness; the random branch draws one bit from `rng`, replaces the
-  /// anticommuting stabilizer (rank update), and collapses the state.
+  /// reads the outcome off row sums into the scratch row and never calls
+  /// `coin`; the random branch calls `coin()` once for the outcome bit,
+  /// replaces the anticommuting stabilizer (rank update), and collapses the
+  /// state. A shot group passes a coin that every shot of the group draws.
+  template <class Coin>
+  int measure_with(std::size_t q, Coin&& coin) {
+    check_qubit(q, "measure");
+    ++measurements_;
+    const std::size_t p = anticommuting_stabilizer(q);
+    if (p == 2 * num_qubits_) return determined_outcome(q);
+    return collapse_random(q, p, static_cast<int>(coin()));
+  }
+
+  /// measure_with whose coin is one rng.below(2), drawn in the random
+  /// branch only.
   int measure(std::size_t q, Rng& rng);
 
   /// Measure `q` and flip it back to |0> if it came up 1.
@@ -123,6 +135,16 @@ private:
   }
 
   void check_qubit(std::size_t q, const char* what) const;
+
+  /// First stabilizer row that anticommutes with Z_q, or 2n when there is
+  /// none and the outcome of measuring q is determined.
+  [[nodiscard]] std::size_t anticommuting_stabilizer(std::size_t q) const noexcept;
+
+  /// The two branches of measure_with: the rank update that makes
+  /// `outcome` the sign of the new Z_q stabilizer (p is the anticommuting
+  /// row), and the scratch-row read-off of a determined outcome.
+  int collapse_random(std::size_t q, std::size_t p, int outcome);
+  int determined_outcome(std::size_t q);
 
   /// Row h *= row i with exact phase tracking (the Aaronson–Gottesman
   /// "rowsum"): XORs the Pauli bits and recomputes r_h from the i-exponent

@@ -100,7 +100,13 @@ public:
   [[nodiscard]] std::vector<double> probabilities() const;
 
   /// Projectively measure one qubit: collapses the state and returns 0/1.
+  /// That is probability_one, one uniform draw, then collapse.
   int measure(std::size_t qubit, Rng& rng);
+
+  /// Project `qubit` onto `outcome`, whose probability is `prob`, and
+  /// rescale by 1/sqrt(prob). Throws SimulationError when `prob` vanishes.
+  /// A shot group draws the outcome once per shot and collapses once.
+  void collapse(std::size_t qubit, int outcome, double prob);
 
   /// Measure every qubit (collapses to a single basis state); returns its index.
   std::uint64_t measure_all(Rng& rng);

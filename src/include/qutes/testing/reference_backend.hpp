@@ -95,11 +95,14 @@ struct ReferenceBranch {
 /// measurement splits every live branch into its 0 and 1 outcomes; branches
 /// whose probability falls below `prune_below` are dropped. Branch count is
 /// bounded by 2^(measured bits), so keep differential circuits narrow.
+/// Throws CircuitError for more than 64 classical bits, the width of
+/// ReferenceBranch::clbits.
 [[nodiscard]] std::vector<ReferenceBranch> enumerate_trajectories(
     const circ::QuantumCircuit& circuit, double prune_below = 1e-14);
 
 /// Exact outcome distribution over classical-register bitstrings (MSB-first
-/// keys, same convention as sim::Counts). Probabilities sum to ~1.
+/// keys, same convention as sim::Counts). Probabilities sum to ~1. Throws
+/// CircuitError for more than 64 classical bits, like enumerate_trajectories.
 [[nodiscard]] std::map<std::string, double> reference_distribution(
     const circ::QuantumCircuit& circuit);
 

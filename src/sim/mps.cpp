@@ -559,6 +559,7 @@ double Mps::probability_one(std::size_t qubit) const {
 }
 
 void Mps::collapse(std::size_t qubit, int outcome, double prob) {
+  check_qubit(qubit, "Mps::collapse");
   if (prob < kProbEpsilon) {
     throw SimulationError("measured an outcome with vanishing probability");
   }

@@ -211,46 +211,44 @@ void Stabilizer::rowsum(std::size_t h, std::size_t i) {
   r_[h] = static_cast<std::uint8_t>(((phase % 4) + 4) % 4 == 2);
 }
 
+std::size_t Stabilizer::anticommuting_stabilizer(std::size_t q) const noexcept {
+  for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
+    if (x_bit(i, q)) return i;
+  }
+  return 2 * num_qubits_;
+}
+
 bool Stabilizer::is_deterministic(std::size_t q) const {
   check_qubit(q, "is_deterministic");
-  for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
-    if (x_bit(i, q)) return false;
-  }
-  return true;
+  return anticommuting_stabilizer(q) == 2 * num_qubits_;
 }
 
 int Stabilizer::measure(std::size_t q, Rng& rng) {
-  check_qubit(q, "measure");
-  ++measurements_;
-  // Random branch: some stabilizer generator anticommutes with Z_q.
-  std::size_t p = 2 * num_qubits_;
-  for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
-    if (x_bit(i, q)) {
-      p = i;
-      break;
-    }
+  return measure_with(q, [&rng] { return static_cast<int>(rng.below(2)); });
+}
+
+int Stabilizer::collapse_random(std::size_t q, std::size_t p, int outcome) {
+  ++random_outcomes_;
+  // Every other row that anticommutes with Z_q absorbs row p, restoring
+  // commutation; the old stabilizer becomes the destabilizer of the new
+  // Z_q-type generator (the rank update).
+  for (std::size_t i = 0; i < 2 * num_qubits_; ++i) {
+    if (i != p && x_bit(i, q)) rowsum(i, p);
   }
-  if (p < 2 * num_qubits_) {
-    ++random_outcomes_;
-    const int outcome = static_cast<int>(rng.below(2));
-    // Every other row that anticommutes with Z_q absorbs row p, restoring
-    // commutation; the old stabilizer becomes the destabilizer of the new
-    // Z_q-type generator (the rank update).
-    for (std::size_t i = 0; i < 2 * num_qubits_; ++i) {
-      if (i != p && x_bit(i, q)) rowsum(i, p);
-    }
-    std::copy_n(x_row(p), words_, x_row(p - num_qubits_));
-    std::copy_n(z_row(p), words_, z_row(p - num_qubits_));
-    r_[p - num_qubits_] = r_[p];
-    std::fill_n(x_row(p), words_, 0);
-    std::fill_n(z_row(p), words_, 0);
-    z_row(p)[q / 64] = std::uint64_t{1} << (q % 64);
-    r_[p] = static_cast<std::uint8_t>(outcome);
-    return outcome;
-  }
-  // Deterministic branch: Z_q is in the stabilizer group. Accumulate the
-  // product of the stabilizer generators flagged by the destabilizers that
-  // anticommute with Z_q into the scratch row; its phase is the outcome.
+  std::copy_n(x_row(p), words_, x_row(p - num_qubits_));
+  std::copy_n(z_row(p), words_, z_row(p - num_qubits_));
+  r_[p - num_qubits_] = r_[p];
+  std::fill_n(x_row(p), words_, 0);
+  std::fill_n(z_row(p), words_, 0);
+  z_row(p)[q / 64] = std::uint64_t{1} << (q % 64);
+  r_[p] = static_cast<std::uint8_t>(outcome);
+  return outcome;
+}
+
+int Stabilizer::determined_outcome(std::size_t q) {
+  // Z_q is in the stabilizer group. Accumulate the product of the
+  // stabilizer generators flagged by the destabilizers that anticommute
+  // with Z_q into the scratch row; its phase is the outcome.
   const std::size_t scratch = 2 * num_qubits_;
   std::fill_n(x_row(scratch), words_, 0);
   std::fill_n(z_row(scratch), words_, 0);

@@ -308,11 +308,16 @@ std::vector<double> StateVector::probabilities() const {
 int StateVector::measure(std::size_t qubit, Rng& rng) {
   const double p1 = probability_one(qubit);
   const int outcome = rng.uniform() < p1 ? 1 : 0;
-  const double p = outcome ? p1 : 1.0 - p1;
-  if (p < kProbEpsilon) {
+  collapse(qubit, outcome, outcome ? p1 : 1.0 - p1);
+  return outcome;
+}
+
+void StateVector::collapse(std::size_t qubit, int outcome, double prob) {
+  check_qubit(qubit, "collapse");
+  if (prob < kProbEpsilon) {
     throw SimulationError("measured an outcome with vanishing probability");
   }
-  const double scale = 1.0 / std::sqrt(p);
+  const double scale = 1.0 / std::sqrt(prob);
   const std::uint64_t n = dim();
   cplx* amps = amps_.data();
 #pragma omp parallel for schedule(static) if (n >= kParallelThreshold)
@@ -323,7 +328,6 @@ int StateVector::measure(std::size_t qubit, Rng& rng) {
       amps[i] = cplx{};
     }
   }
-  return outcome;
 }
 
 std::uint64_t StateVector::measure_all(Rng& rng) {

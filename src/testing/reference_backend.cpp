@@ -263,6 +263,13 @@ bool branch_matches(const ReferenceBranch& branch,
 std::vector<ReferenceBranch> enumerate_trajectories(
     const circ::QuantumCircuit& circuit, double prune_below) {
   using circ::GateType;
+  constexpr std::size_t kWordBits = 64;  // ReferenceBranch::clbits
+  if (circuit.num_clbits() > kWordBits) {
+    throw CircuitError("enumerate_trajectories: circuit has " +
+                       std::to_string(circuit.num_clbits()) +
+                       " classical bits but a reference branch keeps them in "
+                       "one 64-bit word");
+  }
   const std::size_t n = circuit.num_qubits();
   std::vector<ReferenceBranch> branches(1);
   branches[0].amps.assign(std::size_t{1} << n, cplx{0.0});

@@ -9,6 +9,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "qutes/circuit/backend.hpp"
 #include "qutes/circuit/executor.hpp"
@@ -183,29 +188,22 @@ TEST(BackendCapabilities, MpsRefusesNoiseModels) {
   }
 }
 
-TEST(BackendCapabilities, WideClassicalRegisterRejectedOnPackedTrajectories) {
-  // Regression: on the statevector and mps trajectory paths, measuring into
-  // c[69] of a 70-bit register once set c[69] and, through an undefined
-  // 64-bit shift, c[5] too. Both keep the register in one word, so both
-  // must refuse it and name the limit.
+TEST(BackendCapabilities, WideClassicalRegisterRunsOnTrajectories) {
+  // Regression: measuring into c[69] of a 70-bit register once set c[5] as
+  // well on the statevector and mps trajectory paths, through an undefined
+  // 64-bit shift. The shot-group engine keeps one byte per bit on every
+  // backend, so all three run it exactly.
   circ::QuantumCircuit c(2, 70);
   c.x(0).measure(0, 69).reset(0);
-  for (const char* name : {"statevector", "mps"}) {
+  const std::string only_69 = "1" + std::string(69, '0');
+  for (const char* name : {"statevector", "mps", "stabilizer"}) {
     qutes::RunConfig options;
     options.backend.name = name;
-    try {
-      (void)circ::Executor(options).run(c);
-      FAIL() << name << " ran a 70-bit register on its trajectory path";
-    } catch (const CircuitError& e) {
-      EXPECT_NE(std::string(e.what()).find("64-bit"), std::string::npos) << e.what();
-    }
+    options.shots = 16;
+    const circ::ExecutionResult result = circ::Executor(options).run(c);
+    EXPECT_FALSE(result.fast_path) << name;
+    EXPECT_EQ(result.counts, (sim::Counts{{only_69, 16}})) << name;
   }
-  // The tableau stores one byte per bit and runs it exactly.
-  qutes::RunConfig options;
-  options.backend.name = "stabilizer";
-  options.shots = 16;
-  const std::string only_69 = "1" + std::string(69, '0');
-  EXPECT_EQ(circ::Executor(options).run(c).counts, (sim::Counts{{only_69, 16}}));
 }
 
 TEST(BackendCapabilities, WideClassicalRegisterRunsOnStaticPaths) {
@@ -325,6 +323,241 @@ TEST(BackendSemantics, MpsReportsTruncationDiagnostics) {
   const circ::ExecutionResult exact = circ::Executor(options).run(c);
   EXPECT_EQ(exact.truncation_error, 0.0);
   EXPECT_GT(exact.max_bond_dim_reached, 2u);
+}
+
+// ---- pinned per-shot outcomes on the trajectory path ------------------------
+
+namespace {
+
+/// The dynamic_sim benchmark's teleport chain: teleport |1> hop by hop along
+/// a line of n qubits (clbits 0 and 1 carry each hop's corrections), then
+/// read the arrival into clbit 2.
+circ::QuantumCircuit teleport_chain(std::size_t n) {
+  circ::QuantumCircuit c(n, 3);
+  c.x(0);
+  std::size_t at = 0;
+  for (; at + 2 < n; at += 2) {
+    c.h(at + 1).cx(at + 1, at + 2);
+    c.cx(at, at + 1).h(at);
+    c.measure(at, 0).measure(at + 1, 1);
+    c.x(at + 2).c_if(1, 1);
+    c.z(at + 2).c_if(0, 1);
+    c.reset(at).reset(at + 1);
+  }
+  c.measure(at, 2);
+  return c;
+}
+
+/// The benchmark's bit-flip repetition code on a line (data at even sites,
+/// ancillas at odd ones) encoding logical 1: syndrome rounds with a c_if
+/// correction and a reset, syndromes cycling through a window of clbits.
+circ::QuantumCircuit repetition_code(std::size_t n, std::size_t rounds) {
+  constexpr std::size_t kWindow = 4;
+  const std::size_t last = (n - 1) / 2 * 2;
+  circ::QuantumCircuit c(n, kWindow + 2);
+  for (std::size_t q = 0; q <= last; q += 2) c.x(q);
+  std::size_t slot = 0;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t a = 1; a < last; a += 2) {
+      const std::size_t bit = slot++ % kWindow;
+      c.cx(a - 1, a).cx(a + 1, a);
+      c.measure(a, bit);
+      c.x(a + 1).c_if(bit, 1);
+      c.reset(a);
+    }
+  }
+  c.measure(0, kWindow).measure(last, kWindow + 1);
+  return c;
+}
+
+/// The benchmark's coin feed-forward: measure |+> on site i, then c_if that
+/// coin to clear site i and copy it onto site i+1, which is measured and
+/// reset.
+circ::QuantumCircuit coin_feedforward(std::size_t n) {
+  constexpr std::size_t kPairs = 2;
+  circ::QuantumCircuit c(n, 2 * kPairs + 1);
+  std::size_t p = 0;
+  for (std::size_t i = 0; i + 1 < n; i += 2, ++p) {
+    const std::size_t coin = 2 * (p % kPairs), copy = coin + 1;
+    c.h(i).measure(i, coin);
+    c.x(i).c_if(coin, 1);
+    c.x(i + 1).c_if(coin, 1);
+    c.measure(i + 1, copy).reset(i + 1);
+  }
+  c.measure(0, 2 * kPairs);
+  return c;
+}
+
+/// Reset of one half of a Bell pair: the reset's draw decides the partner.
+circ::QuantumCircuit reset_of_plus() {
+  circ::QuantumCircuit c(2, 2);
+  c.h(0).cx(0, 1).reset(0);
+  c.measure(0, 0).measure(1, 1);
+  return c;
+}
+
+/// A two-qubit measure conditioned on one of its own target clbits. It
+/// appends one measure per qubit and c_if conditions the last one, which
+/// reads c0 once, before it runs: measuring q0 has set c0 to 1 by then, so
+/// q1 is never measured and c1 stays 0.
+circ::QuantumCircuit measure_conditioned_on_own_target() {
+  circ::QuantumCircuit c(3, 3);
+  c.x(0).h(1).h(2);
+  const std::size_t qubits[] = {0, 1};
+  const std::size_t clbits[] = {0, 1};
+  c.measure(qubits, clbits).c_if(0, 0);
+  c.x(2).c_if(1, 1);
+  c.measure(2, 2);
+  return c;
+}
+
+/// A noisy feed-forward circuit for the statevector's Monte-Carlo channels.
+circ::QuantumCircuit noisy_feedforward() {
+  circ::QuantumCircuit c(3, 3);
+  c.h(0).cx(0, 1).measure(0, 0);
+  c.x(2).c_if(0, 1);
+  c.ry(0.7, 1).cx(1, 2).reset(0);
+  c.h(0).measure(1, 1).measure(2, 2).measure(0, 0);
+  return c;
+}
+
+struct PinnedRun {
+  std::string name;
+  std::vector<std::string> backends;
+  circ::QuantumCircuit circuit;
+  sim::NoiseModel noise;
+  /// Every shot's outcome in shot order, space-separated.
+  std::string memory;
+};
+
+std::string join(const std::vector<std::string>& memory) {
+  std::string joined;
+  for (const std::string& key : memory) {
+    if (!joined.empty()) joined += ' ';
+    joined += key;
+  }
+  return joined;
+}
+
+sim::Counts histogram(const std::string& memory) {
+  sim::Counts counts;
+  std::size_t begin = 0;
+  while (begin < memory.size()) {
+    std::size_t end = memory.find(' ', begin);
+    if (end == std::string::npos) end = memory.size();
+    ++counts[memory.substr(begin, end - begin)];
+    begin = end + 1;
+  }
+  return counts;
+}
+
+}  // namespace
+
+TEST(TrajectoryPath, PerShotOutcomesArePinned) {
+  // Recorded from the per-shot trajectory loops (24 shots, seed 77): every
+  // shot must keep its outcome whatever thread runs it and however shots
+  // share work. The statevector and the MPS draw the same way, so their
+  // noiseless runs agree shot for shot; the tableau draws its coins
+  // differently.
+  sim::NoiseModel noise;
+  noise.depolarizing_1q = 0.08;
+  noise.depolarizing_2q = 0.12;
+  noise.amplitude_damping = 0.1;
+  noise.readout_error = 0.1;
+  const std::vector<std::string> dense = {"statevector", "mps"};
+  const std::vector<std::string> tableau = {"stabilizer"};
+  const std::vector<PinnedRun> runs = {
+      {"teleport_chain", dense, teleport_chain(7), {},
+       "111 110 101 101 101 110 100 101 110 111 110 111 "
+       "110 110 100 111 111 111 101 110 101 101 110 101"},
+      {"teleport_chain", tableau, teleport_chain(7), {},
+       "111 101 111 111 111 111 101 100 101 100 101 100 "
+       "111 100 111 101 110 111 101 111 101 110 101 110"},
+      {"repetition_code", {"statevector", "mps", "stabilizer"}, repetition_code(7, 2), {},
+       "110000 110000 110000 110000 110000 110000 110000 110000 "
+       "110000 110000 110000 110000 110000 110000 110000 110000 "
+       "110000 110000 110000 110000 110000 110000 110000 110000"},
+      {"coin_feedforward", dense, coin_feedforward(6), {},
+       "01100 00000 01111 00000 01111 00000 01100 00011 01111 01100 00011 00000 "
+       "01100 01100 01111 01111 01100 00000 00000 01111 01100 00000 00000 01100"},
+      {"coin_feedforward", tableau, coin_feedforward(6), {},
+       "01100 00011 00011 01100 00000 01100 00000 00011 00000 00011 01111 00000 "
+       "01111 01111 00000 01111 01100 00000 00000 00000 01111 00000 00011 00011"},
+      {"reset_of_plus", dense, reset_of_plus(), {},
+       "10 10 00 10 10 00 00 00 10 00 10 00 10 00 00 10 00 10 00 00 00 00 10 00"},
+      {"reset_of_plus", tableau, reset_of_plus(), {},
+       "00 00 10 00 00 10 10 10 00 10 00 10 00 10 10 00 10 00 10 10 10 10 00 10"},
+      {"measure_conditioned_on_own_target", dense, measure_conditioned_on_own_target(), {},
+       "001 101 101 001 101 001 101 101 101 101 001 101 "
+       "001 001 101 001 001 101 101 101 001 101 101 101"},
+      {"measure_conditioned_on_own_target", tableau, measure_conditioned_on_own_target(), {},
+       "001 001 101 001 001 101 101 101 001 101 001 101 "
+       "001 101 101 001 101 001 101 101 101 101 001 101"},
+      {"noisy_feedforward", {"statevector"}, noisy_feedforward(), noise,
+       "100 000 111 001 000 100 101 000 011 110 010 010 "
+       "011 110 000 000 100 000 000 010 001 110 100 001"},
+  };
+
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (const PinnedRun& run : runs) {
+    for (const std::string& backend : run.backends) {
+      for (const int mode : {1, 4, 0}) {  // OpenMP team 1, team 4, serial shots
+#ifdef _OPENMP
+        omp_set_num_threads(mode == 0 ? saved_threads : mode);
+#endif
+        qutes::RunConfig config;
+        config.backend.name = backend;
+        config.backend.noise = run.noise;
+        config.backend.parallel_shots = mode != 0;
+        config.shots = 24;
+        config.seed = 77;
+        config.record_memory = true;
+        const circ::ExecutionResult result = circ::Executor(config).run(run.circuit);
+        const std::string where =
+            run.name + " on " + backend + " (mode " + std::to_string(mode) + ")";
+        EXPECT_FALSE(result.fast_path) << where;
+        EXPECT_EQ(join(result.memory), run.memory) << where;
+        EXPECT_EQ(result.counts, histogram(run.memory)) << where;
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+TEST(TrajectoryPath, CertainOutcomesEvolveOnce) {
+  // A noiseless repetition code reads the same syndromes on every shot, so
+  // all shots stay in one group and share one evolution.
+  for (const char* backend : {"statevector", "mps", "stabilizer"}) {
+    qutes::RunConfig config;
+    config.backend.name = backend;
+    config.backend.parallel_shots = false;
+    config.shots = 256;
+    const circ::ExecutionResult result =
+        circ::Executor(config).run(repetition_code(7, 3));
+    EXPECT_FALSE(result.fast_path) << backend;
+    EXPECT_EQ(result.trajectories, 256u) << backend;
+    EXPECT_EQ(result.evolutions, 1u) << backend;
+    EXPECT_EQ(result.counts, (sim::Counts{{"110000", 256}})) << backend;
+  }
+}
+
+TEST(TrajectoryPath, EachOutcomePathEvolvesOnce) {
+  // Three mid-circuit coins, each recorded in its own clbit: eight outcome
+  // paths, one evolution each, at any thread count.
+  circ::QuantumCircuit c(3, 3);
+  for (std::size_t q = 0; q < 3; ++q) c.h(q).measure(q, q).reset(q);
+  for (const char* backend : {"statevector", "mps", "stabilizer"}) {
+    qutes::RunConfig config;
+    config.backend.name = backend;
+    config.shots = 512;
+    const circ::ExecutionResult result = circ::Executor(config).run(c);
+    EXPECT_EQ(result.counts.size(), 8u) << backend;
+    EXPECT_EQ(result.evolutions, 8u) << backend;
+  }
 }
 
 // ---- capability-driven fusion planning --------------------------------------

@@ -94,6 +94,26 @@ TEST(ReferenceBackend, TrajectoryEnumerationHonorsConditions) {
   }
 }
 
+TEST(ReferenceBackend, RejectsRegistersWiderThanItsWord) {
+  // The `creg c[70]` repro: a branch packs its classical bits into one
+  // 64-bit word, so c[69] cannot be held and the reference must say so.
+  circ::QuantumCircuit c(2, 70);
+  c.x(0).measure(0, 69).reset(0);
+  for (const bool distribution : {false, true}) {
+    try {
+      if (distribution) {
+        (void)qt::reference_distribution(c);
+      } else {
+        (void)qt::enumerate_trajectories(c);
+      }
+      FAIL() << "the reference accepted a 70-bit register";
+    } catch (const qutes::CircuitError& e) {
+      EXPECT_NE(std::string(e.what()).find("64-bit word"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- comparator unit checks ------------------------------------------------
 
 TEST(Comparators, GlobalPhaseIsTolerated) {

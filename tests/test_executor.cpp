@@ -35,6 +35,7 @@ TEST(Executor, StaticCircuitTakesFastPath) {
   const auto result = Executor(opts(1000, 2)).run(c);
   EXPECT_TRUE(result.fast_path);
   EXPECT_EQ(result.trajectories, 1u);
+  EXPECT_EQ(result.evolutions, 1u);
 }
 
 TEST(Executor, ConditionedCircuitUsesTrajectories) {
@@ -45,6 +46,7 @@ TEST(Executor, ConditionedCircuitUsesTrajectories) {
   const auto result = Executor(opts(500, 3)).run(c);
   EXPECT_FALSE(result.fast_path);
   EXPECT_EQ(result.trajectories, 500u);
+  EXPECT_EQ(result.evolutions, 2u);  // one shot group per coin outcome
   // Teleported correlation: clbits must be "00" or "11".
   for (const auto& [key, n] : result.counts) {
     EXPECT_TRUE(key == "00" || key == "11") << key << " x" << n;

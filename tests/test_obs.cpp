@@ -83,8 +83,8 @@ circ::QuantumCircuit ghz(std::size_t n) {
 }
 
 /// A circuit with a mid-circuit measurement feeding a condition: forces the
-/// executor off the static fast path and into per-shot trajectories (the
-/// OpenMP loop).
+/// executor off the static fast path and onto the trajectory path (the
+/// OpenMP shot-group tasks).
 circ::QuantumCircuit dynamic_circuit() {
   circ::QuantumCircuit c(2, 2);
   c.h(0);
@@ -202,13 +202,15 @@ TEST_F(TraceTest, OmpShotLoopSpansAreWellFormedPerThread) {
 
   const auto events = obs::collect_trace();
   std::map<int, std::vector<obs::TraceEvent>> by_tid;
-  std::size_t shot_spans = 0;
+  std::size_t group_spans = 0;
   for (const auto& e : events) {
     by_tid[e.tid].push_back(e);
-    shot_spans += e.name == "sv.shot";
+    group_spans += e.name == "sv.group";
   }
-  // One span per trajectory, spread over however many threads ran them.
-  EXPECT_EQ(shot_spans, 64u);
+  // One span per evolved shot group, spread over however many threads ran
+  // them. The coin splits the 64 shots into one group per outcome path.
+  EXPECT_EQ(group_spans, result.evolutions);
+  EXPECT_EQ(result.evolutions, 2u);
   for (auto& [tid, thread_events] : by_tid) {
     expect_well_nested(std::move(thread_events));
   }
