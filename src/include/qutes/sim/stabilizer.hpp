@@ -112,26 +112,30 @@ public:
   }
 
 private:
-  // Row layout: rows [0, n) are destabilizers, [n, 2n) stabilizers, row 2n
-  // is the scratch accumulator for deterministic measurements. x_/z_ hold
-  // one words_-long span per row; r_ is one phase bit per row.
-  [[nodiscard]] std::uint64_t* x_row(std::size_t row) noexcept {
-    return x_.data() + row * words_;
+  // Rows [0, n) are destabilizers, [n, 2n) stabilizers, and row 2n is the
+  // scratch accumulator for deterministic measurements. The x/z bits are
+  // stored one word column at a time: word w (qubits 64w..64w+63) of every
+  // row lies contiguous at [w * rows_, (w + 1) * rows_). A gate on qubit q
+  // then sweeps one contiguous run of words, and a measurement scans the
+  // rows' bits of q contiguously; a row sum reads one word per column. r_ is
+  // one phase bit per row.
+  [[nodiscard]] std::uint64_t* x_col(std::size_t q) noexcept {
+    return x_.data() + q / 64 * rows_;
   }
-  [[nodiscard]] const std::uint64_t* x_row(std::size_t row) const noexcept {
-    return x_.data() + row * words_;
+  [[nodiscard]] const std::uint64_t* x_col(std::size_t q) const noexcept {
+    return x_.data() + q / 64 * rows_;
   }
-  [[nodiscard]] std::uint64_t* z_row(std::size_t row) noexcept {
-    return z_.data() + row * words_;
+  [[nodiscard]] std::uint64_t* z_col(std::size_t q) noexcept {
+    return z_.data() + q / 64 * rows_;
   }
-  [[nodiscard]] const std::uint64_t* z_row(std::size_t row) const noexcept {
-    return z_.data() + row * words_;
+  [[nodiscard]] const std::uint64_t* z_col(std::size_t q) const noexcept {
+    return z_.data() + q / 64 * rows_;
   }
   [[nodiscard]] bool x_bit(std::size_t row, std::size_t q) const noexcept {
-    return (x_[row * words_ + q / 64] >> (q % 64)) & 1u;
+    return (x_col(q)[row] >> (q % 64)) & 1u;
   }
   [[nodiscard]] bool z_bit(std::size_t row, std::size_t q) const noexcept {
-    return (z_[row * words_ + q / 64] >> (q % 64)) & 1u;
+    return (z_col(q)[row] >> (q % 64)) & 1u;
   }
 
   void check_qubit(std::size_t q, const char* what) const;
@@ -151,11 +155,16 @@ private:
   /// of the per-qubit Pauli products, accumulated word-wise via popcounts.
   void rowsum(std::size_t h, std::size_t i);
 
+  /// Row `to` = row `from` (Pauli bits and sign); row `row` = +I.
+  void copy_row(std::size_t from, std::size_t to) noexcept;
+  void clear_row(std::size_t row) noexcept;
+
   /// Render one row as "+XZIY..." text.
   [[nodiscard]] std::string row_string(std::size_t row) const;
 
   std::size_t num_qubits_ = 0;
   std::size_t words_ = 0;  ///< 64-bit words per row = ceil(n / 64)
+  std::size_t rows_ = 0;   ///< 2n + 1
   std::vector<std::uint64_t> x_, z_;
   std::vector<std::uint8_t> r_;
   std::size_t measurements_ = 0;

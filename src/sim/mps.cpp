@@ -451,17 +451,22 @@ void Mps::apply_2q_adjacent(const Matrix4& u, std::size_t i, bool low_site_is_q0
 
 // ---- environments ----------------------------------------------------------
 
+// Both sweeps keep their scratch matrices across sites: a measurement
+// contracts every site, and most sites have bond dimension 1, so fresh
+// allocations per site would cost more than the arithmetic.
+
 std::vector<cplx> Mps::left_environment(std::size_t q) const {
   std::vector<cplx> env{cplx{1.0}};  // 1x1
+  std::vector<cplx> next, m1;
   std::size_t chi = 1;
   for (std::size_t i = 0; i < q; ++i) {
     const std::size_t dl = dl_[i], dr = dr_[i];
     const auto& t = sites_[i];
-    std::vector<cplx> next(dr * dr, cplx{});
+    next.assign(dr * dr, cplx{});
     // next[r, r'] = sum_{p, l, l'} env[l, l'] t[(l,p),r] conj(t[(l',p),r'])
     for (std::size_t p = 0; p < 2; ++p) {
       // m1[r, l'] = sum_l t[(l,p),r] env[l, l']
-      std::vector<cplx> m1(dr * dl, cplx{});
+      m1.assign(dr * dl, cplx{});
       for (std::size_t l = 0; l < dl; ++l) {
         const cplx* trow = t.data() + (l * 2 + p) * dr;
         const cplx* erow = env.data() + l * chi;
@@ -482,7 +487,7 @@ std::vector<cplx> Mps::left_environment(std::size_t q) const {
         }
       }
     }
-    env = std::move(next);
+    env.swap(next);
     chi = dr;
   }
   return env;
@@ -490,14 +495,15 @@ std::vector<cplx> Mps::left_environment(std::size_t q) const {
 
 std::vector<cplx> Mps::right_environment(std::size_t q) const {
   std::vector<cplx> env{cplx{1.0}};  // 1x1
+  std::vector<cplx> next, m1;
   for (std::size_t i = num_qubits_; i-- > q;) {
     const std::size_t dl = dl_[i], dr = dr_[i];
     const auto& t = sites_[i];
-    std::vector<cplx> next(dl * dl, cplx{});
+    next.assign(dl * dl, cplx{});
     // next[l, l'] = sum_{p, r, r'} t[(l,p),r] env[r, r'] conj(t[(l',p),r'])
     for (std::size_t p = 0; p < 2; ++p) {
       // m1[l, r'] = sum_r t[(l,p),r] env[r, r']
-      std::vector<cplx> m1(dl * dr, cplx{});
+      m1.assign(dl * dr, cplx{});
       for (std::size_t l = 0; l < dl; ++l) {
         const cplx* trow = t.data() + (l * 2 + p) * dr;
         for (std::size_t r = 0; r < dr; ++r) {
@@ -518,7 +524,7 @@ std::vector<cplx> Mps::right_environment(std::size_t q) const {
         }
       }
     }
-    env = std::move(next);
+    env.swap(next);
   }
   return env;
 }

@@ -1,6 +1,5 @@
 #include "qutes/sim/stabilizer.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -29,23 +28,23 @@ inline std::int64_t g_word(std::uint64_t x1, std::uint64_t z1, std::uint64_t x2,
 }  // namespace
 
 Stabilizer::Stabilizer(std::size_t num_qubits)
-    : num_qubits_(num_qubits), words_((num_qubits + 63) / 64) {
+    : num_qubits_(num_qubits), words_((num_qubits + 63) / 64),
+      rows_(2 * num_qubits + 1) {
   if (num_qubits == 0) {
     throw InvalidArgument("Stabilizer needs at least 1 qubit");
   }
-  const std::size_t rows = 2 * num_qubits_ + 1;
   try {
-    x_.assign(rows * words_, 0);
-    z_.assign(rows * words_, 0);
+    x_.assign(rows_ * words_, 0);
+    z_.assign(rows_ * words_, 0);
   } catch (const std::bad_alloc&) {
     throw SimulationError("allocating a " + std::to_string(num_qubits) +
                           "-qubit stabilizer tableau failed (out of memory)");
   }
-  r_.assign(rows, 0);
+  r_.assign(rows_, 0);
   // Destabilizer i = X_i, stabilizer i = Z_i: the tableau of |0...0>.
   for (std::size_t i = 0; i < num_qubits_; ++i) {
-    x_[i * words_ + i / 64] = std::uint64_t{1} << (i % 64);
-    z_[(num_qubits_ + i) * words_ + i / 64] = std::uint64_t{1} << (i % 64);
+    x_col(i)[i] = std::uint64_t{1} << (i % 64);
+    z_col(i)[num_qubits_ + i] = std::uint64_t{1} << (i % 64);
   }
 }
 
@@ -59,73 +58,89 @@ void Stabilizer::check_qubit(std::size_t q, const char* what) const {
 
 // ---- gates ------------------------------------------------------------------
 //
-// Column updates: each gate touches the x/z bits of one or two qubit columns
-// in every (non-scratch) row, flipping r by the textbook conjugation sign.
+// Column updates: each gate reads the x/z bits of one or two qubit columns
+// in every (non-scratch) row, flips r by the textbook conjugation sign and
+// rewrites the bits. The loops are branch-free over one contiguous run of
+// words per column, with the row count and the phase array held in locals
+// (a store through r_'s bytes could otherwise alias the members), so the
+// compiler vectorizes them.
 
 void Stabilizer::apply_h(std::size_t q) {
   check_qubit(q, "apply_h");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    std::uint64_t& xw = x_[row * words_ + w];
-    std::uint64_t& zw = z_[row * words_ + w];
-    r_[row] ^= static_cast<std::uint8_t>(((xw & zw & m) != 0));  // Y -> -Y
-    const std::uint64_t t = xw & m;
-    xw = (xw & ~m) | (zw & m);
-    zw = (zw & ~m) | t;
+  std::uint64_t* xs = x_col(q);
+  std::uint64_t* zs = z_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t x = (xs[row] >> b) & 1u, z = (zs[row] >> b) & 1u;
+    r[row] ^= static_cast<std::uint8_t>(x & z);  // Y -> -Y
+    const std::uint64_t swap = (x ^ z) << b;     // X <-> Z
+    xs[row] ^= swap;
+    zs[row] ^= swap;
   }
 }
 
 void Stabilizer::apply_s(std::size_t q) {
   check_qubit(q, "apply_s");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    std::uint64_t& xw = x_[row * words_ + w];
-    std::uint64_t& zw = z_[row * words_ + w];
-    r_[row] ^= static_cast<std::uint8_t>(((xw & zw & m) != 0));  // Y -> -X
-    zw ^= xw & m;                                                // X -> Y
+  const std::uint64_t* xs = x_col(q);
+  std::uint64_t* zs = z_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t x = (xs[row] >> b) & 1u, z = (zs[row] >> b) & 1u;
+    r[row] ^= static_cast<std::uint8_t>(x & z);  // Y -> -X
+    zs[row] ^= x << b;                           // X -> Y
   }
 }
 
 void Stabilizer::apply_sdg(std::size_t q) {
   check_qubit(q, "apply_sdg");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    std::uint64_t& xw = x_[row * words_ + w];
-    std::uint64_t& zw = z_[row * words_ + w];
+  const std::uint64_t* xs = x_col(q);
+  std::uint64_t* zs = z_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t x = (xs[row] >> b) & 1u, z = (zs[row] >> b) & 1u;
     // Sdg = Z . S: X -> -Y, Y -> X.
-    r_[row] ^= static_cast<std::uint8_t>(((xw & ~zw & m) != 0));
-    zw ^= xw & m;
+    r[row] ^= static_cast<std::uint8_t>(x & (z ^ 1u));
+    zs[row] ^= x << b;
   }
 }
 
 void Stabilizer::apply_x(std::size_t q) {
   check_qubit(q, "apply_x");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    r_[row] ^= static_cast<std::uint8_t>(((z_[row * words_ + w] & m) != 0));
+  const std::uint64_t* zs = z_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    r[row] ^= static_cast<std::uint8_t>((zs[row] >> b) & 1u);
   }
 }
 
 void Stabilizer::apply_y(std::size_t q) {
   check_qubit(q, "apply_y");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    r_[row] ^= static_cast<std::uint8_t>(
-        (((x_[row * words_ + w] ^ z_[row * words_ + w]) & m) != 0));
+  const std::uint64_t* xs = x_col(q);
+  const std::uint64_t* zs = z_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    r[row] ^= static_cast<std::uint8_t>(((xs[row] ^ zs[row]) >> b) & 1u);
   }
 }
 
 void Stabilizer::apply_z(std::size_t q) {
   check_qubit(q, "apply_z");
-  const std::size_t w = q / 64;
-  const std::uint64_t m = std::uint64_t{1} << (q % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    r_[row] ^= static_cast<std::uint8_t>(((x_[row * words_ + w] & m) != 0));
+  const std::uint64_t* xs = x_col(q);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned b = q % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    r[row] ^= static_cast<std::uint8_t>((xs[row] >> b) & 1u);
   }
 }
 
@@ -135,19 +150,21 @@ void Stabilizer::apply_cx(std::size_t control, std::size_t target) {
   if (control == target) {
     throw InvalidArgument("apply_cx: control and target must differ");
   }
-  const std::size_t wc = control / 64, wt = target / 64;
-  const std::uint64_t mc = std::uint64_t{1} << (control % 64);
-  const std::uint64_t mt = std::uint64_t{1} << (target % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    std::uint64_t& xc = x_[row * words_ + wc];
-    std::uint64_t& zc = z_[row * words_ + wc];
-    std::uint64_t& xt = x_[row * words_ + wt];
-    std::uint64_t& zt = z_[row * words_ + wt];
-    const bool bxc = (xc & mc) != 0, bzc = (zc & mc) != 0;
-    const bool bxt = (xt & mt) != 0, bzt = (zt & mt) != 0;
-    r_[row] ^= static_cast<std::uint8_t>(bxc && bzt && (bxt == bzc));
-    if (bxc) xt ^= mt;
-    if (bzt) zc ^= mc;
+  // Control and target may share a word column: each row reads all four
+  // bits before it writes either word.
+  const std::uint64_t* xc = x_col(control);
+  std::uint64_t* zc = z_col(control);
+  std::uint64_t* xt = x_col(target);
+  const std::uint64_t* zt = z_col(target);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned bc = control % 64, bt = target % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t bxc = (xc[row] >> bc) & 1u, bzc = (zc[row] >> bc) & 1u;
+    const std::uint64_t bxt = (xt[row] >> bt) & 1u, bzt = (zt[row] >> bt) & 1u;
+    r[row] ^= static_cast<std::uint8_t>(bxc & bzt & (bxt ^ bzc ^ 1u));
+    xt[row] ^= bxc << bt;
+    zc[row] ^= bzt << bc;
   }
 }
 
@@ -155,19 +172,19 @@ void Stabilizer::apply_cz(std::size_t a, std::size_t b) {
   check_qubit(a, "apply_cz");
   check_qubit(b, "apply_cz");
   if (a == b) throw InvalidArgument("apply_cz: qubits must differ");
-  const std::size_t wa = a / 64, wb = b / 64;
-  const std::uint64_t ma = std::uint64_t{1} << (a % 64);
-  const std::uint64_t mb = std::uint64_t{1} << (b % 64);
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    std::uint64_t& xa = x_[row * words_ + wa];
-    std::uint64_t& za = z_[row * words_ + wa];
-    std::uint64_t& xb = x_[row * words_ + wb];
-    std::uint64_t& zb = z_[row * words_ + wb];
-    const bool bxa = (xa & ma) != 0, bza = (za & ma) != 0;
-    const bool bxb = (xb & mb) != 0, bzb = (zb & mb) != 0;
-    r_[row] ^= static_cast<std::uint8_t>(bxa && bxb && (bza != bzb));
-    if (bxa) zb ^= mb;
-    if (bxb) za ^= ma;
+  const std::uint64_t* xa = x_col(a);
+  std::uint64_t* za = z_col(a);
+  const std::uint64_t* xb = x_col(b);
+  std::uint64_t* zb = z_col(b);
+  std::uint8_t* r = r_.data();
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned ba = a % 64, bb = b % 64;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t bxa = (xa[row] >> ba) & 1u, bza = (za[row] >> ba) & 1u;
+    const std::uint64_t bxb = (xb[row] >> bb) & 1u, bzb = (zb[row] >> bb) & 1u;
+    r[row] ^= static_cast<std::uint8_t>(bxa & bxb & (bza ^ bzb));
+    zb[row] ^= bxa << bb;
+    za[row] ^= bxb << ba;
   }
 }
 
@@ -175,21 +192,18 @@ void Stabilizer::apply_swap(std::size_t a, std::size_t b) {
   check_qubit(a, "apply_swap");
   check_qubit(b, "apply_swap");
   if (a == b) return;
-  const std::size_t wa = a / 64, wb = b / 64;
-  const std::uint64_t ma = std::uint64_t{1} << (a % 64);
-  const std::uint64_t mb = std::uint64_t{1} << (b % 64);
+  const std::size_t rows = 2 * num_qubits_;
+  const unsigned ba = a % 64, bb = b % 64;
   // Pure column exchange: SWAP relabels the qubits, no phase is acquired.
-  for (std::size_t row = 0; row < 2 * num_qubits_; ++row) {
-    for (std::vector<std::uint64_t>* bits : {&x_, &z_}) {
-      std::uint64_t& pa = (*bits)[row * words_ + wa];
-      std::uint64_t& pb = (*bits)[row * words_ + wb];
-      const bool ba = (pa & ma) != 0, bb = (pb & mb) != 0;
-      if (ba != bb) {
-        pa ^= ma;
-        pb ^= mb;
-      }
+  const auto exchange = [rows, ba, bb](std::uint64_t* pa, std::uint64_t* pb) {
+    for (std::size_t row = 0; row < rows; ++row) {
+      const std::uint64_t differ = ((pa[row] >> ba) ^ (pb[row] >> bb)) & 1u;
+      pa[row] ^= differ << ba;
+      pb[row] ^= differ << bb;
     }
-  }
+  };
+  exchange(x_col(a), x_col(b));
+  exchange(z_col(a), z_col(b));
 }
 
 // ---- measurement ------------------------------------------------------------
@@ -197,23 +211,39 @@ void Stabilizer::apply_swap(std::size_t a, std::size_t b) {
 void Stabilizer::rowsum(std::size_t h, std::size_t i) {
   std::int64_t phase = 2 * (static_cast<std::int64_t>(r_[h]) +
                             static_cast<std::int64_t>(r_[i]));
-  std::uint64_t* xh = x_row(h);
-  std::uint64_t* zh = z_row(h);
-  const std::uint64_t* xi = x_row(i);
-  const std::uint64_t* zi = z_row(i);
-  for (std::size_t w = 0; w < words_; ++w) {
-    phase += g_word(xi[w], zi[w], xh[w], zh[w]);
-    xh[w] ^= xi[w];
-    zh[w] ^= zi[w];
+  for (std::size_t at = 0; at < words_ * rows_; at += rows_) {
+    const std::uint64_t xi = x_[at + i], zi = z_[at + i];
+    if ((xi | zi) == 0) continue;  // row i is the identity on these qubits
+    phase += g_word(xi, zi, x_[at + h], z_[at + h]);
+    x_[at + h] ^= xi;
+    z_[at + h] ^= zi;
   }
   // The product of two commuting-group rows is always a real Pauli, so the
   // i-exponent is 0 or 2 mod 4; 2 means a negative sign.
   r_[h] = static_cast<std::uint8_t>(((phase % 4) + 4) % 4 == 2);
 }
 
+void Stabilizer::copy_row(std::size_t from, std::size_t to) noexcept {
+  for (std::size_t at = 0; at < words_ * rows_; at += rows_) {
+    x_[at + to] = x_[at + from];
+    z_[at + to] = z_[at + from];
+  }
+  r_[to] = r_[from];
+}
+
+void Stabilizer::clear_row(std::size_t row) noexcept {
+  for (std::size_t at = 0; at < words_ * rows_; at += rows_) {
+    x_[at + row] = 0;
+    z_[at + row] = 0;
+  }
+  r_[row] = 0;
+}
+
 std::size_t Stabilizer::anticommuting_stabilizer(std::size_t q) const noexcept {
+  const std::uint64_t* xs = x_col(q);
+  const std::uint64_t m = std::uint64_t{1} << (q % 64);
   for (std::size_t i = num_qubits_; i < 2 * num_qubits_; ++i) {
-    if (x_bit(i, q)) return i;
+    if (xs[i] & m) return i;
   }
   return 2 * num_qubits_;
 }
@@ -235,12 +265,9 @@ int Stabilizer::collapse_random(std::size_t q, std::size_t p, int outcome) {
   for (std::size_t i = 0; i < 2 * num_qubits_; ++i) {
     if (i != p && x_bit(i, q)) rowsum(i, p);
   }
-  std::copy_n(x_row(p), words_, x_row(p - num_qubits_));
-  std::copy_n(z_row(p), words_, z_row(p - num_qubits_));
-  r_[p - num_qubits_] = r_[p];
-  std::fill_n(x_row(p), words_, 0);
-  std::fill_n(z_row(p), words_, 0);
-  z_row(p)[q / 64] = std::uint64_t{1} << (q % 64);
+  copy_row(p, p - num_qubits_);
+  clear_row(p);
+  z_col(q)[p] = std::uint64_t{1} << (q % 64);
   r_[p] = static_cast<std::uint8_t>(outcome);
   return outcome;
 }
@@ -250,9 +277,7 @@ int Stabilizer::determined_outcome(std::size_t q) {
   // stabilizer generators flagged by the destabilizers that anticommute
   // with Z_q into the scratch row; its phase is the outcome.
   const std::size_t scratch = 2 * num_qubits_;
-  std::fill_n(x_row(scratch), words_, 0);
-  std::fill_n(z_row(scratch), words_, 0);
-  r_[scratch] = 0;
+  clear_row(scratch);
   for (std::size_t i = 0; i < num_qubits_; ++i) {
     if (x_bit(i, q)) rowsum(scratch, i + num_qubits_);
   }
@@ -303,8 +328,8 @@ std::vector<cplx> Stabilizer::to_statevector() const {
   // (-1)^{popcount(b & z)} |b ^ x>, accumulated into v + Pv (the projector
   // 2(I + g_i)/2 without the normalization, which the final rescale absorbs).
   const auto project = [&](std::vector<cplx>& v, std::size_t i) {
-    const std::uint64_t xmask = x_row(num_qubits_ + i)[0];
-    const std::uint64_t zmask = z_row(num_qubits_ + i)[0];
+    const std::uint64_t xmask = x_[num_qubits_ + i];  // word 0 of the row
+    const std::uint64_t zmask = z_[num_qubits_ + i];
     const int y_count = std::popcount(xmask & zmask);
     cplx base{1.0, 0.0};
     switch (y_count % 4) {

@@ -286,9 +286,12 @@ double StateVector::probability_one(std::size_t qubit) const {
   const std::uint64_t n = dim();
   const cplx* amps = amps_.data();
   double p = 0.0;
+  // k walks the amplitudes with the bit set, in index order.
 #pragma omp parallel for schedule(static) reduction(+ : p) if (n >= kParallelThreshold)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (test_bit(static_cast<std::uint64_t>(i), qubit)) p += std::norm(amps[i]);
+  for (std::int64_t k = 0; k < static_cast<std::int64_t>(n / 2); ++k) {
+    const std::uint64_t i1 =
+        set_bit(insert_zero_bit(static_cast<std::uint64_t>(k), qubit), qubit);
+    p += std::norm(amps[i1]);
   }
   return p;
 }
@@ -320,13 +323,13 @@ void StateVector::collapse(std::size_t qubit, int outcome, double prob) {
   const double scale = 1.0 / std::sqrt(prob);
   const std::uint64_t n = dim();
   cplx* amps = amps_.data();
+  // One pass over the amplitude pairs that differ only in the bit.
 #pragma omp parallel for schedule(static) if (n >= kParallelThreshold)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    if (test_bit(static_cast<std::uint64_t>(i), qubit) == (outcome == 1)) {
-      amps[i] *= scale;
-    } else {
-      amps[i] = cplx{};
-    }
+  for (std::int64_t k = 0; k < static_cast<std::int64_t>(n / 2); ++k) {
+    const std::uint64_t i0 = insert_zero_bit(static_cast<std::uint64_t>(k), qubit);
+    const std::uint64_t i1 = set_bit(i0, qubit);
+    amps[outcome == 1 ? i1 : i0] *= scale;
+    amps[outcome == 1 ? i0 : i1] = cplx{};
   }
 }
 
