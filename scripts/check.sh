@@ -66,6 +66,24 @@ QUTES_EXEC_MODE=ast ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
   -R 'test_(interpreter|programs|conformance|stdlib|bytecode|differential|dsl_robustness|program_files|edge_cases|debug_features|casting|printer)|cli_'
 echo "check.sh: language suites passed under QUTES_EXEC_MODE=ast (tree-walk reference)."
 
+# Engine parity on the shipped programs: every example runs under both
+# engines with one seed, and the outputs must be byte-identical. The VM holds
+# classical scalars inline in a union on its operand stack; a read of the
+# wrong member is undefined behaviour that neither sanitizer reports, so this
+# end-to-end diff is the guard.
+PARITY_DIR="$BUILD_DIR/engine-parity"
+mkdir -p "$PARITY_DIR"
+for prog in examples/programs/*.qut; do
+  name="$(basename "$prog" .qut)"
+  for mode in vm ast; do
+    "$BUILD_DIR"/tools/qutes run "$prog" --seed 9 --exec-mode "$mode" \
+      >"$PARITY_DIR/$name.$mode.txt" 2>&1
+  done
+  diff "$PARITY_DIR/$name.vm.txt" "$PARITY_DIR/$name.ast.txt" \
+    || { echo "check.sh: $prog prints differently under --exec-mode vm and ast" >&2; exit 1; }
+done
+echo "check.sh: example programs print identically under both engines."
+
 # MPS backend smoke sweep: exercises the contraction/SVD kernels and the
 # dense-vs-MPS crossover path in this build's instrumentation (most valuable
 # under --asan/--ubsan, where the test binaries alone don't drive the bench

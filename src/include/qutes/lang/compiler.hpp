@@ -19,6 +19,7 @@
 // configure the post-run replay experiment.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -53,6 +54,9 @@ struct RunResult {
   /// RunConfig::backend.name with seed+1, so the live run's draws stay
   /// intact).
   std::optional<circ::ExecutionResult> replay;
+  /// The bytecode the VM lowered and ran; null when the tree-walk ran. A
+  /// cache keeps it instead of lowering the source a second time.
+  std::shared_ptr<const Bytecode> bytecode;
   std::size_t num_qubits = 0;
   std::size_t circuit_depth = 0;
   std::size_t gate_count = 0;

@@ -75,6 +75,10 @@ public:
     data_ = other.data_;
     param_index_ = other.param_index_;
   }
+  /// assign() from a fresh classical scalar, without making one.
+  void set_bool(bool v) { set_scalar(TypeKind::Bool, v); }
+  void set_int(std::int64_t v) { set_scalar(TypeKind::Int, v); }
+  void set_float(double v) { set_scalar(TypeKind::Float, v); }
 
   /// Parameter-table index when this Float came from `param(...)` (and has
   /// flowed through nothing but plain assignment); -1 otherwise. Arithmetic
@@ -85,6 +89,12 @@ public:
   [[nodiscard]] std::string to_display_string() const;
 
 private:
+  void set_scalar(TypeKind kind, Data data) {
+    type_ = QType::scalar(kind);
+    data_ = std::move(data);
+    param_index_ = -1;
+  }
+
   QType type_ = QType::scalar(TypeKind::Void);
   Data data_;
   int param_index_ = -1;

@@ -1,10 +1,14 @@
 // The bytecode dispatch VM — the compiled execution engine.
 //
-// Executes lang::Bytecode (lower.hpp) with an explicit value stack and an
+// Executes lang::Bytecode (lower.hpp) with an explicit operand stack and an
 // explicit frame stack: no per-node virtual dispatch, no recursion, no name
-// lookups (slots were resolved at lowering time). Every value-level
-// operation delegates to the same lang::Runtime the tree-walking
-// Interpreter uses, so the two engines produce bit-identical circuits,
+// lookups (slots were resolved at lowering time). The operand stack holds
+// the classical scalars the VM creates inline, with no heap cell, and
+// everything with identity as a shared Value cell (see Operand). Int
+// arithmetic and comparison, truthiness, and same-kind scalar stores run
+// inline and mirror Runtime's rules exactly; every other value-level
+// operation delegates to the same lang::Runtime the tree-walking Interpreter
+// uses. The two engines therefore produce bit-identical circuits,
 // measurement draws, outputs, and diagnostics; `--exec-mode ast` keeps the
 // tree-walk available as the differential reference.
 //
@@ -49,6 +53,27 @@ public:
   [[nodiscard]] Runtime& runtime() noexcept { return runtime_; }
 
 private:
+  /// One operand-stack entry. A classical Bool/Int/Float the VM creates
+  /// itself (a literal, an int arithmetic or comparison result, a truth
+  /// value) is held inline, with no heap cell. Everything with identity
+  /// stays a ValuePtr: the variable cells Load* pushes (so `g + f()` reads
+  /// `g` after `f` assigned it), arrays, strings, quantum references, and
+  /// call and index results.
+  struct Operand {
+    ValuePtr cell;                   ///< null while the operand is inline
+    TypeKind kind = TypeKind::Void;  ///< Bool, Int or Float when inline
+    union {
+      bool b;
+      std::int64_t i = 0;
+      double f;
+    };
+    Operand() = default;
+    explicit Operand(ValuePtr v) : cell(std::move(v)) {}
+    explicit Operand(bool v) : kind(TypeKind::Bool), b(v) {}
+    explicit Operand(std::int64_t v) : kind(TypeKind::Int), i(v) {}
+    explicit Operand(double v) : kind(TypeKind::Float), f(v) {}
+  };
+
   struct Frame {
     const Chunk* chunk = nullptr;
     std::size_t pc = 0;
@@ -70,41 +95,44 @@ private:
   [[nodiscard]] SourceLocation loc_of(std::uint32_t idx) const {
     return bc_.locations[idx];
   }
-  ValuePtr pop(std::uint32_t loc_idx);
-  ValuePtr& peek(std::uint32_t loc_idx);
+  Operand pop(std::uint32_t loc_idx);
+  Operand& peek(std::uint32_t loc_idx);
+  /// Pop, giving an inline scalar a fresh cell: the form every Runtime call
+  /// and binding takes. Nothing else holds an inline scalar, so its cell is
+  /// as unaliased as a fresh Runtime result.
+  ValuePtr pop_cell(std::uint32_t loc_idx);
+  static TypeKind kind_of(const Operand& v);
+  /// The operand as a cell: its own, or a fresh one for an inline scalar.
+  static ValuePtr box(Operand v);
+  /// Value::as_int / as_bool of an operand, errors included.
+  static std::int64_t int_of(const Operand& v);
+  static bool bool_of(const Operand& v);
   const BuiltinFn& builtin_of(std::uint32_t name_idx, std::uint32_t loc_idx);
 
-  // --- scalar temporary recycling -----------------------------------------
-  // Classical-heavy programs churn through one heap-allocated Value per
-  // pushed literal and per binary result. A temporary whose use_count() is 1
-  // is provably unaliased (variables alias their values by reference, so a
-  // captured pointer always shows up in the count), which makes reusing its
-  // heap cell safe: no other observer exists. Recycled cells feed the next
-  // PushInt/PushBool/result instead of a fresh allocation.
-  void push_scalar(Value&& scratch);
-  void push_int(std::int64_t v);
-  void push_bool(bool v);
-  void recycle(ValuePtr&& v) noexcept;
-  /// Same-kind classical-scalar assignment inline (Runtime's coerce is an
-  /// identity there); anything else delegates to Runtime::assign_plain.
-  void assign_scalar_or_plain(const ValuePtr& slot, const ValuePtr& rhs,
-                              std::uint32_t loc_idx);
-  /// Inline `int op int` evaluation, bit-exact with Runtime::classical_binary
+  /// TypeCastingHandler::condition_bool, inline for inline scalars.
+  bool truthy(const Operand& v, std::uint32_t loc_idx);
+  /// `slot = rhs`: a same-kind classical scalar is stored in place (Runtime's
+  /// coerce is an identity there); anything else goes to
+  /// Runtime::assign_plain.
+  void assign(const ValuePtr& slot, Operand rhs, std::uint32_t loc_idx);
+  /// `slot op= rhs`: int into an Int slot inline, anything else through
+  /// Runtime::compound_assign.
+  void compound(const std::string& name, const ValuePtr& slot, BinaryOp op,
+                Operand rhs, std::uint32_t loc_idx);
+  /// `a op b` bit-exact with the int branch of Runtime::classical_binary
   /// (wraparound arithmetic, identical error strings). Returns false for any
-  /// operand/op shape it does not cover; the caller falls back to Runtime.
-  bool try_int_binary(BinaryOp op, const ValuePtr& lhs, const ValuePtr& rhs,
-                      std::uint32_t loc_idx);
+  /// op it does not cover; the caller falls back to Runtime.
+  bool int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
+                  std::uint32_t loc_idx, Operand& out) const;
 
   const Bytecode& bc_;
   Runtime runtime_;
-  std::vector<ValuePtr> stack_;
+  std::vector<Operand> stack_;  ///< inline scalars and cells (see Operand)
   std::vector<Frame> frames_;
   std::vector<Runtime::SupBuilder> sups_;
   std::vector<Runtime::ArrBuilder> arrs_;
   /// Builtins resolved once per name (index = string pool slot).
   std::vector<const BuiltinFn*> builtin_cache_;
-  /// Unaliased scalar cells awaiting reuse (see push_scalar/recycle).
-  std::vector<ValuePtr> free_cells_;
   std::size_t call_depth_ = 0;
 };
 

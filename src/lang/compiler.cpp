@@ -76,12 +76,13 @@ RunResult run_source(const std::string& source, qutes::RunConfig config) {
 
   RunResult result;
   if (mode == ExecMode::Vm) {
-    const Bytecode bytecode =
-        lower(compiled.program, compiled.functions, fnv1a64(source));
-    Vm vm(bytecode, {.seed = config.seed,
-                     .echo = config.echo,
-                     .bind_params = config.bind_params,
-                     .allow_unbound_params = config.allow_unbound_params});
+    result.bytecode = std::make_shared<const Bytecode>(
+        lower(compiled.program, compiled.functions, fnv1a64(source)));
+    Vm vm(*result.bytecode,
+          {.seed = config.seed,
+           .echo = config.echo,
+           .bind_params = config.bind_params,
+           .allow_unbound_params = config.allow_unbound_params});
     vm.run();
     result.output = vm.runtime().captured_output();
     result.circuit = vm.runtime().handler().circuit();

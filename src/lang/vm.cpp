@@ -4,19 +4,12 @@
 
 namespace qutes::lang {
 
-namespace {
-/// Free-list depth: deep enough to cover every live scalar temporary of a
-/// realistic expression, small enough to pin negligible memory.
-constexpr std::size_t kFreeCellCap = 32;
-}  // namespace
-
 Vm::Vm(const Bytecode& bytecode, VmOptions options)
     : bc_(bytecode),
       runtime_(options.seed, options.echo),
       builtin_cache_(bytecode.strings.size(), nullptr) {
   runtime_.set_bind_params(std::move(options.bind_params),
                            options.allow_unbound_params);
-  free_cells_.reserve(kFreeCellCap);  // recycle() never reallocates
 }
 
 Vm::Frame Vm::make_frame(const Chunk& chunk, std::uint32_t call_loc) const {
@@ -31,121 +24,129 @@ Vm::Frame Vm::make_frame(const Chunk& chunk, std::uint32_t call_loc) const {
   return frame;
 }
 
-ValuePtr Vm::pop(std::uint32_t loc_idx) {
+Vm::Operand Vm::pop(std::uint32_t loc_idx) {
   if (stack_.empty()) {
     throw LangError("bytecode: stack underflow", loc_of(loc_idx));
   }
-  ValuePtr v = std::move(stack_.back());
+  Operand v = std::move(stack_.back());
   stack_.pop_back();
   return v;
 }
 
-ValuePtr& Vm::peek(std::uint32_t loc_idx) {
+Vm::Operand& Vm::peek(std::uint32_t loc_idx) {
   if (stack_.empty()) {
     throw LangError("bytecode: stack underflow", loc_of(loc_idx));
   }
   return stack_.back();
 }
 
-void Vm::push_scalar(Value&& scratch) {
-  if (free_cells_.empty()) {
-    stack_.push_back(std::make_shared<Value>(std::move(scratch)));
-    return;
-  }
-  ValuePtr cell = std::move(free_cells_.back());
-  free_cells_.pop_back();
-  *cell = std::move(scratch);
-  stack_.push_back(std::move(cell));
+ValuePtr Vm::pop_cell(std::uint32_t loc_idx) { return box(pop(loc_idx)); }
+
+TypeKind Vm::kind_of(const Operand& v) {
+  return v.cell ? v.cell->kind() : v.kind;
 }
 
-void Vm::push_int(std::int64_t v) {
-  push_scalar(Value(QType::scalar(TypeKind::Int), v));
-}
-
-void Vm::push_bool(bool v) {
-  push_scalar(Value(QType::scalar(TypeKind::Bool), v));
-}
-
-void Vm::recycle(ValuePtr&& v) noexcept {
-  // use_count()==1 proves the cell is unaliased: variables and containers
-  // hold values by shared_ptr, so any capture shows up in the count. Only
-  // plain scalars are pooled — strings pin buffers, arrays/quantum refs
-  // carry structure worth letting go.
-  if (!v || v.use_count() != 1 || free_cells_.size() >= kFreeCellCap) return;
-  switch (v->kind()) {
-    case TypeKind::Bool:
-    case TypeKind::Int:
-    case TypeKind::Float:
-      free_cells_.push_back(std::move(v));
-      break;
-    default:
-      break;
+ValuePtr Vm::box(Operand v) {
+  if (v.cell) return std::move(v.cell);
+  switch (v.kind) {
+    case TypeKind::Bool: return Value::make_bool(v.b);
+    case TypeKind::Float: return Value::make_float(v.f);
+    default: return Value::make_int(v.i);
   }
 }
 
-void Vm::assign_scalar_or_plain(const ValuePtr& slot, const ValuePtr& rhs,
-                                std::uint32_t loc_idx) {
-  // Same-kind classical scalar assignment: Runtime::assign_plain's coerce is
-  // an identity here (matching classical kinds return the value unchanged),
-  // so it reduces to copying the variant into the slot's own cell.
+std::int64_t Vm::int_of(const Operand& v) {
+  if (v.cell) return v.cell->as_int();
+  return v.kind == TypeKind::Int ? v.i : box(v)->as_int();
+}
+
+bool Vm::bool_of(const Operand& v) {
+  if (v.cell) return v.cell->as_bool();
+  return v.kind == TypeKind::Bool ? v.b : box(v)->as_bool();
+}
+
+bool Vm::truthy(const Operand& v, std::uint32_t loc_idx) {
+  if (v.cell) return runtime_.casting().condition_bool(*v.cell, loc_of(loc_idx));
+  switch (v.kind) {
+    case TypeKind::Bool: return v.b;
+    case TypeKind::Float: return v.f != 0.0;
+    default: return v.i != 0;
+  }
+}
+
+void Vm::assign(const ValuePtr& slot, Operand rhs, std::uint32_t loc_idx) {
   const TypeKind k = slot->kind();
-  if ((k == TypeKind::Int || k == TypeKind::Bool || k == TypeKind::Float) &&
-      !slot->is_array() && rhs->kind() == k && !rhs->is_array()) {
-    slot->assign(*rhs);
+  if (k == kind_of(rhs) &&
+      (k == TypeKind::Int || k == TypeKind::Bool || k == TypeKind::Float)) {
+    if (rhs.cell) {
+      slot->assign(*rhs.cell);
+    } else if (k == TypeKind::Int) {
+      slot->set_int(rhs.i);
+    } else if (k == TypeKind::Bool) {
+      slot->set_bool(rhs.b);
+    } else {
+      slot->set_float(rhs.f);
+    }
     return;
   }
-  runtime_.assign_plain(slot, rhs, loc_of(loc_idx));
+  runtime_.assign_plain(slot, box(std::move(rhs)), loc_of(loc_idx));
 }
 
-bool Vm::try_int_binary(BinaryOp op, const ValuePtr& lhs, const ValuePtr& rhs,
-                        std::uint32_t loc_idx) {
-  if (lhs->kind() != TypeKind::Int || rhs->kind() != TypeKind::Int) {
-    return false;
+void Vm::compound(const std::string& name, const ValuePtr& slot, BinaryOp op,
+                  Operand rhs, std::uint32_t loc_idx) {
+  // An Int result needs no coercion back into the Int slot; any other shape,
+  // a Bool from a comparison op in a loaded artifact included, goes to the
+  // Runtime.
+  Operand out;
+  if (slot->kind() == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
+      int_binary(op, slot->as_int(), int_of(rhs), loc_idx, out) &&
+      out.kind == TypeKind::Int) {
+    slot->set_int(out.i);
+    return;
   }
-  const std::int64_t a = lhs->as_int();
-  const std::int64_t b = rhs->as_int();
+  runtime_.compound_assign(name, slot, op, box(std::move(rhs)),
+                           loc_of(loc_idx));
+}
+
+bool Vm::int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
+                    std::uint32_t loc_idx, Operand& out) const {
   // Mirrors the int branch of Runtime::classical_binary exactly — wraparound
   // two's-complement arithmetic through uint64_t and identical error strings
   // — so taking this path is observationally indistinguishable from the
   // Runtime call it skips.
   const auto ua = static_cast<std::uint64_t>(a);
   const auto ub = static_cast<std::uint64_t>(b);
+  const auto wrap = [](std::uint64_t u) {
+    return Operand(static_cast<std::int64_t>(u));
+  };
   switch (op) {
-    case BinaryOp::Add: push_int(static_cast<std::int64_t>(ua + ub)); return true;
-    case BinaryOp::Sub: push_int(static_cast<std::int64_t>(ua - ub)); return true;
-    case BinaryOp::Mul: push_int(static_cast<std::int64_t>(ua * ub)); return true;
+    case BinaryOp::Add: out = wrap(ua + ub); return true;
+    case BinaryOp::Sub: out = wrap(ua - ub); return true;
+    case BinaryOp::Mul: out = wrap(ua * ub); return true;
     case BinaryOp::Div:
       if (b == 0) throw LangError("division by zero", loc_of(loc_idx));
-      if (b == -1) {
-        push_int(static_cast<std::int64_t>(std::uint64_t{0} - ua));
-        return true;
-      }
-      push_int(a / b);
+      out = b == -1 ? wrap(std::uint64_t{0} - ua) : Operand(a / b);
       return true;
     case BinaryOp::Mod:
       if (b == 0) throw LangError("modulo by zero", loc_of(loc_idx));
-      if (b == -1) {
-        push_int(0);
-        return true;
-      }
-      push_int(a % b);
+      out = Operand(b == -1 ? std::int64_t{0} : a % b);
       return true;
     case BinaryOp::Shl:
       if (b < 0 || b > 62) throw LangError("bad shift amount", loc_of(loc_idx));
-      push_int(a << b);
+      out = Operand(a << b);
       return true;
     case BinaryOp::Shr:
       if (b < 0 || b > 62) throw LangError("bad shift amount", loc_of(loc_idx));
-      push_int(a >> b);
+      out = Operand(a >> b);
       return true;
-    case BinaryOp::Eq: push_bool(a == b); return true;
-    case BinaryOp::Ne: push_bool(a != b); return true;
-    case BinaryOp::Lt: push_bool(a < b); return true;
-    case BinaryOp::Le: push_bool(a <= b); return true;
-    case BinaryOp::Gt: push_bool(a > b); return true;
-    case BinaryOp::Ge: push_bool(a >= b); return true;
-    case BinaryOp::And: push_bool(a != 0 && b != 0); return true;
-    case BinaryOp::Or: push_bool(a != 0 || b != 0); return true;
+    case BinaryOp::Eq: out = Operand(a == b); return true;
+    case BinaryOp::Ne: out = Operand(a != b); return true;
+    case BinaryOp::Lt: out = Operand(a < b); return true;
+    case BinaryOp::Le: out = Operand(a <= b); return true;
+    case BinaryOp::Gt: out = Operand(a > b); return true;
+    case BinaryOp::Ge: out = Operand(a >= b); return true;
+    case BinaryOp::And: out = Operand(a != 0 && b != 0); return true;
+    case BinaryOp::Or: out = Operand(a != 0 || b != 0); return true;
     default:
       return false;  // `in`, unknown ops: let the Runtime diagnose
   }
@@ -197,9 +198,9 @@ void Vm::exec_loop(std::uint64_t& steps) {
     const Chunk& ck = *done.chunk;
     const QType& rtype = bc_.types[ck.return_type];
     if (rtype.kind == TypeKind::Void) {
-      stack_.push_back(Value::make_void());
+      stack_.emplace_back(Value::make_void());
     } else {
-      stack_.push_back(runtime_.casting().coerce(
+      stack_.emplace_back(runtime_.casting().coerce(
           value, rtype, bc_.strings[ck.name] + "() result",
           loc_of(done.call_loc)));
     }
@@ -217,30 +218,30 @@ void Vm::exec_loop(std::uint64_t& steps) {
     ++steps;
     switch (in.op) {
       case Op::PushInt:
-        push_int(in.a);
+        stack_.emplace_back(in.a);
         break;
       case Op::PushFloat:
-        push_scalar(Value(QType::scalar(TypeKind::Float), bc_.floats[in.b]));
+        stack_.emplace_back(bc_.floats[in.b]);
         break;
       case Op::PushBool:
-        push_bool(in.a != 0);
+        stack_.emplace_back(in.a != 0);
         break;
       case Op::PushString:
-        stack_.push_back(Value::make_string(bc_.strings[in.b]));
+        stack_.emplace_back(Value::make_string(bc_.strings[in.b]));
         break;
       case Op::Pop:
-        recycle(pop(in.loc));
+        (void)pop(in.loc);
         break;
 
       case Op::QuintLit:
-        stack_.push_back(runtime_.quantum_int_lit(in.a, loc_of(in.loc)));
+        stack_.emplace_back(runtime_.quantum_int_lit(in.a, loc_of(in.loc)));
         break;
       case Op::QustringLit:
-        stack_.push_back(
+        stack_.emplace_back(
             runtime_.quantum_string_lit(bc_.strings[in.b], loc_of(in.loc)));
         break;
       case Op::KetState:
-        stack_.push_back(runtime_.ket_lit(static_cast<KetKind>(in.a)));
+        stack_.emplace_back(runtime_.ket_lit(static_cast<KetKind>(in.a)));
         break;
 
       case Op::SupBegin:
@@ -250,15 +251,14 @@ void Vm::exec_loop(std::uint64_t& steps) {
         if (sups_.empty()) {
           throw LangError("bytecode: stray literal-builder op", loc_of(in.loc));
         }
-        const ValuePtr element = pop(in.loc);
-        runtime_.sup_element(sups_.back(), element, loc_of(in.loc));
+        runtime_.sup_element(sups_.back(), pop_cell(in.loc), loc_of(in.loc));
         break;
       }
       case Op::SupEnd: {
         if (sups_.empty()) {
           throw LangError("bytecode: stray literal-builder op", loc_of(in.loc));
         }
-        stack_.push_back(runtime_.sup_finish(sups_.back(), loc_of(in.loc)));
+        stack_.emplace_back(runtime_.sup_finish(sups_.back(), loc_of(in.loc)));
         sups_.pop_back();
         break;
       }
@@ -269,7 +269,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
         if (arrs_.empty()) {
           throw LangError("bytecode: stray literal-builder op", loc_of(in.loc));
         }
-        Runtime::arr_element(arrs_.back(), pop(in.loc), loc_of(in.loc));
+        Runtime::arr_element(arrs_.back(), pop_cell(in.loc), loc_of(in.loc));
         break;
       }
       case Op::ArrEnd: {
@@ -278,7 +278,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
         }
         Runtime::ArrBuilder builder = std::move(arrs_.back());
         arrs_.pop_back();
-        stack_.push_back(
+        stack_.emplace_back(
             Value::make_array(builder.element, std::move(builder.items)));
         break;
       }
@@ -293,7 +293,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
                   bc_.strings[owner.chunk->slot_names[in.b]] + "'",
               loc_of(in.loc));
         }
-        stack_.push_back(v);
+        stack_.emplace_back(v);
         break;
       }
       case Op::CheckLocal:
@@ -309,7 +309,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
       }
       case Op::AssignLocal:
       case Op::AssignGlobal: {
-        ValuePtr rhs = pop(in.loc);
+        Operand rhs = pop(in.loc);
         Frame& owner = in.op == Op::AssignGlobal ? frames_.front() : *fr;
         const ValuePtr& slot = owner.slots[in.b];
         if (!slot) {
@@ -318,13 +318,12 @@ void Vm::exec_loop(std::uint64_t& steps) {
                   bc_.strings[owner.chunk->slot_names[in.b]] + "'",
               loc_of(in.loc));
         }
-        assign_scalar_or_plain(slot, rhs, in.loc);
-        recycle(std::move(rhs));  // assign copies into the slot's own cell
+        assign(slot, std::move(rhs), in.loc);
         break;
       }
       case Op::CompoundLocal:
       case Op::CompoundGlobal: {
-        ValuePtr rhs = pop(in.loc);
+        Operand rhs = pop(in.loc);
         Frame& owner = in.op == Op::CompoundGlobal ? frames_.front() : *fr;
         const std::string& name = bc_.strings[owner.chunk->slot_names[in.b]];
         const ValuePtr& slot = owner.slots[in.b];
@@ -332,62 +331,56 @@ void Vm::exec_loop(std::uint64_t& steps) {
           throw LangError("assignment to undeclared variable '" + name + "'",
                           loc_of(in.loc));
         }
-        runtime_.compound_assign(name, slot, static_cast<BinaryOp>(in.a), rhs,
-                                 loc_of(in.loc));
-        recycle(std::move(rhs));
+        compound(name, slot, static_cast<BinaryOp>(in.a), std::move(rhs),
+                 in.loc);
         break;
       }
 
       case Op::CheckIndexTarget: {
-        const ValuePtr& target = peek(in.loc);
-        if (!target->is_array()) {
+        const Operand& target = peek(in.loc);
+        if (!target.cell || !target.cell->is_array()) {
           throw LangError("only array elements can be assigned by index",
                           loc_of(in.loc));
         }
         break;
       }
       case Op::IndexPrep: {
-        ValuePtr index_v = pop(in.loc);
-        const ValuePtr& target = peek(in.loc);
-        const std::int64_t index = runtime_.classical_of(index_v)->as_int();
-        const auto& arr = target->as_array();
-        if (index < 0 || static_cast<std::size_t>(index) >= arr.items.size()) {
+        Operand index_v = pop(in.loc);
+        const std::int64_t index =
+            index_v.cell ? runtime_.classical_of(index_v.cell)->as_int()
+                         : int_of(index_v);
+        const std::size_t size = box(peek(in.loc))->as_array().items.size();
+        if (index < 0 || static_cast<std::size_t>(index) >= size) {
           throw LangError("array index out of range", loc_of(in.loc));
         }
-        recycle(std::move(index_v));
-        push_int(index);
+        stack_.emplace_back(index);
         break;
       }
       case Op::AssignIndex:
       case Op::CompoundIndex: {
-        ValuePtr rhs = pop(in.loc);
-        ValuePtr index_v = pop(in.loc);
-        ValuePtr target = pop(in.loc);
+        Operand rhs = pop(in.loc);
+        const std::int64_t index = int_of(pop(in.loc));
+        const ValuePtr target = pop_cell(in.loc);
         // Re-check: the rhs ran with the array reachable and may have
         // resized it (the tree-walk holds a raw element reference across
         // that window — undefined; the VM stays defined and re-indexes).
-        const std::int64_t index = index_v->as_int();
         auto& arr = target->as_array();
         if (index < 0 || static_cast<std::size_t>(index) >= arr.items.size()) {
           throw LangError("array index out of range", loc_of(in.loc));
         }
         const ValuePtr& item = arr.items[static_cast<std::size_t>(index)];
         if (in.op == Op::CompoundIndex) {
-          runtime_.compound_assign("<element>", item,
-                                   static_cast<BinaryOp>(in.a), rhs,
-                                   loc_of(in.loc));
+          compound("<element>", item, static_cast<BinaryOp>(in.a),
+                   std::move(rhs), in.loc);
         } else {
-          assign_scalar_or_plain(item, rhs, in.loc);
+          assign(item, std::move(rhs), in.loc);
         }
-        recycle(std::move(rhs));
-        recycle(std::move(index_v));
         break;
       }
       case Op::IndexGet: {
-        ValuePtr index_v = pop(in.loc);
-        ValuePtr target = pop(in.loc);
-        stack_.push_back(runtime_.index_value(target, index_v, loc_of(in.loc)));
-        recycle(std::move(index_v));
+        const ValuePtr index_v = pop_cell(in.loc);
+        const ValuePtr target = pop_cell(in.loc);
+        stack_.emplace_back(runtime_.index_value(target, index_v, loc_of(in.loc)));
         break;
       }
 
@@ -414,7 +407,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
           case Op::Declare:
             break;  // value bound by the BindInit after the initializer
           case Op::BindInit: {
-            const ValuePtr init = pop(in.loc);
+            const ValuePtr init = pop_cell(in.loc);
             fr->slots[in.b] =
                 runtime_.bind_decl_init(init, type, name, loc_of(in.loc));
             break;
@@ -449,51 +442,51 @@ void Vm::exec_loop(std::uint64_t& steps) {
         break;
 
       case Op::UnaryApply: {
-        ValuePtr v = pop(in.loc);
-        stack_.push_back(
-            runtime_.unary(static_cast<UnaryOp>(in.a), v, loc_of(in.loc)));
-        // Push before recycling: the result may BE the operand (in-place
-        // quantum ops return it), and the alias then keeps use_count > 1.
-        recycle(std::move(v));
+        Operand v = pop(in.loc);
+        const auto op = static_cast<UnaryOp>(in.a);
+        const TypeKind k = kind_of(v);
+        if (op == UnaryOp::Not) {
+          stack_.emplace_back(!truthy(v, in.loc));
+        } else if (op == UnaryOp::Neg && k == TypeKind::Int) {
+          // Through uint64_t: -INT64_MIN wraps to itself (Runtime::unary).
+          stack_.emplace_back(static_cast<std::int64_t>(
+              std::uint64_t{0} - static_cast<std::uint64_t>(int_of(v))));
+        } else if (op == UnaryOp::Neg && k == TypeKind::Float && !v.cell) {
+          stack_.emplace_back(-v.f);
+        } else {
+          stack_.emplace_back(runtime_.unary(op, box(std::move(v)), loc_of(in.loc)));
+        }
         break;
       }
       case Op::BinaryApply: {
-        ValuePtr rhs = pop(in.loc);
-        ValuePtr lhs = pop(in.loc);
+        Operand rhs = pop(in.loc);
+        Operand lhs = pop(in.loc);
         const auto op = static_cast<BinaryOp>(in.a);
-        if (!try_int_binary(op, lhs, rhs, in.loc)) {
-          stack_.push_back(runtime_.evaluate_binary(op, lhs, rhs,
-                                                    loc_of(in.loc)));
+        Operand out;
+        if (kind_of(lhs) == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
+            int_binary(op, int_of(lhs), int_of(rhs), in.loc, out)) {
+          stack_.push_back(std::move(out));
+        } else {
+          stack_.emplace_back(runtime_.evaluate_binary(
+              op, box(std::move(lhs)), box(std::move(rhs)), loc_of(in.loc)));
         }
-        recycle(std::move(lhs));
-        recycle(std::move(rhs));
         break;
       }
-      case Op::ToBool: {
-        ValuePtr v = pop(in.loc);
-        const bool truthy =
-            runtime_.casting().condition_bool(*v, loc_of(in.loc));
-        recycle(std::move(v));
-        push_bool(truthy);
+      case Op::ToBool:
+        stack_.emplace_back(truthy(pop(in.loc), in.loc));
         break;
-      }
 
       case Op::Jump:
         fr->pc = static_cast<std::size_t>(in.a);
         break;
-      case Op::JumpIfFalse: {
-        ValuePtr v = pop(in.loc);
-        const bool truthy =
-            runtime_.casting().condition_bool(*v, loc_of(in.loc));
-        recycle(std::move(v));
-        if (!truthy) fr->pc = static_cast<std::size_t>(in.a);
+      case Op::JumpIfFalse:
+        if (!truthy(pop(in.loc), in.loc)) fr->pc = static_cast<std::size_t>(in.a);
         break;
-      }
       case Op::JumpIfFalsePeek:
-        if (!peek(in.loc)->as_bool()) fr->pc = static_cast<std::size_t>(in.a);
+        if (!bool_of(peek(in.loc))) fr->pc = static_cast<std::size_t>(in.a);
         break;
       case Op::JumpIfTruePeek:
-        if (peek(in.loc)->as_bool()) fr->pc = static_cast<std::size_t>(in.a);
+        if (bool_of(peek(in.loc))) fr->pc = static_cast<std::size_t>(in.a);
         break;
       case Op::LoopReset:
         fr->loops[in.b] = 0;
@@ -505,7 +498,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
         }
         break;
       case Op::ForeachInit: {
-        const ValuePtr iterable = pop(in.loc);
+        const ValuePtr iterable = pop_cell(in.loc);
         fr->iters[in.b] = {runtime_.iterate_items(iterable, loc_of(in.loc)), 0};
         break;
       }
@@ -525,11 +518,11 @@ void Vm::exec_loop(std::uint64_t& steps) {
       case Op::CallBuiltin: {
         const auto argc = static_cast<std::size_t>(in.a);
         std::vector<ValuePtr> args(argc);
-        for (std::size_t i = argc; i-- > 0;) args[i] = pop(in.loc);
+        for (std::size_t i = argc; i-- > 0;) args[i] = pop_cell(in.loc);
         const BuiltinFn& fn = builtin_of(in.b, in.loc);
         ValuePtr result = fn(runtime_, args, loc_of(in.loc));
         if (!result) result = Value::make_void();
-        stack_.push_back(std::move(result));
+        stack_.emplace_back(std::move(result));
         break;
       }
       case Op::CallUser: {
@@ -549,7 +542,7 @@ void Vm::exec_loop(std::uint64_t& steps) {
               loc_of(in.loc));
         }
         std::vector<ValuePtr> args(argc);
-        for (std::size_t i = argc; i-- > 0;) args[i] = pop(in.loc);
+        for (std::size_t i = argc; i-- > 0;) args[i] = pop_cell(in.loc);
         Frame frame = make_frame(callee, in.loc);
         for (std::size_t i = 0; i < argc; ++i) {
           // The reference binds parameters in order and trips the
@@ -572,22 +565,19 @@ void Vm::exec_loop(std::uint64_t& steps) {
         break;
       }
       case Op::Return: {
-        ValuePtr value = in.a != 0 ? pop(in.loc) : Value::make_void();
+        ValuePtr value = in.a != 0 ? pop_cell(in.loc) : Value::make_void();
         if (!do_return(std::move(value))) return;
         break;
       }
 
-      case Op::Print: {
-        ValuePtr v = pop(in.loc);
-        runtime_.emit_output(runtime_.render_for_print(v) + "\n");
-        recycle(std::move(v));
+      case Op::Print:
+        runtime_.emit_output(runtime_.render_for_print(pop_cell(in.loc)) + "\n");
         break;
-      }
       case Op::Barrier:
         runtime_.handler().barrier();
         break;
       case Op::GateApply: {
-        const ValuePtr v = pop(in.loc);
+        const ValuePtr v = pop_cell(in.loc);
         runtime_.apply_gate_value(static_cast<GateKind>(in.a), v,
                                   loc_of(in.loc));
         break;

@@ -77,13 +77,11 @@ std::shared_ptr<const CompiledProgram> Service::compile_entry(
     pipeline = circ::make_pipeline(*circ::parse_preset(request.pipeline));
     compile_config.pipeline.manager = &pipeline;
   }
+  // One front-end pass: exec=vm lowers, runs and keeps the bytecode it ran.
   lang::RunResult compiled = lang::run_source(request.source, compile_config);
   program->lowered = std::move(compiled.lowered_circuit);
   program->canonical_output = std::move(compiled.output);
-  if (request.exec != "ast") {
-    program->bytecode = std::make_shared<const lang::Bytecode>(
-        lang::lower_source(request.source, request.include_stdlib));
-  }
+  program->bytecode = std::move(compiled.bytecode);
 
   // Resolve "auto" once, against the lowered circuit, and cache the concrete
   // method: warm requests replay on it directly instead of re-running the

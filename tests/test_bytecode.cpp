@@ -204,6 +204,83 @@ TEST(VmParity, IndexAssignmentDiagnosticsMatch) {
   expect_parity("int x = 1; x[0] = 2;");
 }
 
+TEST(VmParity, ReferenceSemanticsMatch) {
+  // Both engines agree, and print `expected` (a diagnostic is matched by its
+  // message, after the "line:col:" prefix).
+  const auto expect_result = [](const std::string& source,
+                                const std::string& expected) {
+    expect_parity(source);
+    const std::string text = run_mode(source, ExecMode::Vm).text;
+    EXPECT_NE(text.find(expected), std::string::npos)
+        << "source:\n" << source << "\nprinted:\n" << text;
+  };
+  // A declaration from a variable binds the same cell: `y` aliases `x`.
+  expect_result("int x = 1; int y = x; y = 5; print x;", "5\n");
+  expect_result("int x = 1; int y = x; y += 4; print x;", "5\n");
+  expect_result("int x = 1; int[] a = [x, x]; a[0] = 5; print x;", "5\n");
+  // A load reads the variable when the operator runs: `f` assigns `g` first.
+  expect_result("int g = 1; int f() { g = 10; return 2; } print g + f();",
+                "12\n");
+  // Arguments and foreach elements are references.
+  expect_result(
+      "int bump(int a) { a += 5; return a; } int v = 1;"
+      " print bump(v); print v; print bump(3);",
+      "6\n6\n8\n");
+  expect_result("void setv(int a) { a = 42; } int w = 0; setv(w); print w;",
+                "42\n");
+  expect_result("int[] arr = [1, 2, 3]; foreach e in arr { e += 7; } print arr;",
+                "[8, 9, 10]\n");
+  // Compound assignment into an int: traps, shifts, and a float rhs.
+  expect_result("int x = 7; x /= 0;", "division by zero");
+  expect_result("int x = 7; x %= 0;", "modulo by zero");
+  expect_result("int x = 7; x <<= 99;", "bad shift amount");
+  expect_result("int x = 1; x += 1.5;", "cannot convert float to int");
+  expect_result("int x = 5; x -= -3; x *= 2; x >>= 1; x <<= 2; x %= 7; print x;",
+                "4\n");
+  expect_result("string s = \"a\"; s += \"b\"; print s;", "ab\n");
+  // Two's-complement wraparound.
+  expect_result("int m = 9223372036854775807; m += 1; print m;",
+                "-9223372036854775808\n");
+  expect_result("int n = -9223372036854775807 - 1; print -n;",
+                "-9223372036854775808\n");
+  expect_result(
+      "int mn = -9223372036854775807 - 1; int neg1 = -1;"
+      " print mn / neg1; print mn % neg1; print mn * neg1;",
+      "-9223372036854775808\n0\n-9223372036854775808\n");
+  expect_result("int k = 3; bool t = true; print -k; print -(k * 2); print ~k;"
+                " print -t;",
+                "-3\n-6\n-4\n-1\n");
+  // Truthiness of every classical scalar kind, held in a variable or not.
+  expect_result(
+      "int z = 0; int t = 3; float fz = 0.0; string s = \"\";"
+      " print !z; print !t; print !fz; print !s; print !(z + 0); print !(t * 1);",
+      "true\nfalse\ntrue\ntrue\ntrue\nfalse\n");
+  expect_result("print !0; print !3; print !0.0; print !\"\";",
+                "true\nfalse\ntrue\ntrue\n");
+  expect_result(
+      "float t = 0.25; if (t) { print 1; } else { print 0; }"
+      " float u = 0.0; if (u) { print 1; } else { print 0; }",
+      "1\n0\n");
+  expect_result(
+      "int one = 1; int zero = 0; print one && zero; print one || zero;"
+      " print one && 0.0; print one && 2.5; print 1 && 0;",
+      "false\ntrue\nfalse\ntrue\nfalse\n");
+  // A bool index reads as 0/1.
+  expect_result(
+      "int[] a = [4, 5]; bool i = true; print a[i]; print a[true];"
+      " a[true] = 9; print a;",
+      "5\n5\n[4, 9]\n");
+  // Same-kind stores keep the slot's type; mixed kinds coerce.
+  expect_result(
+      "float t = 1.5; t = 2; print t; bool b = true; b = 0; print b;"
+      " int k = 1; k = true; print k; float w = 0.5; w = 2.5; print w;",
+      "2\nfalse\n1\n2.5\n");
+  expect_result(
+      "float h(float v) { return v; } print h(2);"
+      " int r2() { return 2; } int r = r2(); r += 1; print r; print r2();",
+      "2\n3\n2\n");
+}
+
 TEST(VmParity, QuantumProgramsMatchBitForBit) {
   // Same Runtime, same RNG draw order: measured results must agree exactly.
   expect_parity("qubit q = |+>; print q; print q;");

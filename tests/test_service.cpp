@@ -477,6 +477,31 @@ TEST(Service, TraceOpRunsUnderTheRequestSeed) {
   EXPECT_EQ(ast_trace.output, "42\n");
 }
 
+TEST(Service, ColdRunLowersTheSourceOnce) {
+  // A miss runs the front end once: the cache keeps the bytecode that the
+  // canonical compile's VM run lowered, instead of lowering it again.
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  const obs::Counter& lowered_ops =
+      obs::metrics().counter(obs::names::kLangBytecodeOps);
+  service::Service svc;
+  const service::Request request = run_request(kBellSource, 4);
+  const std::uint64_t before = lowered_ops.value();
+  const service::Response cold = svc.handle(request);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.cache, "miss");
+  const std::uint64_t advanced = lowered_ops.value() - before;
+  const auto entry = svc.cache().peek(cache_key(
+      request.source, service::request_config(request), request.pipeline));
+  ASSERT_TRUE(entry && entry->bytecode);
+  EXPECT_EQ(advanced, entry->bytecode->total_ops());
+  EXPECT_EQ(entry->bytecode->serialize(),
+            lang::lower_source(request.source, request.include_stdlib)
+                .serialize());
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
+}
+
 TEST(Service, PingStatsAndShutdownOps) {
   service::Service svc;
   service::Request ping;
