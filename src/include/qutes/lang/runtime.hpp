@@ -76,6 +76,9 @@ public:
   /// `target[index]` read access (arrays, strings, quantum registers).
   ValuePtr index_value(const ValuePtr& target, const ValuePtr& index,
                        SourceLocation loc);
+  /// Same, for an index already read as an int (the VM's inline operands).
+  ValuePtr index_value(const ValuePtr& target, std::int64_t index,
+                       SourceLocation loc);
 
   // ---- literals -------------------------------------------------------------
   ValuePtr ket_lit(KetKind kind);

@@ -255,6 +255,7 @@ inline constexpr const char* kSvKernelCtrlDiag = "sv.kernel.ctrl_diag"; // count
 inline constexpr const char* kSvKernelCtrlPerm = "sv.kernel.ctrl_perm"; // counter (CX/CCX/MCX shapes)
 inline constexpr const char* kSvKernelKqDense = "sv.kernel.kq_dense";   // counter (fused dense blocks)
 inline constexpr const char* kSvKernelKqDiag = "sv.kernel.kq_diag";     // counter (fused diagonal blocks)
+inline constexpr const char* kSvKernelKqSparse = "sv.kernel.kq_sparse"; // counter (fused blocks with few non-zeros per row)
 inline constexpr const char* kSvKernelSimd = "sv.kernel.simd_dispatch"; // counter (kernels taken on a SIMD ISA)
 // density backend
 inline constexpr const char* kDensityGatesApplied = "density.gates_applied"; // counter

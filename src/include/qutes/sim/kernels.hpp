@@ -18,7 +18,8 @@
 // Structure fast paths: diagonal (Z/S/T/RZ/P and fused diagonal blocks) and
 // antidiagonal/permutation (X/CX/MCX) matrices skip the dense 2x2/2^k matmul
 // entirely — a diagonal gate is one complex multiply per amplitude and an
-// antidiagonal gate is a scaled swap. Controlled kernels enumerate only the
+// antidiagonal gate is a scaled swap. Fused blocks with few non-zeros per row
+// take a sparse k-qubit kernel on AVX-512 that skips their exact zeros. Controlled kernels enumerate only the
 // basis pairs whose control bits are all set (dim >> (controls+1) iterations
 // instead of dim/2 with a mask test), which is what makes wide
 // multi-controlled oracles (Grover's MCZ/MCX) cheap.
@@ -76,9 +77,17 @@ enum class Kind1q { Dense, Diagonal, Antidiagonal };
 /// Classify a row-major 2x2 matrix {m00, m01, m10, m11}.
 [[nodiscard]] Kind1q classify_1q(const cplx* u) noexcept;
 
-/// True if the row-major `block` x `block` matrix has exact zeros off the
-/// diagonal (fused blocks of phase-type gates).
-[[nodiscard]] bool is_diagonal_matrix(const cplx* matrix, std::size_t block) noexcept;
+/// Shape of a fused k-qubit block, sorted by its exact zeros (same == 0.0
+/// rule as classify_1q): Diagonal has none off the diagonal (chains of
+/// phase-type gates), Sparse has at most kSparseNonZerosPerRow x 2^k
+/// non-zeros (CX/SWAP products, controlled phases around an H), Dense is the
+/// rest. DESIGN.md §12 records the sweep that set the cut.
+enum class KindKq { Dense, Sparse, Diagonal };
+
+inline constexpr std::size_t kSparseNonZerosPerRow = 8;
+
+/// Classify a row-major `block` x `block` matrix in one pass.
+[[nodiscard]] KindKq classify_kq(const cplx* matrix, std::size_t block) noexcept;
 
 // ---- single-qubit kernels ---------------------------------------------------
 // `amps` is the interleaved complex amplitude array of length `dim` (a power
@@ -118,12 +127,26 @@ void apply_ctrl_1q_antidiag(Isa isa, cplx* amps, std::uint64_t dim,
 // ---- k-qubit kernels --------------------------------------------------------
 // Local bit j of the 2^k x 2^k row-major `matrix` acts on wire `targets[j]`
 // (unsorted, distinct). 2 <= k <= 6; width-1 blocks belong in the 1q kernels.
+// StateVector::apply_kq picks one of the three by classify_kq; the sparse and
+// diagonal paths are bit-identical to apply_kq_dense on the same ISA (the
+// diagonal one to scaling each amplitude by its std::complex entry).
 
+/// Generic path: per group of 2^k amplitudes, gather, dense matvec, scatter.
 void apply_kq_dense(Isa isa, cplx* amps, std::uint64_t dim,
                     const std::size_t* targets, std::size_t k, const cplx* matrix);
 
-/// Diagonal k-qubit fast path: amps[base + offset[l]] *= diag[l]. One
-/// multiply per amplitude, no gather/scatter scratch.
+/// Sparse path. On Avx512, with at least 8 groups and at most
+/// kSparseNonZerosPerRow x 2^k non-zeros, it runs 8 groups per zmm through
+/// hardware gather/scatter and folds only each row's non-zero entries, into
+/// the dense kernel's accumulation chains in their order — an exact zero
+/// leaves an FMA accumulator unchanged. Otherwise it is apply_kq_dense.
+void apply_kq_sparse(Isa isa, cplx* amps, std::uint64_t dim,
+                     const std::size_t* targets, std::size_t k, const cplx* matrix);
+
+/// Diagonal path: amplitude i scales by diag[l(i)], l(i) = i's target bits
+/// in local order. One contiguous sweep, the entry constant over runs of
+/// 2^(lowest target) amplitudes; no gather/scatter, no group loop. The
+/// multiply rounds as std::complex does (mul + add/sub, no FMA) on every ISA.
 void apply_kq_diag(Isa isa, cplx* amps, std::uint64_t dim,
                    const std::size_t* targets, std::size_t k, const cplx* diag);
 

@@ -73,10 +73,12 @@ public:
   /// basis, `q1` the high bit.
   void apply_2q(const Matrix4& u, std::size_t q0, std::size_t q1);
 
-  /// Apply a dense k-qubit unitary to the listed qubits: local bit j of the
-  /// matrix acts on `targets[j]`. This is the gather/scatter kernel behind
-  /// the runtime gate-fusion engine (one sweep applies a whole fused block).
-  /// Width-1 blocks route through the tuned apply_1q kernel.
+  /// Apply a k-qubit unitary to the listed qubits: local bit j of the
+  /// matrix acts on `targets[j]`. This is the kernel behind the runtime
+  /// gate-fusion engine (one sweep applies a whole fused block), picked by
+  /// the block's exact zeros: diagonal, sparse or dense (kernels::classify_kq),
+  /// with bit-identical results whichever runs. Width-1 blocks route through
+  /// the tuned apply_1q kernel.
   void apply_kq(const MatrixN& u, std::span<const std::size_t> targets);
 
   /// SWAP two qubits (specialized kernel: pure permutation, no arithmetic).

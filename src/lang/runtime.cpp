@@ -137,7 +137,11 @@ void Runtime::arr_element(ArrBuilder& builder, ValuePtr element,
 
 ValuePtr Runtime::index_value(const ValuePtr& target, const ValuePtr& index_v,
                               SourceLocation loc) {
-  const std::int64_t index = classical_of(index_v)->as_int();
+  return index_value(target, classical_of(index_v)->as_int(), loc);
+}
+
+ValuePtr Runtime::index_value(const ValuePtr& target, std::int64_t index,
+                              SourceLocation loc) {
   if (target->is_array()) {
     auto& arr = target->as_array();
     if (index < 0 || static_cast<std::size_t>(index) >= arr.items.size()) {

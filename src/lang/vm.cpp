@@ -378,9 +378,14 @@ void Vm::exec_loop(std::uint64_t& steps) {
         break;
       }
       case Op::IndexGet: {
-        const ValuePtr index_v = pop_cell(in.loc);
+        // An inline index (a computed `xs[j % 4]`) is read as an int, not
+        // boxed into a fresh cell for the ValuePtr overload.
+        Operand index_v = pop(in.loc);
         const ValuePtr target = pop_cell(in.loc);
-        stack_.emplace_back(runtime_.index_value(target, index_v, loc_of(in.loc)));
+        stack_.emplace_back(
+            index_v.cell
+                ? runtime_.index_value(target, index_v.cell, loc_of(in.loc))
+                : runtime_.index_value(target, int_of(index_v), loc_of(in.loc)));
         break;
       }
 

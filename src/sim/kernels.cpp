@@ -96,6 +96,71 @@ std::size_t prepare_ctrl(const std::size_t* controls, std::size_t num_controls,
   return f;
 }
 
+// Ascending copy of the k-qubit targets: it drives the zero-bit insertion
+// (ascending order keeps each later insertion position valid), while the
+// unsorted order defines local bits. Insertion sort: k is tiny, and std::sort
+// on a partial array trips GCC's -Warray-bounds.
+std::array<std::size_t, 6> sorted_targets(const std::size_t* targets,
+                                          std::size_t k) noexcept {
+  std::array<std::size_t, 6> sorted{};
+  for (std::size_t j = 0; j < k; ++j) {
+    std::size_t pos = j;
+    while (pos > 0 && sorted[pos - 1] > targets[j]) {
+      sorted[pos] = sorted[pos - 1];
+      --pos;
+    }
+    sorted[pos] = targets[j];
+  }
+  return sorted;
+}
+
+// offset[l] = scattered bit pattern of local index l over the targets; group
+// base + offset[l] = global index (disjoint bit sets).
+std::array<std::uint64_t, 64> local_offsets(const std::size_t* targets,
+                                            std::size_t k) noexcept {
+  std::array<std::uint64_t, 64> offset{};
+  for (std::size_t l = 0; l < (std::size_t{1} << k); ++l) {
+    for (std::size_t j = 0; j < k; ++j) offset[l] |= ((l >> j) & 1u) << targets[j];
+  }
+  return offset;
+}
+
+// Local index of amplitude i in a k-qubit block: its target bits, with
+// bit j taken from wire targets[j].
+std::uint64_t local_bits(std::uint64_t i, const std::size_t* targets,
+                         std::size_t k) noexcept {
+  std::uint64_t l = 0;
+  for (std::size_t j = 0; j < k; ++j) l |= ((i >> targets[j]) & 1u) << j;
+  return l;
+}
+
+// Run layout of a diagonal block. Amplitude i scales by diag[local_bits(i)],
+// which is constant over runs of 2^shift amplitudes (shift = lowest target).
+// Run q = (h << low_bits) | ql takes its entry from low[ql] | high(h), so the
+// sweep pays one table load per run and k bit tests per 2^low_bits runs.
+struct DiagRuns {
+  const std::size_t* targets;
+  std::size_t k, shift, low_bits;
+  std::array<std::uint8_t, 64> low{};
+
+  std::uint64_t first(std::uint64_t h) const noexcept {
+    return (h << low_bits) << shift;
+  }
+  std::uint64_t high(std::uint64_t h) const noexcept {
+    return local_bits(first(h), targets, k);
+  }
+};
+
+DiagRuns diag_runs(std::uint64_t dim, const std::size_t* targets,
+                   std::size_t k) noexcept {
+  const std::size_t shift = *std::min_element(targets, targets + k);
+  DiagRuns p{targets, k, shift, std::min<std::size_t>(6, bits_for(dim >> shift) - 1)};
+  for (std::size_t q = 0; q < (std::size_t{1} << p.low_bits); ++q) {
+    p.low[q] = static_cast<std::uint8_t>(local_bits(q << shift, targets, k));
+  }
+  return p;
+}
+
 // ---- portable kernels -------------------------------------------------------
 // Bodies are written planar (explicit real/imag doubles) so GCC's
 // auto-vectorizer gets reassociation-free FMA chains; std::complex operator
@@ -207,6 +272,26 @@ void matvec_portable(const double* __restrict__ col_re,
     for (std::size_t r = 0; r < block; ++r) {
       out_re[r] += m_re[r] * b_re - m_im[r] * b_im;
       out_im[r] += m_re[r] * b_im + m_im[r] * b_re;
+    }
+  }
+}
+
+// Diagonal sweep over the 2^(shift + low_bits) amplitudes of outer index h.
+// The multiply is written out as std::complex rounds it (two products, one
+// add or subtract, no FMA), so the sweep is bit-identical to scaling each
+// amplitude by its std::complex entry.
+void diag_runs_portable(double* d, const DiagRuns& p, const cplx* diag,
+                        std::uint64_t h) {
+  const std::uint64_t run = std::uint64_t{1} << p.shift;
+  const std::uint64_t lh = p.high(h);
+  double* q = d + 2 * p.first(h);
+  for (std::size_t ql = 0; ql < (std::size_t{1} << p.low_bits); ++ql, q += 2 * run) {
+    const double er = diag[lh | p.low[ql]].real();
+    const double ei = diag[lh | p.low[ql]].imag();
+    for (std::uint64_t r = 0; r < run; ++r) {
+      const double ar = q[2 * r], ai = q[2 * r + 1];
+      q[2 * r] = ar * er - ai * ei;
+      q[2 * r + 1] = ar * ei + ai * er;
     }
   }
 }
@@ -347,6 +432,30 @@ void diag1q_avx2(cplx* amps, std::uint64_t dim, std::size_t target, cplx d0,
   }
 }
 
+// ymm diagonal sweep, shared by the Avx512 tier (a streaming multiply is
+// memory-bound at any width). mul + addsub rounds like std::complex. Runs of
+// one amplitude pair up, each ymm half loading its own entry.
+__attribute__((target("avx2,fma"))) void diag_runs_avx2(
+    double* d, const DiagRuns& p, const cplx* diag, std::uint64_t h) {
+  const double* e = reinterpret_cast<const double*>(diag);
+  const std::uint64_t run = std::uint64_t{1} << p.shift;
+  const std::size_t step = run == 1 ? 2 : 1;         // runs per entry load
+  const std::uint64_t vecs = run == 1 ? 1 : run / 2;  // ymm per entry load
+  const std::uint64_t lh = p.high(h);
+  double* q = d + 2 * p.first(h);
+  for (std::size_t ql = 0; ql < (std::size_t{1} << p.low_bits); ql += step) {
+    const __m256d ev = _mm256_loadu2_m128d(e + 2 * (lh | p.low[ql + step - 1]),
+                                           e + 2 * (lh | p.low[ql]));
+    const __m256d er = _mm256_movedup_pd(ev);
+    const __m256d ei = _mm256_permute_pd(ev, 0xF);
+    for (std::uint64_t v = 0; v < vecs; ++v, q += 4) {
+      const __m256d a = _mm256_loadu_pd(q);
+      _mm256_storeu_pd(q, _mm256_addsub_pd(_mm256_mul_pd(a, er),
+                                           _mm256_mul_pd(_mm256_permute_pd(a, 0x5), ei)));
+    }
+  }
+}
+
 // ---- AVX-512 k-qubit kernels ------------------------------------------------
 // The fused-block matvec is where the time goes once gates are fused: a
 // 2^k x 2^k complex matvec per group of 2^k amplitudes. On zmm registers a
@@ -462,6 +571,101 @@ void kq_dense_avx512(cplx* amps, std::uint64_t dim, const std::size_t* sorted,
   }
 }
 
+// ---- AVX-512 sparse k-qubit kernel ------------------------------------------
+// A block with few non-zeros per row (the QFT's controlled phases around an
+// H, CX/SWAP products) spends most of the dense matvec on exact zeros. Here
+// each zmm lane is a different group, 8 per pass, and a row folds in only its
+// non-zero entries as broadcast scalars — into the dense kernels' chains in
+// their order: 2 by column parity for k >= 4 (matvec_avx512), 4 by c mod 4
+// for k = 2-3 (matvec_avx2). A skipped exact zero would leave its FMA
+// accumulator unchanged (one that starts at +0 never becomes -0), so the
+// amplitudes are bit-identical to the dense kernel's.
+
+// entry[] holds the flat index r*block + c of every non-zero, by (row,
+// chain) in ascending c: row r, chain j is entry[start[r*chains + j] ..
+// start[r*chains + j + 1]).
+struct SparseRows {
+  std::array<std::uint16_t, kSparseNonZerosPerRow * 64> entry;
+  std::array<std::uint16_t, 64 * 4 + 1> start;
+};
+
+template <std::size_t kChains>
+__attribute__((target("avx512f,avx512dq"))) void kq_sparse_avx512_range(
+    double* d, std::uint64_t batch_begin, std::uint64_t batch_end,
+    const std::size_t* sorted, std::size_t k, const std::int64_t* offset2,
+    const double* m, const SparseRows& rows) {
+  const std::size_t block = std::size_t{1} << k;
+  const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d in_re[64], in_im[64];
+  for (std::uint64_t b = batch_begin; b < batch_end; ++b) {
+    // Bases of groups 8b..8b+7, zero-bit insertion on every lane (x + x
+    // doubles: the unmasked shifts trip -Wmaybe-uninitialized like a gather).
+    __m512i base = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<std::int64_t>(8 * b)), lane);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t low = (std::uint64_t{1} << sorted[j]) - 1;
+      const __m512i hi =
+          _mm512_and_si512(base, _mm512_set1_epi64(static_cast<std::int64_t>(~low)));
+      base = _mm512_or_si512(
+          _mm512_and_si512(base, _mm512_set1_epi64(static_cast<std::int64_t>(low))),
+          _mm512_add_epi64(hi, hi));
+    }
+    const __m512i b2 = _mm512_add_epi64(base, base);
+    for (std::size_t c = 0; c < block; ++c) {
+      const __m512i ire = _mm512_add_epi64(b2, _mm512_set1_epi64(offset2[c]));
+      in_re[c] = _mm512_mask_i64gather_pd(zero, 0xFF, ire, d, 8);
+      in_im[c] = _mm512_mask_i64gather_pd(zero, 0xFF, _mm512_add_epi64(ire, one), d, 8);
+    }
+    for (std::size_t r = 0; r < block; ++r) {
+      __m512d re[kChains], im[kChains];
+      for (std::size_t j = 0; j < kChains; ++j) {
+        re[j] = im[j] = zero;
+        for (std::size_t n = rows.start[r * kChains + j];
+             n < rows.start[r * kChains + j + 1]; ++n) {
+          const std::size_t e = rows.entry[n];
+          const std::size_t c = e & (block - 1);
+          const __m512d mr = _mm512_set1_pd(m[2 * e]);
+          const __m512d mi = _mm512_set1_pd(m[2 * e + 1]);
+          re[j] = _mm512_fnmadd_pd(mi, in_im[c], _mm512_fmadd_pd(mr, in_re[c], re[j]));
+          im[j] = _mm512_fmadd_pd(mi, in_re[c], _mm512_fmadd_pd(mr, in_im[c], im[j]));
+        }
+      }
+      __m512d out_re = _mm512_add_pd(re[0], re[1]);
+      __m512d out_im = _mm512_add_pd(im[0], im[1]);
+      if constexpr (kChains == 4) {
+        out_re = _mm512_add_pd(out_re, _mm512_add_pd(re[2], re[3]));
+        out_im = _mm512_add_pd(out_im, _mm512_add_pd(im[2], im[3]));
+      }
+      const __m512i ire = _mm512_add_epi64(b2, _mm512_set1_epi64(offset2[r]));
+      _mm512_i64scatter_pd(d, ire, out_re, 8);
+      _mm512_i64scatter_pd(d, _mm512_add_epi64(ire, one), out_im, 8);
+    }
+  }
+}
+
+void kq_sparse_avx512(cplx* amps, std::uint64_t dim, const std::size_t* sorted,
+                      std::size_t k, const std::int64_t* offset2,
+                      const cplx* matrix, const SparseRows& rows) {
+  double* d = reinterpret_cast<double*>(amps);
+  const double* m = reinterpret_cast<const double*>(matrix);
+  const std::uint64_t groups = dim >> k;
+  const std::uint64_t batches = groups / 8;
+  constexpr std::uint64_t kBatchChunk = kAvx2Chunk / 8;  // the dense kernel's groups per chunk
+  const std::uint64_t chunks = (batches + kBatchChunk - 1) / kBatchChunk;
+#pragma omp parallel for schedule(static) if (groups >= kParallelThreshold)
+  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
+    const std::uint64_t begin = static_cast<std::uint64_t>(c) * kBatchChunk;
+    const std::uint64_t end = std::min(batches, begin + kBatchChunk);
+    if (k >= 4) {
+      kq_sparse_avx512_range<2>(d, begin, end, sorted, k, offset2, m, rows);
+    } else {
+      kq_sparse_avx512_range<4>(d, begin, end, sorted, k, offset2, m, rows);
+    }
+  }
+}
+
 #endif  // QUTES_KERNELS_X86
 
 }  // namespace
@@ -512,13 +716,18 @@ Kind1q classify_1q(const cplx* u) noexcept {
   return Kind1q::Dense;
 }
 
-bool is_diagonal_matrix(const cplx* matrix, std::size_t block) noexcept {
+KindKq classify_kq(const cplx* matrix, std::size_t block) noexcept {
+  std::size_t non_zeros = 0;
+  bool off_diagonal = false;
   for (std::size_t r = 0; r < block; ++r) {
     for (std::size_t c = 0; c < block; ++c) {
-      if (r != c && matrix[r * block + c] != cplx{}) return false;
+      if (matrix[r * block + c] == cplx{}) continue;
+      ++non_zeros;
+      off_diagonal |= r != c;
     }
   }
-  return true;
+  if (!off_diagonal) return KindKq::Diagonal;
+  return non_zeros <= kSparseNonZerosPerRow * block ? KindKq::Sparse : KindKq::Dense;
 }
 
 // ---- single-qubit kernels ---------------------------------------------------
@@ -641,32 +850,11 @@ void apply_ctrl_1q_antidiag(Isa isa, cplx* amps, std::uint64_t dim,
 void apply_kq_dense(Isa isa, cplx* amps, std::uint64_t dim,
                     const std::size_t* targets, std::size_t k,
                     const cplx* matrix) {
-  // Sorted targets drive the zero-bit insertion (ascending order keeps each
-  // later insertion position valid); the unsorted order defines local bits.
-  // Insertion sort: k is tiny, and std::sort on a partial array trips GCC's
-  // -Warray-bounds.
-  std::array<std::size_t, 6> sorted{};
-  for (std::size_t j = 0; j < k; ++j) {
-    std::size_t pos = j;
-    while (pos > 0 && sorted[pos - 1] > targets[j]) {
-      sorted[pos] = sorted[pos - 1];
-      --pos;
-    }
-    sorted[pos] = targets[j];
-  }
-
+  const std::array<std::size_t, 6> sorted = sorted_targets(targets, k);
   const std::size_t block = std::size_t{1} << k;
-  // offset[l] = scattered bit pattern of local index l over the targets;
-  // group base + offset[l] = global index (disjoint bit sets). Hoisted out
-  // of the group loop along with the planar matrix split below.
-  std::array<std::uint64_t, 64> offset{};
-  for (std::size_t l = 0; l < block; ++l) {
-    std::uint64_t bits = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((l >> j) & 1u) bits |= std::uint64_t{1} << targets[j];
-    }
-    offset[l] = bits;
-  }
+  // The offset table and the planar matrix split below are hoisted out of
+  // the group loop.
+  const std::array<std::uint64_t, 64> offset = local_offsets(targets, k);
 
   // Planar, column-major split of the matrix: std::complex arithmetic
   // defeats auto-vectorization (strict FP semantics forbid reassociating the
@@ -732,38 +920,59 @@ void apply_kq_dense(Isa isa, cplx* amps, std::uint64_t dim,
 #endif
 }
 
+void apply_kq_sparse(Isa isa, cplx* amps, std::uint64_t dim,
+                     const std::size_t* targets, std::size_t k,
+                     const cplx* matrix) {
+#if QUTES_KERNELS_X86
+  const std::size_t block = std::size_t{1} << k;
+  const auto non_zeros = static_cast<std::size_t>(std::count_if(
+      matrix, matrix + block * block, [](cplx e) { return e != cplx{}; }));
+  if (isa == Isa::Avx512 && (dim >> k) >= 8 &&
+      non_zeros <= kSparseNonZerosPerRow * block) {
+    const std::size_t chains = k >= 4 ? 2 : 4;
+    SparseRows rows;
+    std::size_t n = 0;
+    for (std::size_t r = 0; r < block; ++r) {
+      for (std::size_t j = 0; j < chains; ++j) {
+        rows.start[r * chains + j] = static_cast<std::uint16_t>(n);
+        for (std::size_t c = j; c < block; c += chains) {
+          if (matrix[r * block + c] != cplx{}) {
+            rows.entry[n++] = static_cast<std::uint16_t>(r * block + c);
+          }
+        }
+      }
+    }
+    rows.start[block * chains] = static_cast<std::uint16_t>(n);
+    const std::array<std::size_t, 6> sorted = sorted_targets(targets, k);
+    const std::array<std::uint64_t, 64> offset = local_offsets(targets, k);
+    alignas(64) std::array<std::int64_t, 64> offset2;
+    for (std::size_t l = 0; l < block; ++l) {
+      offset2[l] = static_cast<std::int64_t>(2 * offset[l]);
+    }
+    kq_sparse_avx512(amps, dim, sorted.data(), k, offset2.data(), matrix, rows);
+    return;
+  }
+#endif
+  apply_kq_dense(isa, amps, dim, targets, k, matrix);
+}
+
 void apply_kq_diag(Isa isa, cplx* amps, std::uint64_t dim,
                    const std::size_t* targets, std::size_t k,
                    const cplx* diag) {
-  // One complex multiply per amplitude: memory-bound, no SIMD variant.
+  const DiagRuns p = diag_runs(dim, targets, k);
+  double* d = reinterpret_cast<double*>(amps);
+  const std::uint64_t outer = dim >> (p.shift + p.low_bits);
+#pragma omp parallel for schedule(static) if ((dim >> k) >= kParallelThreshold)
+  for (std::int64_t h = 0; h < static_cast<std::int64_t>(outer); ++h) {
+#if QUTES_KERNELS_X86
+    if (isa != Isa::Portable) {
+      diag_runs_avx2(d, p, diag, static_cast<std::uint64_t>(h));
+      continue;
+    }
+#endif
+    diag_runs_portable(d, p, diag, static_cast<std::uint64_t>(h));
+  }
   (void)isa;
-  std::array<std::size_t, 6> sorted{};
-  for (std::size_t j = 0; j < k; ++j) {
-    std::size_t pos = j;
-    while (pos > 0 && sorted[pos - 1] > targets[j]) {
-      sorted[pos] = sorted[pos - 1];
-      --pos;
-    }
-    sorted[pos] = targets[j];
-  }
-  const std::size_t block = std::size_t{1} << k;
-  std::array<std::uint64_t, 64> offset{};
-  for (std::size_t l = 0; l < block; ++l) {
-    std::uint64_t bits = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if ((l >> j) & 1u) bits |= std::uint64_t{1} << targets[j];
-    }
-    offset[l] = bits;
-  }
-  const std::uint64_t groups = dim >> k;
-#pragma omp parallel for schedule(static) if (groups >= kParallelThreshold)
-  for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
-    std::uint64_t base = static_cast<std::uint64_t>(g);
-    for (std::size_t j = 0; j < k; ++j) base = insert_zero_bit(base, sorted[j]);
-    for (std::size_t l = 0; l < block; ++l) {
-      amps[base + offset[l]] *= diag[l];
-    }
-  }
 }
 
 }  // namespace qutes::sim::kernels

@@ -32,12 +32,43 @@ struct KernelMetrics {
   obs::Counter& perm_ctrl = obs::metrics().counter(obs::names::kSvKernelCtrlPerm);
   obs::Counter& dense_kq = obs::metrics().counter(obs::names::kSvKernelKqDense);
   obs::Counter& diag_kq = obs::metrics().counter(obs::names::kSvKernelKqDiag);
+  obs::Counter& sparse_kq = obs::metrics().counter(obs::names::kSvKernelKqSparse);
   obs::Counter& simd = obs::metrics().counter(obs::names::kSvKernelSimd);
 };
 
 KernelMetrics& kernel_metrics() {
   static KernelMetrics m;
   return m;
+}
+
+// k-qubit dispatch shared by apply_2q and apply_kq, by the block's exact
+// zeros: chains of phase-type gates take the diagonal sweep (one multiply
+// per amplitude instead of a dense 2^k x 2^k matvec), blocks with few
+// non-zeros per row the zero-skipping kernel, the rest the dense matvec.
+void apply_block(cplx* amps, std::uint64_t dim, const cplx* matrix,
+                 const std::size_t* targets, std::size_t k) {
+  KernelMetrics& m = kernel_metrics();
+  const kernels::Isa isa = kernels::active_isa();
+  const std::size_t block = std::size_t{1} << k;
+  switch (kernels::classify_kq(matrix, block)) {
+    case kernels::KindKq::Diagonal: {
+      std::array<cplx, std::size_t{1} << MatrixN::kMaxQubits> diag;
+      for (std::size_t l = 0; l < block; ++l) diag[l] = matrix[l * block + l];
+      m.diag_kq.add(1);
+      kernels::apply_kq_diag(isa, amps, dim, targets, k, diag.data());
+      return;
+    }
+    case kernels::KindKq::Sparse:
+      m.sparse_kq.add(1);
+      if (isa != kernels::Isa::Portable) m.simd.add(1);
+      kernels::apply_kq_sparse(isa, amps, dim, targets, k, matrix);
+      return;
+    case kernels::KindKq::Dense:
+      break;
+  }
+  m.dense_kq.add(1);
+  if (isa != kernels::Isa::Portable) m.simd.add(1);
+  kernels::apply_kq_dense(isa, amps, dim, targets, k, matrix);
 }
 
 }  // namespace
@@ -181,17 +212,7 @@ void StateVector::apply_2q(const Matrix4& u, std::size_t q0, std::size_t q1) {
   // Local bit 0 of the 4x4 matrix acts on q0, bit 1 on q1 — exactly the
   // k-qubit kernel's convention.
   const std::size_t targets[2] = {q0, q1};
-  KernelMetrics& m = kernel_metrics();
-  const kernels::Isa isa = kernels::active_isa();
-  if (kernels::is_diagonal_matrix(u.m.data(), 4)) {
-    const cplx diag[4] = {u.m[0], u.m[5], u.m[10], u.m[15]};
-    m.diag_kq.add(1);
-    kernels::apply_kq_diag(isa, amps_.data(), dim(), targets, 2, diag);
-    return;
-  }
-  m.dense_kq.add(1);
-  if (isa != kernels::Isa::Portable) m.simd.add(1);
-  kernels::apply_kq_dense(isa, amps_.data(), dim(), targets, 2, u.m.data());
+  apply_block(amps_.data(), dim(), u.m.data(), targets, 2);
 }
 
 void StateVector::apply_kq(const MatrixN& u, std::span<const std::size_t> targets) {
@@ -212,23 +233,7 @@ void StateVector::apply_kq(const MatrixN& u, std::span<const std::size_t> target
     apply_1q(Matrix2{{u(0, 0), u(0, 1), u(1, 0), u(1, 1)}}, targets[0]);
     return;
   }
-
-  const std::size_t block = std::size_t{1} << k;
-  KernelMetrics& m = kernel_metrics();
-  const kernels::Isa isa = kernels::active_isa();
-  if (kernels::is_diagonal_matrix(u.data(), block)) {
-    // Fused chains of phase-type gates land here: one multiply per
-    // amplitude instead of a dense 2^k x 2^k matvec.
-    std::array<cplx, std::size_t{1} << MatrixN::kMaxQubits> diag;
-    for (std::size_t l = 0; l < block; ++l) diag[l] = u(l, l);
-    m.diag_kq.add(1);
-    kernels::apply_kq_diag(isa, amps_.data(), dim(), targets.data(), k,
-                           diag.data());
-    return;
-  }
-  m.dense_kq.add(1);
-  if (isa != kernels::Isa::Portable) m.simd.add(1);
-  kernels::apply_kq_dense(isa, amps_.data(), dim(), targets.data(), k, u.data());
+  apply_block(amps_.data(), dim(), u.data(), targets.data(), k);
 }
 
 void StateVector::apply_swap(std::size_t a, std::size_t b) {

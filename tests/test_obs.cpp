@@ -15,14 +15,19 @@
 #include <thread>
 #include <vector>
 
+#include "qutes/algorithms/qft.hpp"
 #include "qutes/circuit/circuit.hpp"
 #include "qutes/circuit/executor.hpp"
+#include "qutes/circuit/fusion.hpp"
 #include "qutes/common/error.hpp"
 #include "qutes/obs/obs.hpp"
 #include "qutes/run_config.hpp"
+#include "qutes/sim/kernels.hpp"
+#include "qutes/testing/generators.hpp"
 
 namespace circ = qutes::circ;
 namespace obs = qutes::obs;
+namespace sim = qutes::sim;
 using qutes::CircuitError;
 
 // Global allocation counter (test-binary-wide operator new replacement) so
@@ -320,6 +325,58 @@ TEST_F(MetricsTest, GateCounterMatchesInstructionCount) {
   EXPECT_EQ(snap.counters.at("executor.shots"), 32u);
   // One statevector of 2^4 amplitudes at 16 bytes each.
   EXPECT_EQ(snap.gauges.at("sv.peak_bytes"), 16.0 * 16.0);
+}
+
+/// Fused blocks of width >= 2 in `c`'s default fusion plan, by kernel kind.
+std::map<sim::kernels::KindKq, std::uint64_t> block_kinds(const circ::QuantumCircuit& c,
+                                                           std::size_t width) {
+  std::map<sim::kernels::KindKq, std::uint64_t> kinds;
+  for (const circ::FusedOp& op :
+       circ::build_fusion_plan(c.instructions(), circ::FusionOptions{}).ops) {
+    if (op.fused && op.qubits.size() >= 2 && (width == 0 || op.qubits.size() == width)) {
+      ++kinds[sim::kernels::classify_kq(op.matrix.data(), std::size_t{1} << op.qubits.size())];
+    }
+  }
+  return kinds;
+}
+
+TEST_F(MetricsTest, FusedBlockKernelCountersSortSparseFromDense) {
+  using sim::kernels::KindKq;
+  obs::set_metrics_enabled(true);
+  qutes::RunConfig config;
+  config.shots = 64;
+  config.seed = 11;
+
+  // QFT mirror: controlled phases around an H fuse into blocks with at most
+  // two non-zeros per row.
+  std::vector<std::size_t> wires(12);
+  for (std::size_t q = 0; q < wires.size(); ++q) wires[q] = q;
+  circ::QuantumCircuit qft_mirror(12, 12);
+  qft_mirror.compose(qutes::algo::make_qft(12), wires);
+  qft_mirror.barrier();
+  qft_mirror.compose(qutes::algo::make_qft(12).inverse(), wires);
+  qft_mirror.measure_all();
+  auto kinds = block_kinds(qft_mirror, 0);
+  ASSERT_GT(kinds[KindKq::Sparse], 0u);
+  (void)circ::Executor(config).run(qft_mirror);
+  auto snap = obs::metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("sv.kernel.kq_sparse"), kinds[KindKq::Sparse]);
+  EXPECT_EQ(snap.counters.at("sv.kernel.kq_diag"), kinds[KindKq::Diagonal]);
+  EXPECT_EQ(snap.counters.at("sv.kernel.kq_dense"), kinds[KindKq::Dense]);
+
+  // Brickwork: random U3 layers make every 5-qubit block dense.
+  obs::reset_metrics();
+  circ::QuantumCircuit brickwork = qutes::testing::brickwork_circuit(12, 8, 54);
+  brickwork.measure_all();
+  const auto wide = block_kinds(brickwork, 5);
+  ASSERT_EQ(wide.size(), 1u);
+  ASSERT_EQ(wide.begin()->first, KindKq::Dense);
+  kinds = block_kinds(brickwork, 0);
+  (void)circ::Executor(config).run(brickwork);
+  snap = obs::metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("sv.kernel.kq_dense"), kinds[KindKq::Dense]);
+  EXPECT_GE(snap.counters.at("sv.kernel.kq_dense"), wide.begin()->second);
+  EXPECT_EQ(snap.counters.at("sv.kernel.kq_sparse"), kinds[KindKq::Sparse]);
 }
 
 TEST_F(MetricsTest, JsonExportMatchesSchema) {

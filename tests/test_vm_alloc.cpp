@@ -47,6 +47,20 @@ lang::Bytecode classical_loop(int trips) {
       /*include_stdlib=*/false);
 }
 
+/// An array read at a computed index per trip.
+lang::Bytecode indexed_loop(int trips) {
+  return lang::lower_source(
+      "int[] xs = [3, 1, 4, 1];\n"
+      "int acc = 0;\n"
+      "int j = 0;\n"
+      "while (j < " + std::to_string(trips) + ") {\n"
+      "  acc = acc + xs[j % 4];\n"
+      "  j += 1;\n"
+      "}\n"
+      "print acc;\n",
+      /*include_stdlib=*/false);
+}
+
 /// Allocations made by constructing and running one VM over `bytecode`.
 std::size_t allocations_of_run(const lang::Bytecode& bytecode) {
   const std::size_t before = g_allocations.load();
@@ -65,6 +79,19 @@ TEST(VmAllocations, ClassicalLoopAllocatesNothingPerTrip) {
   RecordProperty("allocations_100_trips", std::to_string(short_count));
   RecordProperty("allocations_10000_trips", std::to_string(long_count));
   EXPECT_GT(short_count, 0u) << "the operator new counter is not installed";
+  EXPECT_LE(long_count, short_count)
+      << "100 trips: " << short_count << " allocations, 10000 trips: "
+      << long_count;
+}
+
+TEST(VmAllocations, ComputedIndexReadAllocatesNothingPerTrip) {
+  const lang::Bytecode short_loop = indexed_loop(100);
+  const lang::Bytecode long_loop = indexed_loop(10000);
+  (void)allocations_of_run(short_loop);
+  const std::size_t short_count = allocations_of_run(short_loop);
+  const std::size_t long_count = allocations_of_run(long_loop);
+  RecordProperty("allocations_100_trips", std::to_string(short_count));
+  RecordProperty("allocations_10000_trips", std::to_string(long_count));
   EXPECT_LE(long_count, short_count)
       << "100 trips: " << short_count << " allocations, 10000 trips: "
       << long_count;
