@@ -70,15 +70,12 @@ circ::QuantumCircuit brickwork(std::size_t n, std::size_t depth,
 double evolve_through_plan_ms(const circ::QuantumCircuit& c,
                               const circ::FusionPlan& plan) {
   StateVector sv(c.num_qubits());
-  std::uint64_t scratch = 0;
-  Rng rng(0);
   const auto t0 = std::chrono::steady_clock::now();
   for (const circ::FusedOp& op : plan.ops) {
     if (op.fused) {
       sv.apply_kq(op.matrix, op.qubits);
     } else {
-      circ::apply_instruction(sv, c.instructions()[op.instruction], scratch,
-                              rng);
+      circ::apply_gate(sv, c.instructions()[op.instruction]);
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -311,17 +308,6 @@ void BM_Probability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Probability)->Arg(12)->Arg(16)->Arg(20);
-
-void BM_SampleCounts(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  StateVector sv(n);
-  for (std::size_t q = 0; q < n; ++q) sv.apply_1q(gates::H(), q);
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sv.sample_counts(1024, rng));
-  }
-}
-BENCHMARK(BM_SampleCounts)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_MeasureCollapse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

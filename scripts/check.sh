@@ -139,6 +139,29 @@ diff "$OBS_DIR/replay_t1.txt" "$OBS_DIR/replay_t4.txt" \
   || { echo "check.sh: replay histogram differs between OMP_NUM_THREADS=1 and 4" >&2; exit 1; }
 echo "check.sh: trajectory-path replay smoke passed (group spans, thread-invariant histogram)."
 
+# Static-path smoke: ghz.qut measures only at its end, so its 256-shot replay
+# evolves once and samples on every backend. The trace must show the
+# backend's sample span, and the histogram must be byte-identical at OpenMP
+# team 1 and 4 (under the sanitizers this drives the MPS and tableau
+# samplers' parallel shot loop).
+declare -A SAMPLE_SPAN=([statevector]=sv.sample [density]=density.sample
+                        [mps]=mps.sample [stabilizer]=stab.sample)
+for backend in statevector density mps stabilizer; do
+  for threads in 1 4; do
+    OMP_NUM_THREADS=$threads "$BUILD_DIR"/tools/qutes run examples/programs/ghz.qut \
+      --replay 256 --backend "$backend" --trace "$OBS_DIR/static_${backend}_t$threads.json" \
+      2>&1 >/dev/null \
+      | sed -n '/^--- replay/,/^wrote /{/^wrote /!p}' >"$OBS_DIR/static_${backend}_t$threads.txt"
+  done
+  python3 scripts/check_trace.py "$OBS_DIR/static_${backend}_t4.json" \
+    --require "${SAMPLE_SPAN[$backend]}" >/dev/null
+  [[ -s "$OBS_DIR/static_${backend}_t1.txt" ]] \
+    || { echo "check.sh: the ghz replay on $backend printed no histogram" >&2; exit 1; }
+  diff "$OBS_DIR/static_${backend}_t1.txt" "$OBS_DIR/static_${backend}_t4.txt" \
+    || { echo "check.sh: $backend replay histogram differs between OMP_NUM_THREADS=1 and 4" >&2; exit 1; }
+done
+echo "check.sh: static-path replay smoke passed on all four backends (sample spans, thread-invariant histograms)."
+
 # qutesd daemon smoke: boot the daemon on a private socket, issue a
 # cold/warm request pair through the CLI client (the warm one must report a
 # cache hit), then SIGTERM and require a graceful exit that unlinks the

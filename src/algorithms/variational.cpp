@@ -36,12 +36,10 @@ double evolve_energy(const circ::QuantumCircuit& ansatz,
                      std::span<const double> values, long shift_occurrence,
                      double delta) {
   sim::StateVector psi(ansatz.num_qubits());
-  Rng rng(1);  // the ansatz is unitary-only; no draws happen
-  std::uint64_t clbits = 0;
   long occurrence = 0;
   for (const circ::Instruction& in : ansatz.instructions()) {
     if (in.param_refs.empty()) {
-      circ::apply_instruction(psi, in, clbits, rng);
+      circ::apply_gate(psi, in);
       continue;
     }
     circ::Instruction bound = in;
@@ -53,7 +51,7 @@ double evolve_energy(const circ::QuantumCircuit& ansatz,
       ++occurrence;
     }
     bound.param_refs.clear();
-    circ::apply_instruction(psi, bound, clbits, rng);
+    circ::apply_gate(psi, bound);
   }
   return hamiltonian.energy(psi);
 }

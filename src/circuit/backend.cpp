@@ -69,16 +69,23 @@ FusionPlan plan_fusion(const QuantumCircuit& circ, const RunConfig& config,
   return build_fusion_plan(circ.instructions(), fusion_options);
 }
 
-/// True if any wire-local unitary spans more than two qubits (which the MPS
-/// cannot apply directly; such circuits are lowered to {u, cx} first).
-bool has_wide_unitary(const QuantumCircuit& circ) {
-  for (const Instruction& in : circ.instructions()) {
-    if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase &&
-        in.qubits.size() > 2) {
-      return true;
-    }
+/// The circuit an MPS can run: `circuit` itself when no unitary spans more
+/// than two qubits, else its {u, cx} lowering, held in `lowered` (which may
+/// append ancilla wires for gates with >= 3 controls).
+const QuantumCircuit& lower_for_mps(const QuantumCircuit& circuit,
+                                    QuantumCircuit& lowered) {
+  const auto& instrs = circuit.instructions();
+  if (std::none_of(instrs.begin(), instrs.end(), [](const Instruction& in) {
+        return is_unitary_gate(in.type) && in.type != GateType::GlobalPhase &&
+               in.qubits.size() > 2;
+      })) {
+    return circuit;
   }
-  return false;
+  obs::Span span("mps.lower");
+  PassManager lowerer;
+  lowerer.emplace<DecomposeToBasis>();
+  lowered = lowerer.run(circuit);
+  return lowered;
 }
 
 /// Apply one gate, barrier or global phase to an MPS. The MPS analog of
@@ -180,16 +187,80 @@ void apply_gate(sim::Stabilizer& tab, const Instruction& in) {
   }
 }
 
-/// Bitstring for the classical register given a sampled basis state and the
-/// measure wiring (wire[c] = qubit feeding clbit c, if any). MSB-first,
-/// matching sim::Counts keys.
-std::string key_from_basis(std::uint64_t basis,
-                           const std::vector<std::optional<std::size_t>>& wire) {
-  std::string key(wire.size(), '0');
-  for (std::size_t c = 0; c < wire.size(); ++c) {
-    if (wire[c] && test_bit(basis, *wire[c])) key[wire.size() - 1 - c] = '1';
+/// Apply one gate, barrier or global phase to a density matrix. The density
+/// analog of apply_gate(StateVector&, ...), with the same CSWAP expansion.
+void apply_gate(sim::DensityMatrix& rho, const Instruction& in) {
+  const auto controlled = [&](const sim::Matrix2& u) {
+    const auto controls =
+        std::span<const std::size_t>(in.qubits.data(), in.qubits.size() - 1);
+    rho.apply_multi_controlled_1q(u, controls, in.qubits.back());
+  };
+  switch (in.type) {
+    case GateType::H: rho.apply_1q(H(), in.qubits[0]); break;
+    case GateType::X: rho.apply_1q(X(), in.qubits[0]); break;
+    case GateType::Y: rho.apply_1q(Y(), in.qubits[0]); break;
+    case GateType::Z: rho.apply_1q(Z(), in.qubits[0]); break;
+    case GateType::S: rho.apply_1q(S(), in.qubits[0]); break;
+    case GateType::Sdg: rho.apply_1q(Sdg(), in.qubits[0]); break;
+    case GateType::T: rho.apply_1q(T(), in.qubits[0]); break;
+    case GateType::Tdg: rho.apply_1q(Tdg(), in.qubits[0]); break;
+    case GateType::SX: rho.apply_1q(SX(), in.qubits[0]); break;
+    case GateType::RX: rho.apply_1q(RX(in.params[0]), in.qubits[0]); break;
+    case GateType::RY: rho.apply_1q(RY(in.params[0]), in.qubits[0]); break;
+    case GateType::RZ: rho.apply_1q(RZ(in.params[0]), in.qubits[0]); break;
+    case GateType::P: rho.apply_1q(P(in.params[0]), in.qubits[0]); break;
+    case GateType::U:
+      rho.apply_1q(U(in.params[0], in.params[1], in.params[2]), in.qubits[0]);
+      break;
+    case GateType::CX: case GateType::CCX: case GateType::MCX:
+      controlled(X());
+      break;
+    case GateType::CY: controlled(Y()); break;
+    case GateType::CZ: case GateType::MCZ: controlled(Z()); break;
+    case GateType::CH: controlled(H()); break;
+    case GateType::CP: case GateType::MCP: controlled(P(in.params[0])); break;
+    case GateType::CRZ: controlled(RZ(in.params[0])); break;
+    case GateType::SWAP: rho.apply_swap(in.qubits[0], in.qubits[1]); break;
+    case GateType::CSWAP: {
+      const std::size_t c = in.qubits[0], a = in.qubits[1], b = in.qubits[2];
+      const std::size_t ca[2] = {c, a};
+      const std::size_t cb[2] = {c, b};
+      rho.apply_multi_controlled_1q(X(), ca, b);
+      rho.apply_multi_controlled_1q(X(), cb, a);
+      rho.apply_multi_controlled_1q(X(), ca, b);
+      break;
+    }
+    case GateType::Measure: case GateType::Reset:
+      throw CircuitError("density backend: dynamic instruction reached the "
+                         "gate dispatcher (executor capability check missed it)");
+    case GateType::Barrier:
+      break;
+    case GateType::GlobalPhase:
+      break;  // cancels in U rho U^dagger
   }
-  return key;
+}
+
+/// Replay a fused block. Only the statevector and the MPS take dense blocks;
+/// the capability query caps every other backend's fusion at width 1.
+template <class State>
+void apply_fused(State& state, const FusedOp& op) {
+  if constexpr (requires { state.apply_kq(op.matrix, op.qubits); }) {
+    state.apply_kq(op.matrix, op.qubits);
+  } else {
+    throw CircuitError(
+        "a gate-at-a-time backend received a fused dense block (fusion "
+        "should be capability-clamped to width 1)");
+  }
+}
+
+/// Throw unless `in` is a gate, barrier or global phase: the evolve_*
+/// helpers (`who`) take unitary circuits only.
+void require_unitary(const Instruction& in, const char* who, const char* backend) {
+  if (in.condition || in.type == GateType::Measure || in.type == GateType::Reset) {
+    throw CircuitError(std::string(who) +
+                       ": circuit has measurement/reset/conditions; use the "
+                       "executor's " + backend + " backend instead");
+  }
 }
 
 /// MSB-first key of a classical register held one byte per bit.
@@ -294,7 +365,6 @@ int collapse_drawn(State& state, std::size_t qubit, ShotGroup& group) {
 /// backend's simulator:
 ///   State                                   the simulator state type
 ///   State fresh() const                     |0...0>
-///   void apply_fused(State&, const FusedOp&) const
 ///   void apply(State&, const Instruction&, ShotGroup&) const
 ///       a gate, barrier or global phase, plus any noise it acquires
 ///   int measure(State&, std::size_t qubit, ShotGroup&) const
@@ -319,7 +389,7 @@ public:
     if (config_.shots == 0) return;
     std::vector<std::size_t> all(config_.shots);
     std::iota(all.begin(), all.end(), std::size_t{0});
-#pragma omp parallel if (config_.backend.parallel_shots && config_.shots > 1)
+#pragma omp parallel if (config_.shots > 1)
 #pragma omp single
     run_group(std::move(all));
     if (error_) std::rethrow_exception(error_);
@@ -354,7 +424,7 @@ private:
     const auto& instrs = circ_.instructions();
     for (const FusedOp& op : plan_.ops) {
       if (op.fused) {
-        hooks_.apply_fused(state, op);
+        apply_fused(state, op);
         ++applied;
         continue;
       }
@@ -410,10 +480,6 @@ struct StatevectorHooks {
 
   [[nodiscard]] State fresh() const { return State(num_qubits); }
 
-  void apply_fused(State& sv, const FusedOp& op) const {
-    sv.apply_kq(op.matrix, op.qubits);
-  }
-
   void apply(State& sv, const Instruction& in, ShotGroup& group) const {
     apply_gate(sv, in);
     if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) return;
@@ -460,10 +526,6 @@ struct MpsHooks {
 
   [[nodiscard]] State fresh() const { return State(num_qubits, options); }
 
-  void apply_fused(State& mps, const FusedOp& op) const {
-    mps.apply_kq(op.matrix, op.qubits);
-  }
-
   void apply(State& mps, const Instruction& in, ShotGroup&) const {
     apply_gate(mps, in);
   }
@@ -495,12 +557,6 @@ struct StabilizerHooks {
 
   [[nodiscard]] State fresh() const { return State(num_qubits); }
 
-  void apply_fused(State&, const FusedOp&) const {
-    throw CircuitError(
-        "stabilizer backend received a fused dense block (fusion should be "
-        "capability-clamped to width 1)");
-  }
-
   void apply(State& tab, const Instruction& in, ShotGroup&) const {
     apply_gate(tab, in);
   }
@@ -522,6 +578,165 @@ struct StabilizerHooks {
   }
 };
 
+// ---- static path ------------------------------------------------------------
+//
+// A static circuit never touches a measured qubit again, so every backend
+// evolves its measure-free prefix once and then samples the shots. One walker
+// evolves any state through its fusion plan and returns the wiring. The
+// statevector and density sample a CDF over basis states from one Rng(seed)
+// stream; the MPS and the tableau give shot s its own Rng(seed, s) and run
+// the shots across the OpenMP team.
+
+/// The (qubit, clbit) pair of every measure of a static circuit, in program
+/// order.
+using Wiring = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// walk_static's default after-gate hook: no channel.
+struct NoChannels {
+  void operator()(const Instruction&) const {}
+};
+
+/// Evolve `state` once through the plan of a static circuit and return its
+/// wiring (a measure only records which qubit feeds which clbit).
+/// `after_gate(in)` runs after each unitary gate: density attaches its noise
+/// channels there.
+template <class State, class AfterGate = NoChannels>
+Wiring walk_static(State& state, const QuantumCircuit& circ, const FusionPlan& plan,
+                   obs::Counter& gates_metric, const char* span_name,
+                   AfterGate after_gate = {}) {
+  obs::Span span(span_name);
+  Wiring wiring;
+  std::size_t applied = 0;
+  const auto& instrs = circ.instructions();
+  for (const FusedOp& op : plan.ops) {
+    if (op.fused) {
+      apply_fused(state, op);
+      ++applied;
+      continue;
+    }
+    const Instruction& in = instrs[op.instruction];
+    if (in.type == GateType::Measure) {
+      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
+        wiring.emplace_back(in.qubits[i], in.clbits[i]);
+      }
+      continue;
+    }
+    apply_gate(state, in);
+    if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
+      ++applied;
+      after_gate(in);
+    }
+  }
+  gates_metric.add(applied);
+  return wiring;
+}
+
+/// Clbit -> the qubit its last measure reads, if any.
+std::vector<std::optional<std::size_t>> wire_by_clbit(const Wiring& wiring,
+                                                      std::size_t num_clbits) {
+  std::vector<std::optional<std::size_t>> wire(num_clbits);
+  for (const auto& [qubit, clbit] : wiring) wire[clbit] = qubit;
+  return wire;
+}
+
+/// Bitstring for the classical register given a sampled basis state and the
+/// measure wiring (wire[c] = qubit feeding clbit c, if any). MSB-first,
+/// matching sim::Counts keys.
+std::string key_from_basis(std::uint64_t basis,
+                           const std::vector<std::optional<std::size_t>>& wire) {
+  std::string key(wire.size(), '0');
+  for (std::size_t c = 0; c < wire.size(); ++c) {
+    if (wire[c] && test_bit(basis, *wire[c])) key[wire.size() - 1 - c] = '1';
+  }
+  return key;
+}
+
+/// Running sums of weight(v) over `values`, in one pass: the cumulative
+/// distribution the CDF sampler searches.
+template <class Values, class Weight>
+std::vector<double> cumulative(const Values& values, Weight weight) {
+  std::vector<double> cdf(values.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    acc += weight(values[i]);
+    cdf[i] = acc;
+  }
+  return cdf;
+}
+
+/// The sampler of the statevector and density: each shot draws a basis state
+/// from `cdf` by binary search, all from one Rng(seed) stream. With a readout
+/// error every clbit then draws its flip from that stream, in clbit order.
+void sample_cdf(const std::vector<double>& cdf, const Wiring& wiring,
+                std::size_t num_clbits, const ShotBatchItem& item,
+                double readout_error, ExecutionResult& result) {
+  const auto wire = wire_by_clbit(wiring, num_clbits);
+  Rng rng(item.seed);
+  const double total = cdf.empty() ? 0.0 : cdf.back();
+  for (std::size_t s = 0; s < item.shots; ++s) {
+    const double r = rng.uniform() * total;
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
+    std::uint64_t basis = static_cast<std::uint64_t>(it - cdf.begin());
+    if (basis >= cdf.size()) basis = cdf.size() - 1;
+    std::string key = key_from_basis(basis, wire);
+    for (std::size_t c = 0; readout_error > 0.0 && c < num_clbits; ++c) {
+      if (sim::draw_readout_flip(readout_error, rng)) {
+        char& bit = key[num_clbits - 1 - c];
+        bit = bit == '1' ? '0' : '1';
+      }
+    }
+    ++result.counts[key];
+    if (item.record_memory) result.memory.push_back(std::move(key));
+  }
+}
+
+/// The sampler of the MPS and the tableau: shot s draws its key with
+/// `shot(rng)` from its own Rng(seed, s), so the shots run across the OpenMP
+/// team and counts and memory do not depend on the team size.
+template <class Shot>
+void sample_per_shot(const ShotBatchItem& item, ExecutionResult& result,
+                     const Shot& shot) {
+  const auto shots = static_cast<std::int64_t>(item.shots);
+  if (item.record_memory) result.memory.assign(item.shots, {});
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+#pragma omp parallel if (shots > 1)
+  {
+    sim::Counts local;
+#pragma omp for schedule(static)
+    for (std::int64_t s = 0; s < shots; ++s) {
+      if (failed.load(std::memory_order_relaxed)) continue;
+      try {
+        Rng rng(item.seed, static_cast<std::uint64_t>(s));
+        std::string key = shot(rng);
+        ++local[key];
+        if (item.record_memory) {
+          result.memory[static_cast<std::size_t>(s)] = std::move(key);
+        }
+      } catch (...) {
+        // An exception cannot leave the parallel region: keep the first one
+        // and rethrow it after the region.
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+#pragma omp critical(qutes_static_merge)
+    for (const auto& [key, n] : local) result.counts[key] += n;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+/// A run's own seed, shots and memory flag, as one batch item.
+ShotBatchItem item_of(const RunConfig& config) {
+  return {config.seed, config.shots, config.record_memory};
+}
+
+/// One evolution served every shot.
+void mark_static(ExecutionResult& result) {
+  result.trajectories = 1;
+  result.evolutions = 1;
+  result.fast_path = true;
+}
+
 // ---- statevector ------------------------------------------------------------
 
 /// Dense 2^n-amplitude simulation. Static noiseless circuits evolve once and
@@ -540,28 +755,17 @@ public:
 
   void execute(const QuantumCircuit& circ, const RunConfig& config,
                ExecutionResult& result) const override {
-    static obs::Counter& gates_metric =
-        obs::metrics().counter(obs::names::kSvGatesApplied);
-    static obs::Gauge& peak_bytes =
-        obs::metrics().gauge(obs::names::kSvPeakBytes);
-    const bool fast = !config.backend.noise.enabled() && Executor::is_static(circ);
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/!fast);
-    record_fusion_stats(result, plan);
-    peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
-
-    if (fast) {
-      sim::StateVector sv(circ.num_qubits());
-      std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
-      const std::vector<double> cdf = evolve_static(circ, plan, sv, wire);
-      sample_static(cdf, sv.dim(), wire, config.seed, config.shots,
-                    config.record_memory, result);
-      result.trajectories = 1;
-      result.evolutions = 1;
-      result.fast_path = true;
+    if (takes_static_path(circ, config)) {
+      const ShotBatchItem item = item_of(config);
+      run_static(circ, config, {&item, 1}, {&result, 1});
       return;
     }
-
+    static obs::Counter& gates_metric =
+        obs::metrics().counter(obs::names::kSvGatesApplied);
+    const FusionPlan plan =
+        plan_fusion(circ, config, capabilities(), /*pin_noise=*/true);
+    record_fusion_stats(result, plan);
+    record_peak_bytes(circ);
     obs::Span shots_span("sv.shots");
     ShotGroupEngine(StatevectorHooks{circ.num_qubits(), config.backend.noise}, circ,
                     plan, config, gates_metric, "sv.group", result)
@@ -571,100 +775,48 @@ public:
   void execute_batch(const QuantumCircuit& circ, const RunConfig& config,
                      std::span<const ShotBatchItem> items,
                      std::vector<ExecutionResult>& results) const override {
-    const bool fast = !config.backend.noise.enabled() && Executor::is_static(circ);
-    if (!fast) {
-      // On the trajectory path every draw, and so every shot group, depends
-      // on the item's seed: there is no seed-independent work to share, so
-      // each item runs the shot-group engine on its own. The base loop is
-      // already bit-identical to sequential execution.
-      Backend::execute_batch(circ, config, items, results);
+    if (takes_static_path(circ, config)) {
+      run_static(circ, config, items, results);
       return;
     }
-    static obs::Gauge& peak_bytes =
-        obs::metrics().gauge(obs::names::kSvPeakBytes);
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
-    peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
-
-    // The batch payoff: one state evolution (the 2^n-amplitude sweeps) for
-    // the whole batch; each item then samples from the shared CDF with its
-    // own Rng(seed) — exactly the stream execute() would use, since the
-    // static evolution consumes no randomness.
-    sim::StateVector sv(circ.num_qubits());
-    std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
-    const std::vector<double> cdf = evolve_static(circ, plan, sv, wire);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      record_fusion_stats(results[i], plan);
-      sample_static(cdf, sv.dim(), wire, items[i].seed, items[i].shots,
-                    items[i].record_memory, results[i]);
-      results[i].trajectories = 1;
-      results[i].evolutions = 1;
-      results[i].fast_path = true;
-    }
+    // On the trajectory path every draw, and so every shot group, depends
+    // on the item's seed: there is no seed-independent work to share, so
+    // each item runs the shot-group engine on its own. The base loop is
+    // already bit-identical to sequential execution.
+    Backend::execute_batch(circ, config, items, results);
   }
 
 private:
-  /// Evolve the unitary prefix of a static circuit once, skipping
-  /// measurements (a static circuit never reuses a measured qubit, so a
-  /// measure only records the clbit -> qubit wiring into `wire`), and return
-  /// the cumulative distribution over the final state. No randomness is
-  /// consumed, so callers may seed their sampling Rng afterwards.
-  static std::vector<double> evolve_static(
-      const QuantumCircuit& circ, const FusionPlan& plan, sim::StateVector& sv,
-      std::vector<std::optional<std::size_t>>& wire) {
-    static obs::Counter& gates_metric =
-        obs::metrics().counter(obs::names::kSvGatesApplied);
-    const auto& instrs = circ.instructions();
-    {
-      obs::Span span("sv.evolve");
-      std::size_t applied = 0;
-      for (const FusedOp& op : plan.ops) {
-        if (op.fused) {
-          sv.apply_kq(op.matrix, op.qubits);
-          ++applied;
-          continue;
-        }
-        const Instruction& in = instrs[op.instruction];
-        if (in.type == GateType::Measure) {
-          for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-            wire[in.clbits[i]] = in.qubits[i];
-          }
-          continue;
-        }
-        apply_gate(sv, in);
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-        }
-      }
-      gates_metric.add(applied);
-    }
-    const auto amps = sv.amplitudes();
-    std::vector<double> cdf(amps.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-      acc += std::norm(amps[i]);
-      cdf[i] = acc;
-    }
-    return cdf;
+  static bool takes_static_path(const QuantumCircuit& circ, const RunConfig& config) {
+    return !config.backend.noise.enabled() && Executor::is_static(circ);
   }
 
-  /// Sample `shots` outcomes from the CDF by binary search, drawing from a
-  /// fresh Rng(seed) — the stream the single-run fast path uses.
-  static void sample_static(const std::vector<double>& cdf, std::uint64_t dim,
-                            const std::vector<std::optional<std::size_t>>& wire,
-                            std::uint64_t seed, std::size_t shots,
-                            bool record_memory, ExecutionResult& result) {
-    obs::Span span("sv.sample");
-    Rng rng(seed);
-    const double acc = cdf.empty() ? 0.0 : cdf.back();
-    for (std::size_t s = 0; s < shots; ++s) {
-      const double r = rng.uniform() * acc;
-      const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-      std::uint64_t basis = static_cast<std::uint64_t>(it - cdf.begin());
-      if (basis >= dim) basis = dim - 1;
-      const std::string key = key_from_basis(basis, wire);
-      ++result.counts[key];
-      if (record_memory) result.memory.push_back(key);
+  static void record_peak_bytes(const QuantumCircuit& circ) {
+    static obs::Gauge& peak_bytes = obs::metrics().gauge(obs::names::kSvPeakBytes);
+    peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
+  }
+
+  /// The static path of `execute` (one item) and `execute_batch`: one
+  /// evolution serves the whole batch, and each item samples the shared CDF
+  /// from its own Rng(seed), the stream a lone run uses, since the evolution
+  /// draws nothing.
+  void run_static(const QuantumCircuit& circ, const RunConfig& config,
+                  std::span<const ShotBatchItem> items,
+                  std::span<ExecutionResult> results) const {
+    static obs::Counter& gates_metric =
+        obs::metrics().counter(obs::names::kSvGatesApplied);
+    const FusionPlan plan =
+        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
+    record_peak_bytes(circ);
+    sim::StateVector sv(circ.num_qubits());
+    const Wiring wiring = walk_static(sv, circ, plan, gates_metric, "sv.evolve");
+    const std::vector<double> cdf =
+        cumulative(sv.amplitudes(), [](const auto& amp) { return std::norm(amp); });
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      record_fusion_stats(results[i], plan);
+      obs::Span span("sv.sample");
+      sample_cdf(cdf, wiring, circ.num_clbits(), items[i], 0.0, results[i]);
+      mark_static(results[i]);
     }
   }
 };
@@ -694,112 +846,24 @@ public:
     static obs::Gauge& peak_bytes =
         obs::metrics().gauge(obs::names::kDensityPeakBytes);
     peak_bytes.set_max(16.0 * std::pow(4.0, static_cast<double>(circ.num_qubits())));
+    // Width 1: the plan replays the circuit verbatim.
+    const FusionPlan plan =
+        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
+    record_fusion_stats(result, plan);
+    const sim::NoiseModel& noise = config.backend.noise;
     sim::DensityMatrix rho(circ.num_qubits());
-    std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
-    {
-      obs::Span span("density.evolve");
-      std::size_t applied = 0;
-      for (const Instruction& in : circ.instructions()) {
-        if (in.type == GateType::Measure) {
-          for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-            wire[in.clbits[i]] = in.qubits[i];
-          }
-          continue;
-        }
-        apply_gate(rho, in);
-        if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-          ++applied;
-          apply_noise(rho, in, config.backend.noise);
-        }
-      }
-      gates_metric.add(applied);
-    }
+    const Wiring wiring =
+        walk_static(rho, circ, plan, gates_metric, "density.evolve",
+                    [&](const Instruction& in) { apply_noise(rho, in, noise); });
 
-    // Sample the diagonal: exact outcome distribution, one CDF, binary
-    // search per shot; readout error flips each reported bit independently.
+    // The diagonal is the exact outcome distribution.
     obs::Span span("density.sample");
-    Rng rng(config.seed);
-    const auto probs = rho.probabilities();
-    std::vector<double> cdf(probs.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      acc += probs[i];
-      cdf[i] = acc;
-    }
-    for (std::size_t s = 0; s < config.shots; ++s) {
-      const double r = rng.uniform() * acc;
-      const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-      std::uint64_t basis = static_cast<std::uint64_t>(it - cdf.begin());
-      if (basis >= rho.dim()) basis = rho.dim() - 1;
-      std::string key(circ.num_clbits(), '0');
-      for (std::size_t c = 0; c < circ.num_clbits(); ++c) {
-        int bit = wire[c] && test_bit(basis, *wire[c]) ? 1 : 0;
-        if (config.backend.noise.readout_error > 0.0) {
-          bit = sim::apply_readout_error(bit, config.backend.noise.readout_error, rng);
-        }
-        key[circ.num_clbits() - 1 - c] = bit ? '1' : '0';
-      }
-      ++result.counts[key];
-      if (config.record_memory) result.memory.push_back(key);
-    }
-    result.trajectories = 1;
-    result.evolutions = 1;
-    result.fast_path = true;
+    sample_cdf(cumulative(rho.probabilities(), [](double p) { return p; }), wiring,
+               circ.num_clbits(), item_of(config), noise.readout_error, result);
+    mark_static(result);
   }
 
 private:
-  static void apply_gate(sim::DensityMatrix& rho, const Instruction& in) {
-    const auto controlled = [&](const sim::Matrix2& u) {
-      const auto controls =
-          std::span<const std::size_t>(in.qubits.data(), in.qubits.size() - 1);
-      rho.apply_multi_controlled_1q(u, controls, in.qubits.back());
-    };
-    switch (in.type) {
-      case GateType::H: rho.apply_1q(H(), in.qubits[0]); break;
-      case GateType::X: rho.apply_1q(X(), in.qubits[0]); break;
-      case GateType::Y: rho.apply_1q(Y(), in.qubits[0]); break;
-      case GateType::Z: rho.apply_1q(Z(), in.qubits[0]); break;
-      case GateType::S: rho.apply_1q(S(), in.qubits[0]); break;
-      case GateType::Sdg: rho.apply_1q(Sdg(), in.qubits[0]); break;
-      case GateType::T: rho.apply_1q(T(), in.qubits[0]); break;
-      case GateType::Tdg: rho.apply_1q(Tdg(), in.qubits[0]); break;
-      case GateType::SX: rho.apply_1q(SX(), in.qubits[0]); break;
-      case GateType::RX: rho.apply_1q(RX(in.params[0]), in.qubits[0]); break;
-      case GateType::RY: rho.apply_1q(RY(in.params[0]), in.qubits[0]); break;
-      case GateType::RZ: rho.apply_1q(RZ(in.params[0]), in.qubits[0]); break;
-      case GateType::P: rho.apply_1q(P(in.params[0]), in.qubits[0]); break;
-      case GateType::U:
-        rho.apply_1q(U(in.params[0], in.params[1], in.params[2]), in.qubits[0]);
-        break;
-      case GateType::CX: case GateType::CCX: case GateType::MCX:
-        controlled(X());
-        break;
-      case GateType::CY: controlled(Y()); break;
-      case GateType::CZ: case GateType::MCZ: controlled(Z()); break;
-      case GateType::CH: controlled(H()); break;
-      case GateType::CP: case GateType::MCP: controlled(P(in.params[0])); break;
-      case GateType::CRZ: controlled(RZ(in.params[0])); break;
-      case GateType::SWAP: rho.apply_swap(in.qubits[0], in.qubits[1]); break;
-      case GateType::CSWAP: {
-        // Same 3-CX expansion the statevector interpreter uses.
-        const std::size_t c = in.qubits[0], a = in.qubits[1], b = in.qubits[2];
-        const std::size_t ca[2] = {c, a};
-        const std::size_t cb[2] = {c, b};
-        rho.apply_multi_controlled_1q(X(), ca, b);
-        rho.apply_multi_controlled_1q(X(), cb, a);
-        rho.apply_multi_controlled_1q(X(), ca, b);
-        break;
-      }
-      case GateType::Measure: case GateType::Reset:
-        throw CircuitError("density backend: dynamic instruction reached the "
-                           "gate dispatcher (executor capability check missed it)");
-      case GateType::Barrier:
-        break;
-      case GateType::GlobalPhase:
-        break;  // cancels in U rho U^dagger
-    }
-  }
-
   /// Exact counterparts of the trajectory path's noise insertion points.
   static void apply_noise(sim::DensityMatrix& rho, const Instruction& in,
                           const sim::NoiseModel& noise) {
@@ -847,20 +911,8 @@ public:
         obs::metrics().gauge(obs::names::kMpsMaxBondDim);
     static obs::Gauge& trunc_gauge =
         obs::metrics().gauge(obs::names::kMpsTruncationError);
-    // The MPS applies at most 2q unitaries; anything wider is lowered to the
-    // {u, cx} basis up front (this may append ancilla wires for gates with
-    // >= 3 controls).
     QuantumCircuit lowered;
-    const QuantumCircuit* target = &circuit;
-    if (has_wide_unitary(circuit)) {
-      obs::Span span("mps.lower");
-      PassManager lowerer;
-      lowerer.emplace<DecomposeToBasis>();
-      lowered = lowerer.run(circuit);
-      target = &lowered;
-    }
-    const QuantumCircuit& circ = *target;
-
+    const QuantumCircuit& circ = lower_for_mps(circuit, lowered);
     const FusionPlan plan =
         plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     record_fusion_stats(result, plan);
@@ -872,80 +924,25 @@ public:
     if (Executor::is_static(circ)) {
       // Evolve one MPS, then sample every shot from a shared read-only
       // Sampler — per-shot cost is O(n chi^3), independent of shot history.
-      const auto shots = static_cast<std::int64_t>(config.shots);
-      if (config.record_memory) result.memory.assign(config.shots, {});
-      const auto& instrs = circ.instructions();
       sim::Mps mps(circ.num_qubits(), mps_options);
-      std::vector<std::optional<std::size_t>> wire(circ.num_clbits());
-      {
-        obs::Span span("mps.evolve");
-        std::size_t applied = 0;
-        for (const FusedOp& op : plan.ops) {
-          if (op.fused) {
-            mps.apply_kq(op.matrix, op.qubits);
-            ++applied;
-            continue;
-          }
-          const Instruction& in = instrs[op.instruction];
-          if (in.type == GateType::Measure) {
-            for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-              wire[in.clbits[i]] = in.qubits[i];
-            }
-            continue;
-          }
-          apply_gate(mps, in);
-          if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-            ++applied;
-          }
-        }
-        gates_metric.add(applied);
-      }
+      const auto wire = wire_by_clbit(
+          walk_static(mps, circ, plan, gates_metric, "mps.evolve"), circ.num_clbits());
       result.truncation_error = mps.truncation_error();
       result.max_bond_dim_reached = mps.max_bond_dim_reached();
       truncations_metric.add(mps.svd_truncations());
-      bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
-      trunc_gauge.set_max(result.truncation_error);
 
       obs::Span sample_span("mps.sample");
       const sim::Mps::Sampler sampler = mps.make_sampler();
-      std::atomic<bool> failed{false};
-      std::exception_ptr error;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-      {
-        sim::Counts local;
-#pragma omp for schedule(static)
-        for (std::int64_t s = 0; s < shots; ++s) {
-          if (failed.load(std::memory_order_relaxed)) continue;
-          try {
-            Rng shot_rng(config.seed, static_cast<std::uint64_t>(s));
-            const std::uint64_t basis = mps.sample(sampler, shot_rng);
-            const std::string key = key_from_basis(basis, wire);
-            ++local[key];
-            if (config.record_memory) {
-              result.memory[static_cast<std::size_t>(s)] = key;
-            }
-          } catch (...) {
-            if (!failed.exchange(true)) {
-#pragma omp critical(qutes_mps_error)
-              error = std::current_exception();
-            }
-          }
-        }
-#pragma omp critical(qutes_mps_merge)
-        for (const auto& [key, n] : local) result.counts[key] += n;
-      }
-      if (error) std::rethrow_exception(error);
-
-      result.trajectories = 1;
-      result.evolutions = 1;
-      result.fast_path = true;
-      return;
+      sample_per_shot(item_of(config), result, [&](Rng& rng) {
+        return key_from_basis(mps.sample(sampler, rng), wire);
+      });
+      mark_static(result);
+    } else {
+      obs::Span shots_span("mps.shots");
+      ShotGroupEngine(MpsHooks{circ.num_qubits(), mps_options, truncations_metric},
+                      circ, plan, config, gates_metric, "mps.group", result)
+          .run();
     }
-
-    obs::Span shots_span("mps.shots");
-    ShotGroupEngine(MpsHooks{circ.num_qubits(), mps_options, truncations_metric},
-                    circ, plan, config, gates_metric, "mps.group", result)
-        .run();
     bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
     trunc_gauge.set_max(result.truncation_error);
   }
@@ -994,86 +991,25 @@ public:
     record_fusion_stats(result, plan);
 
     if (Executor::is_static(circ)) {
-      // Evolve the unitary prefix once (a static circuit's measurements only
-      // record wiring), then each shot copies the evolved tableau and
-      // performs its measurements with its own Rng(seed, shot) stream — a
-      // copy is O(n^2 / 64) bytes, far cheaper than replaying the gates.
-      const auto shots = static_cast<std::int64_t>(config.shots);
-      if (config.record_memory) result.memory.assign(config.shots, {});
-      const auto& instrs = circ.instructions();
+      // Each shot copies the evolved tableau and measures it in program
+      // order — a copy is O(n^2 / 64) bytes, far cheaper than replaying the
+      // gates.
       sim::Stabilizer evolved(circ.num_qubits());
-      std::vector<std::pair<std::size_t, std::size_t>> wire;  // (qubit, clbit)
-      {
-        obs::Span span("stab.evolve");
-        std::size_t applied = 0;
-        for (const FusedOp& op : plan.ops) {
-          if (op.fused) {
-            throw CircuitError(
-                "stabilizer backend received a fused dense block (fusion "
-                "should be capability-clamped to width 1)");
-          }
-          const Instruction& in = instrs[op.instruction];
-          if (in.type == GateType::Measure) {
-            for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-              wire.emplace_back(in.qubits[i], in.clbits[i]);
-            }
-            continue;
-          }
-          apply_gate(evolved, in);
-          if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase) {
-            ++applied;
-          }
-        }
-        gates_metric.add(applied);
-      }
+      const Wiring wiring = walk_static(evolved, circ, plan, gates_metric, "stab.evolve");
       peak_bytes.set_max(static_cast<double>(evolved.memory_bytes()));
 
       obs::Span sample_span("stab.sample");
-      std::atomic<bool> failed{false};
-      std::exception_ptr error;
-      std::size_t total_measurements = 0, total_random = 0;
-#pragma omp parallel if (config.backend.parallel_shots && shots > 1)
-      {
-        sim::Counts local;
-        std::size_t local_measurements = 0, local_random = 0;
-#pragma omp for schedule(static)
-        for (std::int64_t s = 0; s < shots; ++s) {
-          if (failed.load(std::memory_order_relaxed)) continue;
-          try {
-            Rng rng(config.seed, static_cast<std::uint64_t>(s));
-            sim::Stabilizer tab = evolved;
-            std::vector<std::uint8_t> clbits(circ.num_clbits(), 0);
-            for (const auto& [qubit, clbit] : wire) {
-              clbits[clbit] = static_cast<std::uint8_t>(tab.measure(qubit, rng));
-            }
-            const std::string key = key_from_bits(clbits);
-            ++local[key];
-            local_measurements += tab.measurements();
-            local_random += tab.random_outcomes();
-            if (config.record_memory) {
-              result.memory[static_cast<std::size_t>(s)] = key;
-            }
-          } catch (...) {
-            if (!failed.exchange(true)) {
-#pragma omp critical(qutes_stab_error)
-              error = std::current_exception();
-            }
-          }
+      sample_per_shot(item_of(config), result, [&](Rng& rng) {
+        sim::Stabilizer tab = evolved;
+        std::vector<std::uint8_t> clbits(circ.num_clbits(), 0);
+        for (const auto& [qubit, clbit] : wiring) {
+          clbits[clbit] = static_cast<std::uint8_t>(tab.measure(qubit, rng));
         }
-#pragma omp critical(qutes_stab_merge)
-        {
-          for (const auto& [key, n] : local) result.counts[key] += n;
-          total_measurements += local_measurements;
-          total_random += local_random;
-        }
-      }
-      if (error) std::rethrow_exception(error);
-      measurements_metric.add(total_measurements);
-      random_metric.add(total_random);
-
-      result.trajectories = 1;
-      result.evolutions = 1;
-      result.fast_path = true;
+        measurements_metric.add(tab.measurements());
+        random_metric.add(tab.random_outcomes());
+        return key_from_bits(clbits);
+      });
+      mark_static(result);
       return;
     }
 
@@ -1152,22 +1088,10 @@ std::unique_ptr<Backend> make_backend(const std::string& name) {
 
 sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
   QuantumCircuit lowered;
-  const QuantumCircuit* target = &circuit;
-  if (has_wide_unitary(circuit)) {
-    PassManager lowerer;
-    lowerer.emplace<DecomposeToBasis>();
-    lowered = lowerer.run(circuit);
-    target = &lowered;
-  }
-  const QuantumCircuit& circ = *target;
-
+  const QuantumCircuit& circ = lower_for_mps(circuit, lowered);
   sim::Mps mps(circ.num_qubits(), options);
   for (const Instruction& in : circ.instructions()) {
-    if (in.condition || in.type == GateType::Measure || in.type == GateType::Reset) {
-      throw CircuitError(
-          "evolve_mps: circuit has measurement/reset/conditions; use the "
-          "executor's mps backend instead");
-    }
+    require_unitary(in, "evolve_mps", "mps");
     apply_gate(mps, in);
   }
   if (circ.global_phase() != 0.0) mps.apply_global_phase(circ.global_phase());
@@ -1177,12 +1101,7 @@ sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
 sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
   sim::Stabilizer tab(circuit.num_qubits());
   for (const Instruction& in : circuit.instructions()) {
-    if (in.condition || in.type == GateType::Measure ||
-        in.type == GateType::Reset) {
-      throw CircuitError(
-          "evolve_stabilizer: circuit has measurement/reset/conditions; use "
-          "the executor's stabilizer backend instead");
-    }
+    require_unitary(in, "evolve_stabilizer", "stabilizer");
     if (is_unitary_gate(in.type) && in.type != GateType::GlobalPhase &&
         !is_clifford_gate(in.type)) {
       throw CircuitError("evolve_stabilizer: non-Clifford gate " +
@@ -1192,6 +1111,16 @@ sim::Stabilizer evolve_stabilizer(const QuantumCircuit& circuit) {
   }
   // Global phase is unobservable on a tableau; nothing to record.
   return tab;
+}
+
+sim::DensityMatrix evolve_density(const QuantumCircuit& circuit) {
+  sim::DensityMatrix rho(circuit.num_qubits());
+  for (const Instruction& in : circuit.instructions()) {
+    require_unitary(in, "evolve_density", "density");
+    apply_gate(rho, in);
+  }
+  // A global phase cancels in U rho U^dagger; nothing to record.
+  return rho;
 }
 
 bool is_clifford_circuit(const QuantumCircuit& circuit) {

@@ -32,20 +32,6 @@ void apply_controlled(sim::StateVector& sv, const Instruction& in,
 
 }  // namespace
 
-void apply_instruction(sim::StateVector& sv, const Instruction& in,
-                       std::uint64_t& clbits, Rng& rng) {
-  if (in.type == GateType::Measure) {
-    for (std::size_t i = 0; i < in.qubits.size(); ++i) {
-      const int bit = sv.measure(in.qubits[i], rng);
-      clbits = bit ? set_bit(clbits, in.clbits[i]) : clear_bit(clbits, in.clbits[i]);
-    }
-  } else if (in.type == GateType::Reset) {
-    sv.reset_qubit(in.qubits[0], rng);
-  } else {
-    apply_gate(sv, in);
-  }
-}
-
 void apply_gate(sim::StateVector& sv, const Instruction& in) {
   switch (in.type) {
     case GateType::H: sv.apply_1q(H(), in.qubits[0]); break;
@@ -107,7 +93,8 @@ void apply_gate(sim::StateVector& sv, const Instruction& in) {
     }
     case GateType::Measure: case GateType::Reset:
       throw CircuitError(std::string("apply_gate: ") + gate_name(in.type) +
-                         " is not a gate; apply_instruction runs it");
+                         " is not a gate; it draws randomness and writes a "
+                         "register");
     case GateType::Barrier:
       break;
     case GateType::GlobalPhase:
@@ -407,7 +394,17 @@ Executor::Trajectory Executor::run_single(const QuantumCircuit& circuit) const {
             in.condition->value) {
       continue;
     }
-    apply_instruction(traj.state, in, traj.clbits, rng);
+    if (in.type == GateType::Measure) {
+      for (std::size_t i = 0; i < in.qubits.size(); ++i) {
+        const int bit = traj.state.measure(in.qubits[i], rng);
+        traj.clbits = bit ? set_bit(traj.clbits, in.clbits[i])
+                          : clear_bit(traj.clbits, in.clbits[i]);
+      }
+    } else if (in.type == GateType::Reset) {
+      traj.state.reset_qubit(in.qubits[0], rng);
+    } else {
+      apply_gate(traj.state, in);
+    }
   }
   if (circuit.global_phase() != 0.0) {
     traj.state.apply_global_phase(circuit.global_phase());

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "qutes/circuit/executor.hpp"
+#include "qutes/sim/density_matrix.hpp"
 #include "qutes/sim/mps.hpp"
 #include "qutes/sim/stabilizer.hpp"
 
@@ -120,6 +121,13 @@ void register_backend(const std::string& name, BackendFactory factory);
 /// reference.
 [[nodiscard]] sim::Mps evolve_mps(const QuantumCircuit& circuit,
                                   sim::MpsOptions options = {});
+
+/// Evolve `circuit` (unitaries + barriers + global phase only — throws
+/// CircuitError on measure/reset/conditions) on a fresh density matrix,
+/// through the density backend's own gate dispatcher (CSWAP expansion
+/// included). Exposed for the differential harness, which checks the
+/// returned state's fidelity against the dense reference.
+[[nodiscard]] sim::DensityMatrix evolve_density(const QuantumCircuit& circuit);
 
 /// Evolve `circuit` (Clifford unitaries + barriers + global phase only —
 /// throws CircuitError on measure/reset/conditions or non-Clifford gates) on

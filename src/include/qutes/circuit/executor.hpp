@@ -44,7 +44,7 @@
 namespace qutes::circ {
 
 /// Deprecated aliases for the pre-RunConfig spelling. Note the fields moved:
-/// `backend`/`max_fused_qubits`/`parallel_shots`/`max_bond_dim`/
+/// `backend`/`max_fused_qubits`/`max_bond_dim`/
 /// `truncation_threshold`/`noise` now live under `RunConfig::backend`
 /// (as `backend.name`, ...), and `pipeline` under `RunConfig::pipeline`
 /// (as `pipeline.manager`).
@@ -153,18 +153,13 @@ private:
 };
 
 /// Classical bits a packed `std::uint64_t` register holds: the register of
-/// apply_instruction and run_single. Wider registers are rejected before
-/// they run.
+/// Executor::run_single, which rejects wider circuits before they run.
 inline constexpr std::size_t kMaxPackedClbits = 64;
-
-/// Apply one instruction to a state (measure writes into `clbits`). Exposed
-/// for the language runtime, which executes instructions as it logs them.
-void apply_instruction(sim::StateVector& sv, const Instruction& instr,
-                       std::uint64_t& clbits, Rng& rng);
 
 /// Apply one unitary gate, barrier or global phase to a state; throws
 /// CircuitError for measure and reset, which draw randomness and write a
-/// register (apply_instruction runs those).
+/// register (Executor::run_single runs those). Exposed for the language
+/// runtime, which executes gates as it logs them.
 void apply_gate(sim::StateVector& sv, const Instruction& instr);
 
 }  // namespace qutes::circ

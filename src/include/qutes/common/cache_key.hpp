@@ -12,9 +12,8 @@
 //    RunConfig fields that change what a compiled entry *is* or what a
 //    request on it returns. Deliberately excluded: the seed (the whole point
 //    of the per-shot Rng(seed, shot) streams is that one compiled entry
-//    serves every seed), `parallel_shots` (counts are thread-invariant),
-//    `record_memory` (response shape, not compiled content),
-//    `bind_params`/`allow_unbound_params` (a cached entry is the *unbound*
+//    serves every seed), `record_memory` (response shape, not compiled
+//    content), `bind_params`/`allow_unbound_params` (a cached entry is the *unbound*
 //    artifact; every parameter binding replays against it, so values must
 //    never cause a miss), and the echo/trace/replay/obs plumbing (per-call
 //    I/O, not program identity).

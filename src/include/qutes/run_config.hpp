@@ -80,9 +80,6 @@ struct BackendConfig {
   /// own capability cap. 5 matches the vectorized kernels' sweet spot (see
   /// FusionOptions). Was `ExecutionOptions::max_fused_qubits`.
   std::size_t max_fused_qubits = 5;
-  /// Run the trajectory path's shot groups as OpenMP tasks across threads.
-  /// Results are independent of the thread count either way.
-  bool parallel_shots = true;
   /// MPS bond-dimension cap (must be >= 1; only the mps backend reads it).
   /// Exact simulation needs up to 2^(n/2), so a finite cap trades fidelity
   /// for tractability; ExecutionResult::truncation_error reports the loss.

@@ -42,6 +42,14 @@ namespace qutes::sim::kernels {
 
 using cplx = std::complex<double>;
 
+/// The OpenMP cut of the simulator loops: below this much work a loop runs
+/// serially, since the fork/join overhead exceeds it. The gate kernels count
+/// their work in amplitude pairs (dim / 2) whatever their width, so a fused
+/// k-qubit block uses the team from the same state size as the 1-qubit gates
+/// it replaces; the controlled kernels count the pairs they enumerate and the
+/// reductions count amplitudes.
+inline constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+
 // ---- ISA dispatch -----------------------------------------------------------
 
 enum class Isa {

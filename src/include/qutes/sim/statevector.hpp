@@ -116,11 +116,6 @@ public:
   /// Sample a basis state from |amps|^2 *without* collapsing.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const;
 
-  /// Sample `shots` outcomes of the listed qubits (all qubits if empty)
-  /// without collapsing; keys are MSB-first bitstrings over those qubits.
-  [[nodiscard]] Counts sample_counts(std::size_t shots, Rng& rng,
-                                     std::span<const std::size_t> qubits = {}) const;
-
   /// Measure `qubit` and, if it came up 1, flip it back to |0>.
   void reset_qubit(std::size_t qubit, Rng& rng);
 

@@ -23,7 +23,12 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "qutes/circuit/circuit.hpp"
 #include "qutes/sim/statevector.hpp"
@@ -70,12 +75,32 @@ void assert_equiv_up_to_global_phase(std::span<const cplx> reference,
 [[nodiscard]] std::map<std::string, double> counts_to_distribution(
     const sim::Counts& counts);
 
+/// `run()` at OpenMP team 1 and then at team 4, with the caller's team
+/// restored: the two results of a thread-count invariance check.
+template <class Run>
+[[nodiscard]] auto at_teams_1_and_4(const Run& run) {
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+#endif
+  auto team1 = run();
+#ifdef _OPENMP
+  omp_set_num_threads(4);
+#endif
+  auto team4 = run();
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+  return std::make_pair(std::move(team1), std::move(team4));
+}
+
 // ---- backends --------------------------------------------------------------
 
 /// Every optimized execution path diffed against the reference backend.
 enum class Backend {
   Statevector,     ///< Executor::run_single (gate-at-a-time tuned kernels)
-  DensityMatrix,   ///< sim::DensityMatrix evolution, fidelity vs reference
+  DensityMatrix,   ///< circ::evolve_density (the density backend's gate
+                   ///< dispatcher), fidelity vs reference
   FusedExecutor,   ///< runtime gate-fusion plan replayed over a statevector
   PresetO0,        ///< make_pipeline(Preset::O0) then statevector
   PresetO1,        ///< make_pipeline(Preset::O1) then statevector

@@ -43,8 +43,7 @@ const sim::StateVector& QuantumCircuitHandler::state() const {
 
 void QuantumCircuitHandler::apply(circ::Instruction instruction) {
   circuit_.append(instruction);  // validates operands
-  std::uint64_t scratch = 0;
-  circ::apply_instruction(*state_, instruction, scratch, rng_);
+  circ::apply_gate(*state_, instruction);
 }
 
 namespace {

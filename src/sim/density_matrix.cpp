@@ -6,12 +6,13 @@
 
 #include "qutes/common/bitops.hpp"
 #include "qutes/common/error.hpp"
+#include "qutes/sim/kernels.hpp"
 
 namespace qutes::sim {
 
 namespace {
 
-constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+using kernels::kParallelThreshold;
 
 void check_kraus_complete(std::span<const Matrix2> kraus) {
   // sum_k K^dagger K must be the identity.

@@ -21,14 +21,14 @@ namespace qutes::sim::kernels {
 
 namespace {
 
-// Below this many loop iterations the OpenMP fork/join overhead exceeds the
-// work (mirrors kParallelThreshold in statevector.cpp).
-constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
-
 // Pair-pairs per AVX2 chunk: 2^12 iterations x 2 pairs x 2 amplitudes x 16
 // bytes = 256 KiB per chunk, sized to stream through L2 while giving OpenMP
 // enough chunks to balance.
 constexpr std::uint64_t kAvx2Chunk = std::uint64_t{1} << 12;
+
+// Groups of 2^k amplitudes per chunk of the AVX-512 k-qubit kernels: the
+// same 2^14 amplitudes an AVX2 chunk streams.
+constexpr std::uint64_t kq_chunk_groups(std::size_t k) { return (kAvx2Chunk * 4) >> k; }
 
 bool cpu_has_avx2() noexcept {
 #if QUTES_KERNELS_X86
@@ -562,11 +562,12 @@ void kq_dense_avx512(cplx* amps, std::uint64_t dim, const std::size_t* sorted,
                      const double* col_re, const double* col_im) {
   double* d = reinterpret_cast<double*>(amps);
   const std::uint64_t groups = dim >> k;
-  const std::uint64_t chunks = (groups + kAvx2Chunk - 1) / kAvx2Chunk;
-#pragma omp parallel for schedule(static) if (groups >= kParallelThreshold)
+  const std::uint64_t chunk = kq_chunk_groups(k);
+  const std::uint64_t chunks = (groups + chunk - 1) / chunk;
+#pragma omp parallel for schedule(static) if ((dim >> 1) >= kParallelThreshold)
   for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
-    const std::uint64_t begin = static_cast<std::uint64_t>(c) * kAvx2Chunk;
-    kq_dense_avx512_range(d, begin, std::min(groups, begin + kAvx2Chunk),
+    const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk;
+    kq_dense_avx512_range(d, begin, std::min(groups, begin + chunk),
                           sorted, k, offset2, col_re, col_im);
   }
 }
@@ -652,12 +653,12 @@ void kq_sparse_avx512(cplx* amps, std::uint64_t dim, const std::size_t* sorted,
   const double* m = reinterpret_cast<const double*>(matrix);
   const std::uint64_t groups = dim >> k;
   const std::uint64_t batches = groups / 8;
-  constexpr std::uint64_t kBatchChunk = kAvx2Chunk / 8;  // the dense kernel's groups per chunk
-  const std::uint64_t chunks = (batches + kBatchChunk - 1) / kBatchChunk;
-#pragma omp parallel for schedule(static) if (groups >= kParallelThreshold)
+  const std::uint64_t chunk = kq_chunk_groups(k) / 8;  // in batches of 8 groups
+  const std::uint64_t chunks = (batches + chunk - 1) / chunk;
+#pragma omp parallel for schedule(static) if ((dim >> 1) >= kParallelThreshold)
   for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
-    const std::uint64_t begin = static_cast<std::uint64_t>(c) * kBatchChunk;
-    const std::uint64_t end = std::min(batches, begin + kBatchChunk);
+    const std::uint64_t begin = static_cast<std::uint64_t>(c) * chunk;
+    const std::uint64_t end = std::min(batches, begin + chunk);
     if (k >= 4) {
       kq_sparse_avx512_range<2>(d, begin, end, sorted, k, offset2, m, rows);
     } else {
@@ -888,7 +889,7 @@ void apply_kq_dense(Isa isa, cplx* amps, std::uint64_t dim,
   (void)isa;
 #endif
   const std::uint64_t groups = dim >> k;
-#pragma omp parallel for schedule(static) if (groups >= kParallelThreshold)
+#pragma omp parallel for schedule(static) if ((dim >> 1) >= kParallelThreshold)
   for (std::int64_t g = 0; g < static_cast<std::int64_t>(groups); ++g) {
     std::uint64_t base = static_cast<std::uint64_t>(g);
     for (std::size_t j = 0; j < k; ++j) base = insert_zero_bit(base, sorted[j]);
@@ -962,7 +963,7 @@ void apply_kq_diag(Isa isa, cplx* amps, std::uint64_t dim,
   const DiagRuns p = diag_runs(dim, targets, k);
   double* d = reinterpret_cast<double*>(amps);
   const std::uint64_t outer = dim >> (p.shift + p.low_bits);
-#pragma omp parallel for schedule(static) if ((dim >> k) >= kParallelThreshold)
+#pragma omp parallel for schedule(static) if ((dim >> 1) >= kParallelThreshold)
   for (std::int64_t h = 0; h < static_cast<std::int64_t>(outer); ++h) {
 #if QUTES_KERNELS_X86
     if (isa != Isa::Portable) {

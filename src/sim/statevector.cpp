@@ -15,8 +15,7 @@ namespace qutes::sim {
 
 namespace {
 
-// Below this many amplitudes the OpenMP fork/join overhead exceeds the work.
-constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 14;
+using kernels::kParallelThreshold;
 
 // Probabilities below this are treated as impossible outcomes when
 // collapsing; guards against dividing by ~0 norms from roundoff.
@@ -356,36 +355,6 @@ std::uint64_t StateVector::sample(Rng& rng) const {
     if (std::norm(amps_[i]) > 0.0) return i;
   }
   throw SimulationError("sampling from a zero state");
-}
-
-Counts StateVector::sample_counts(std::size_t shots, Rng& rng,
-                                  std::span<const std::size_t> qubits) const {
-  // Build the cumulative distribution once; each shot is then a binary
-  // search instead of a linear scan.
-  std::vector<double> cdf(dim());
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < dim(); ++i) {
-    acc += std::norm(amps_[i]);
-    cdf[i] = acc;
-  }
-  Counts counts;
-  for (std::size_t s = 0; s < shots; ++s) {
-    const double r = rng.uniform() * acc;
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
-    std::uint64_t idx = static_cast<std::uint64_t>(it - cdf.begin());
-    if (idx >= dim()) idx = dim() - 1;
-    std::string key;
-    if (qubits.empty()) {
-      key = to_bitstring(idx, num_qubits_);
-    } else {
-      key.resize(qubits.size());
-      for (std::size_t q = 0; q < qubits.size(); ++q) {
-        key[qubits.size() - 1 - q] = test_bit(idx, qubits[q]) ? '1' : '0';
-      }
-    }
-    ++counts[key];
-  }
-  return counts;
 }
 
 void StateVector::reset_qubit(std::size_t qubit, Rng& rng) {

@@ -40,67 +40,6 @@ std::vector<cplx> state_of(const QuantumCircuit& circuit) {
   return {amps.begin(), amps.end()};
 }
 
-/// Evolve a density matrix through a unitary-only circuit using the
-/// production DensityMatrix kernels.
-sim::DensityMatrix density_matrix_of(const QuantumCircuit& circuit) {
-  namespace g = sim::gates;
-  sim::DensityMatrix rho(circuit.num_qubits());
-  const auto controlled = [&](const Instruction& in, const sim::Matrix2& u) {
-    const std::span<const std::size_t> controls(in.qubits.data(),
-                                                in.qubits.size() - 1);
-    rho.apply_multi_controlled_1q(u, controls, in.target());
-  };
-  for (const Instruction& in : circuit.instructions()) {
-    switch (in.type) {
-      case GateType::H: rho.apply_1q(g::H(), in.qubits[0]); break;
-      case GateType::X: rho.apply_1q(g::X(), in.qubits[0]); break;
-      case GateType::Y: rho.apply_1q(g::Y(), in.qubits[0]); break;
-      case GateType::Z: rho.apply_1q(g::Z(), in.qubits[0]); break;
-      case GateType::S: rho.apply_1q(g::S(), in.qubits[0]); break;
-      case GateType::Sdg: rho.apply_1q(g::Sdg(), in.qubits[0]); break;
-      case GateType::T: rho.apply_1q(g::T(), in.qubits[0]); break;
-      case GateType::Tdg: rho.apply_1q(g::Tdg(), in.qubits[0]); break;
-      case GateType::SX: rho.apply_1q(g::SX(), in.qubits[0]); break;
-      case GateType::RX: rho.apply_1q(g::RX(in.params[0]), in.qubits[0]); break;
-      case GateType::RY: rho.apply_1q(g::RY(in.params[0]), in.qubits[0]); break;
-      case GateType::RZ: rho.apply_1q(g::RZ(in.params[0]), in.qubits[0]); break;
-      case GateType::P: rho.apply_1q(g::P(in.params[0]), in.qubits[0]); break;
-      case GateType::U:
-        rho.apply_1q(g::U(in.params[0], in.params[1], in.params[2]), in.qubits[0]);
-        break;
-      case GateType::CX: case GateType::CCX: case GateType::MCX:
-        controlled(in, g::X());
-        break;
-      case GateType::CY: controlled(in, g::Y()); break;
-      case GateType::CZ: case GateType::MCZ: controlled(in, g::Z()); break;
-      case GateType::CH: controlled(in, g::H()); break;
-      case GateType::CP: case GateType::MCP:
-        controlled(in, g::P(in.params[0]));
-        break;
-      case GateType::CRZ: controlled(in, g::RZ(in.params[0])); break;
-      case GateType::SWAP: rho.apply_swap(in.qubits[0], in.qubits[1]); break;
-      case GateType::CSWAP: {
-        // Same 3-CX decomposition the executor uses.
-        const std::size_t c = in.qubits[0], a = in.qubits[1], b = in.qubits[2];
-        const std::size_t ca[2] = {c, a};
-        const std::size_t cb[2] = {c, b};
-        rho.apply_multi_controlled_1q(g::X(), ca, b);
-        rho.apply_multi_controlled_1q(g::X(), cb, a);
-        rho.apply_multi_controlled_1q(g::X(), ca, b);
-        break;
-      }
-      case GateType::Barrier:
-      case GateType::GlobalPhase:  // U rho U^dagger cancels a scalar phase
-        break;
-      default:
-        throw CircuitError(
-            std::string("density-matrix backend: non-unitary instruction ") +
-            gate_name(in.type));
-    }
-  }
-  return rho;
-}
-
 /// Replay the runtime fusion plan over a fresh statevector (the executor's
 /// inner loop, minus sampling).
 std::vector<cplx> fused_state_of(const QuantumCircuit& circuit) {
@@ -109,14 +48,11 @@ std::vector<cplx> fused_state_of(const QuantumCircuit& circuit) {
   const circ::FusionPlan plan =
       circ::build_fusion_plan(circuit.instructions(), options);
   sim::StateVector sv(circuit.num_qubits());
-  std::uint64_t clbits = 0;
-  Rng rng(1);
   for (const circ::FusedOp& op : plan.ops) {
     if (op.fused) {
       sv.apply_kq(op.matrix, op.qubits);
     } else {
-      circ::apply_instruction(sv, circuit.instructions()[op.instruction], clbits,
-                              rng);
+      circ::apply_gate(sv, circuit.instructions()[op.instruction]);
     }
   }
   if (circuit.global_phase() != 0.0) {
@@ -287,7 +223,7 @@ BackendCheck check_backend_against_reference(const QuantumCircuit& circuit,
                                              Backend backend, double tol) {
   try {
     if (backend == Backend::DensityMatrix) {
-      const sim::DensityMatrix rho = density_matrix_of(circuit);
+      const sim::DensityMatrix rho = circ::evolve_density(circuit);
       std::vector<cplx> ref_copy(reference.begin(), reference.end());
       const double fidelity =
           rho.fidelity(sim::StateVector::from_amplitudes(std::move(ref_copy)));
@@ -513,7 +449,8 @@ DiffReport diff_dynamic_backends(const QuantumCircuit& circuit, std::uint64_t se
       mps_options.backend.name = "mps";
       mps_options.backend.max_bond_dim = 4096;
       mps_options.backend.truncation_threshold = 0.0;
-      const sim::Counts mps_counts = circ::Executor(mps_options).run(circuit).counts;
+      const auto [mps_counts, mps_team4] = at_teams_1_and_4(
+          [&] { return circ::Executor(mps_options).run(circuit).counts; });
       const double mps_tvd =
           total_variation_distance(reference, counts_to_distribution(mps_counts));
       if (mps_tvd > options.tvd_tol) {
@@ -525,16 +462,12 @@ DiffReport diff_dynamic_backends(const QuantumCircuit& circuit, std::uint64_t se
       }
 
       // Counter-derived per-shot RNG streams must make the histogram
-      // bit-identical whether the shot loop runs serial or OpenMP-parallel.
+      // bit-identical at any OpenMP team size.
       ++report.comparisons;
-      qutes::RunConfig serial_options = mps_options;
-      serial_options.backend.parallel_shots = false;
-      const sim::Counts mps_serial =
-          circ::Executor(serial_options).run(circuit).counts;
-      if (mps_serial != mps_counts) {
-        fail("mps-parallel-vs-serial", 1.0,
-             "mps counts depend on the shot-loop threading: " +
-                 first_diff(mps_counts, mps_serial));
+      if (mps_team4 != mps_counts) {
+        fail("mps-team1-vs-team4", 1.0,
+             "mps counts depend on the OpenMP team size: " +
+                 first_diff(mps_counts, mps_team4));
       }
     }
 
@@ -547,8 +480,8 @@ DiffReport diff_dynamic_backends(const QuantumCircuit& circuit, std::uint64_t se
       ++report.comparisons;
       qutes::RunConfig stab_options = exec;
       stab_options.backend.name = "stabilizer";
-      const sim::Counts stab_counts =
-          circ::Executor(stab_options).run(circuit).counts;
+      const auto [stab_counts, stab_team4] = at_teams_1_and_4(
+          [&] { return circ::Executor(stab_options).run(circuit).counts; });
       const double stab_tvd = total_variation_distance(
           reference, counts_to_distribution(stab_counts));
       if (stab_tvd > options.tvd_tol) {
@@ -560,14 +493,10 @@ DiffReport diff_dynamic_backends(const QuantumCircuit& circuit, std::uint64_t se
       }
 
       ++report.comparisons;
-      qutes::RunConfig stab_serial = stab_options;
-      stab_serial.backend.parallel_shots = false;
-      const sim::Counts stab_serial_counts =
-          circ::Executor(stab_serial).run(circuit).counts;
-      if (stab_serial_counts != stab_counts) {
-        fail("stabilizer-parallel-vs-serial", 1.0,
-             "stabilizer counts depend on the shot-loop threading: " +
-                 first_diff(stab_counts, stab_serial_counts));
+      if (stab_team4 != stab_counts) {
+        fail("stabilizer-team1-vs-team4", 1.0,
+             "stabilizer counts depend on the OpenMP team size: " +
+                 first_diff(stab_counts, stab_team4));
       }
     }
   } catch (const std::exception& e) {

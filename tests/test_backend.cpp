@@ -1,6 +1,7 @@
 // Backend interface + registry tests: name resolution, capability
-// enforcement by the Executor, backend-specific noise semantics, MPS
-// thread-invariant sampling, and capability-clamped fusion planning.
+// enforcement by the Executor, backend-specific noise semantics,
+// thread-invariant sampling, every shot pinned on the static and trajectory
+// paths, and capability-clamped fusion planning.
 
 #include <gtest/gtest.h>
 
@@ -275,16 +276,14 @@ TEST(BackendSemantics, DensityAppliesReadoutError) {
 
 TEST(BackendSemantics, MpsStaticCountsAreThreadInvariant) {
   // Counter-derived Rng(seed, shot) streams: the histogram may not depend on
-  // whether the shot loop ran serial or across OpenMP threads.
+  // how many OpenMP threads split the shot loop.
   qutes::RunConfig options;
   options.backend.name = "mps";
   options.shots = 4096;
-  options.backend.parallel_shots = true;
   const circ::QuantumCircuit c = ghz(16);
-  const sim::Counts parallel = circ::Executor(options).run(c).counts;
-  options.backend.parallel_shots = false;
-  const sim::Counts serial = circ::Executor(options).run(c).counts;
-  EXPECT_EQ(parallel, serial);
+  const auto [team1, team4] =
+      qt::at_teams_1_and_4([&] { return circ::Executor(options).run(c).counts; });
+  EXPECT_EQ(team1, team4);
 }
 
 TEST(BackendSemantics, MpsDynamicCountsAreThreadInvariant) {
@@ -297,13 +296,11 @@ TEST(BackendSemantics, MpsDynamicCountsAreThreadInvariant) {
   qutes::RunConfig options;
   options.backend.name = "mps";
   options.shots = 2048;
-  options.backend.parallel_shots = true;
-  const circ::ExecutionResult parallel = circ::Executor(options).run(c);
-  options.backend.parallel_shots = false;
-  const circ::ExecutionResult serial = circ::Executor(options).run(c);
-  EXPECT_EQ(parallel.counts, serial.counts);
-  EXPECT_FALSE(parallel.fast_path);
-  EXPECT_EQ(parallel.trajectories, 2048u);
+  const auto [team1, team4] =
+      qt::at_teams_1_and_4([&] { return circ::Executor(options).run(c); });
+  EXPECT_EQ(team1.counts, team4.counts);
+  EXPECT_FALSE(team4.fast_path);
+  EXPECT_EQ(team4.trajectories, 2048u);
 }
 
 TEST(BackendSemantics, MpsReportsTruncationDiagnostics) {
@@ -503,20 +500,19 @@ TEST(TrajectoryPath, PerShotOutcomesArePinned) {
 #endif
   for (const PinnedRun& run : runs) {
     for (const std::string& backend : run.backends) {
-      for (const int mode : {1, 4, 0}) {  // OpenMP team 1, team 4, serial shots
+      for (const int team : {1, 4}) {
 #ifdef _OPENMP
-        omp_set_num_threads(mode == 0 ? saved_threads : mode);
+        omp_set_num_threads(team);
 #endif
         qutes::RunConfig config;
         config.backend.name = backend;
         config.backend.noise = run.noise;
-        config.backend.parallel_shots = mode != 0;
         config.shots = 24;
         config.seed = 77;
         config.record_memory = true;
         const circ::ExecutionResult result = circ::Executor(config).run(run.circuit);
         const std::string where =
-            run.name + " on " + backend + " (mode " + std::to_string(mode) + ")";
+            run.name + " on " + backend + " (team " + std::to_string(team) + ")";
         EXPECT_FALSE(result.fast_path) << where;
         EXPECT_EQ(join(result.memory), run.memory) << where;
         EXPECT_EQ(result.counts, histogram(run.memory)) << where;
@@ -530,18 +526,19 @@ TEST(TrajectoryPath, PerShotOutcomesArePinned) {
 
 TEST(TrajectoryPath, CertainOutcomesEvolveOnce) {
   // A noiseless repetition code reads the same syndromes on every shot, so
-  // all shots stay in one group and share one evolution.
+  // all shots stay in one group and share one evolution, at any team size.
   for (const char* backend : {"statevector", "mps", "stabilizer"}) {
     qutes::RunConfig config;
     config.backend.name = backend;
-    config.backend.parallel_shots = false;
     config.shots = 256;
-    const circ::ExecutionResult result =
-        circ::Executor(config).run(repetition_code(7, 3));
-    EXPECT_FALSE(result.fast_path) << backend;
-    EXPECT_EQ(result.trajectories, 256u) << backend;
-    EXPECT_EQ(result.evolutions, 1u) << backend;
-    EXPECT_EQ(result.counts, (sim::Counts{{"110000", 256}})) << backend;
+    const auto teams = qt::at_teams_1_and_4(
+        [&] { return circ::Executor(config).run(repetition_code(7, 3)); });
+    for (const circ::ExecutionResult& result : {teams.first, teams.second}) {
+      EXPECT_FALSE(result.fast_path) << backend;
+      EXPECT_EQ(result.trajectories, 256u) << backend;
+      EXPECT_EQ(result.evolutions, 1u) << backend;
+      EXPECT_EQ(result.counts, (sim::Counts{{"110000", 256}})) << backend;
+    }
   }
 }
 
@@ -557,6 +554,120 @@ TEST(TrajectoryPath, EachOutcomePathEvolvesOnce) {
     const circ::ExecutionResult result = circ::Executor(config).run(c);
     EXPECT_EQ(result.counts.size(), 8u) << backend;
     EXPECT_EQ(result.evolutions, 8u) << backend;
+  }
+}
+
+// ---- pinned per-shot outcomes on the static path ----------------------------
+
+namespace {
+
+/// A Clifford circuit whose measures write the register out of clbit order:
+/// q0 and q1 = !q0 both land in c3 (the later measure wins), c1 and c2 are
+/// never written, and the tableau draws its coins in program order.
+circ::QuantumCircuit scrambled_wiring() {
+  circ::QuantumCircuit c(4, 5);
+  c.h(0).cx(0, 1).x(1);
+  c.h(2).cz(0, 2).h(2);
+  c.h(3).s(3).h(3);
+  c.measure(3, 4).measure(0, 3).measure(2, 0).measure(1, 3);
+  return c;
+}
+
+/// A non-Clifford static circuit with a Toffoli (lowered to {u, cx} on the
+/// MPS), two measures into c2 and two clbits no measure writes.
+circ::QuantumCircuit rotations_with_toffoli() {
+  circ::QuantumCircuit c(3, 4);
+  c.ry(0.9, 0).h(1).cx(1, 2).t(2).h(2);
+  c.ccx(0, 1, 2).rx(0.4, 1);
+  c.measure(2, 0).measure(0, 2).measure(1, 2);
+  return c;
+}
+
+}  // namespace
+
+TEST(StaticPath, PerShotOutcomesArePinned) {
+  // Recorded from the per-backend static paths (24 shots, seed 77): the
+  // statevector and density draw every shot from one Rng(seed) stream (density
+  // then draws a readout flip for every clbit, in clbit order), the MPS and
+  // the tableau give shot s its own Rng(seed, s). No shot may move at any
+  // OpenMP team size.
+  sim::NoiseModel noise;
+  noise.depolarizing_1q = 0.08;
+  noise.depolarizing_2q = 0.12;
+  noise.amplitude_damping = 0.1;
+  noise.readout_error = 0.1;
+  const std::vector<PinnedRun> runs = {
+      {"scrambled_wiring", {"statevector", "density"}, scrambled_wiring(), {},
+       "00001 01000 11000 10001 00001 01000 01000 11000 11000 00001 10001 01000 "
+       "00001 01000 11000 00001 01000 00001 00001 00001 00001 01000 11000 10001"},
+      {"scrambled_wiring", {"mps"}, scrambled_wiring(), {},
+       "10001 00001 11000 00001 10001 01000 11000 01000 10001 11000 00001 01000 "
+       "10001 11000 11000 10001 11000 00001 01000 11000 11000 01000 00001 11000"},
+      {"scrambled_wiring", {"stabilizer"}, scrambled_wiring(), {},
+       "00001 01000 11000 00001 01000 10001 11000 11000 01000 11000 00001 11000 "
+       "00001 10001 11000 00001 10001 01000 11000 11000 10001 11000 01000 11000"},
+      {"rotations_with_toffoli", {"statevector", "density"}, rotations_with_toffoli(), {},
+       "0100 0000 0001 0101 0100 0000 0000 0001 0001 0100 0101 0000 "
+       "0000 0000 0001 0100 0000 0100 0100 0100 0100 0000 0001 0101"},
+      {"rotations_with_toffoli", {"mps"}, rotations_with_toffoli(), {},
+       "0001 0101 0100 0001 0101 0001 0101 0101 0101 0100 0000 0101 "
+       "0000 0000 0101 0001 0000 0101 0101 0101 0000 0101 0101 0101"},
+      {"noisy_rotations", {"density"}, rotations_with_toffoli(), noise,
+       "0100 0001 0001 0100 0100 0000 1111 0000 1001 0010 0010 0001 "
+       "0101 0000 0110 0101 0001 0010 0000 0001 0001 0111 0011 0000"},
+  };
+
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (const PinnedRun& run : runs) {
+    for (const std::string& backend : run.backends) {
+      for (const int team : {1, 4}) {
+#ifdef _OPENMP
+        omp_set_num_threads(team);
+#endif
+        qutes::RunConfig config;
+        config.backend.name = backend;
+        config.backend.noise = run.noise;
+        config.shots = 24;
+        config.seed = 77;
+        config.record_memory = true;
+        const circ::ExecutionResult result = circ::Executor(config).run(run.circuit);
+        const std::string where =
+            run.name + " on " + backend + " (team " + std::to_string(team) + ")";
+        EXPECT_TRUE(result.fast_path) << where;
+        EXPECT_EQ(join(result.memory), run.memory) << where;
+        EXPECT_EQ(result.counts, histogram(run.memory)) << where;
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+TEST(StaticPath, RunBatchEqualsSequentialRuns) {
+  // Three items with their own seeds and shot counts: each must equal a lone
+  // run under its seed, on the statevector (one shared evolution) and on the
+  // MPS (the base per-item loop).
+  const std::vector<circ::ShotBatchItem> items = {
+      {77, 24, true}, {5, 10, true}, {901, 7, false}};
+  for (const char* backend : {"statevector", "mps"}) {
+    qutes::RunConfig config;
+    config.backend.name = backend;
+    const circ::QuantumCircuit c = rotations_with_toffoli();
+    const std::vector<circ::ExecutionResult> batch =
+        circ::Executor(config).run_batch(c, items);
+    ASSERT_EQ(batch.size(), items.size()) << backend;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      config.seed = items[i].seed;
+      config.shots = items[i].shots;
+      config.record_memory = items[i].record_memory;
+      const circ::ExecutionResult lone = circ::Executor(config).run(c);
+      EXPECT_EQ(batch[i].counts, lone.counts) << backend << " item " << i;
+      EXPECT_EQ(batch[i].memory, lone.memory) << backend << " item " << i;
+      EXPECT_EQ(batch[i].fast_path, lone.fast_path) << backend << " item " << i;
+    }
   }
 }
 

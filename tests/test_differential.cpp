@@ -362,11 +362,7 @@ namespace {
 /// Gate-at-a-time statevector evolution of a unitary circuit (no sampling).
 std::vector<cplx> evolve_statevector(const circ::QuantumCircuit& c) {
   qutes::sim::StateVector sv(c.num_qubits());
-  std::uint64_t scratch = 0;
-  qutes::Rng rng(0);
-  for (const circ::Instruction& in : c.instructions()) {
-    circ::apply_instruction(sv, in, scratch, rng);
-  }
+  for (const circ::Instruction& in : c.instructions()) circ::apply_gate(sv, in);
   const auto amps = sv.amplitudes();
   return {amps.begin(), amps.end()};
 }

@@ -144,7 +144,7 @@ TEST(Executor, EmptyCircuitRejected) {
 }
 
 // Parameterized check: every 1-qubit gate type executes through
-// apply_instruction and preserves the norm.
+// run_single and preserves the norm.
 class GateExecution : public ::testing::TestWithParam<GateType> {};
 
 TEST_P(GateExecution, PreservesNorm) {

@@ -41,11 +41,7 @@ QuantumCircuit random_circuit(std::size_t n, std::size_t gates, Rng& rng) {
 /// Gate-at-a-time reference evolution.
 sim::StateVector evolve_unfused(const QuantumCircuit& c) {
   sim::StateVector sv(c.num_qubits());
-  std::uint64_t scratch = 0;
-  Rng rng(0);
-  for (const Instruction& in : c.instructions()) {
-    apply_instruction(sv, in, scratch, rng);
-  }
+  for (const Instruction& in : c.instructions()) apply_gate(sv, in);
   return sv;
 }
 
@@ -53,13 +49,11 @@ sim::StateVector evolve_unfused(const QuantumCircuit& c) {
 sim::StateVector evolve_fused(const QuantumCircuit& c, const FusionOptions& options) {
   const FusionPlan plan = build_fusion_plan(c.instructions(), options);
   sim::StateVector sv(c.num_qubits());
-  std::uint64_t scratch = 0;
-  Rng rng(0);
   for (const FusedOp& op : plan.ops) {
     if (op.fused) {
       sv.apply_kq(op.matrix, op.qubits);
     } else {
-      apply_instruction(sv, c.instructions()[op.instruction], scratch, rng);
+      apply_gate(sv, c.instructions()[op.instruction]);
     }
   }
   return sv;

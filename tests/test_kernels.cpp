@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "qutes/algorithms/grover.hpp"
@@ -275,7 +276,7 @@ TEST(Kernels, KqDenseAgreesAcrossIsas) {
 }
 
 TEST(Kernels, KqDenseAgreesAcrossIsasAboveParallelThreshold) {
-  // dim >> k >= 2^14 groups flips the kernels into their OpenMP-chunked
+  // 18 qubits are past the OpenMP cut, so the kernels run their parallel
   // loops; the decomposition must not change a single amplitude.
   Rng rng(0x0317);
   const std::size_t num_qubits = 18;
@@ -367,6 +368,54 @@ TEST(Kernels, KqSparseIsBitIdenticalAboveParallelThreshold) {
 #endif
 }
 
+TEST(Kernels, KqBlocksAreBitIdenticalAcrossTeamSizes) {
+  // 16 qubits hold 2^15 amplitude pairs, past the OpenMP cut, while a 5-qubit
+  // block spans only 2^11 groups: the team splits every k-qubit kernel's
+  // sweep. Each amplitude is written by one thread, so the team size may not
+  // change a bit.
+  Rng rng(0x7e4a);
+  const std::vector<std::size_t> targets = {9, 2, 14, 0, 6};
+  const std::size_t k = targets.size();
+  const std::size_t block = std::size_t{1} << k;
+  std::vector<cplx> dense(block * block);
+  for (cplx& e : dense) e = random_cplx(rng);
+  const std::vector<cplx> sparse = random_sparse_matrix(k, 2, rng);
+  std::vector<cplx> diag(block);
+  for (cplx& d : diag) d = random_cplx(rng);
+  const std::vector<cplx> initial = random_state(16, 0x7e16);
+  const auto apply = [&](kn::Isa isa, const char* kind, std::vector<cplx>& amps) {
+    const std::string name = kind;
+    if (name == "dense") {
+      kn::apply_kq_dense(isa, amps.data(), amps.size(), targets.data(), k, dense.data());
+    } else if (name == "sparse") {
+      kn::apply_kq_sparse(isa, amps.data(), amps.size(), targets.data(), k, sparse.data());
+    } else {
+      kn::apply_kq_diag(isa, amps.data(), amps.size(), targets.data(), k, diag.data());
+    }
+  };
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const kn::Isa isa : available_isas()) {
+    for (const char* kind : {"dense", "sparse", "diagonal"}) {
+      std::vector<cplx> team1 = initial;
+      std::vector<cplx> team4 = initial;
+#ifdef _OPENMP
+      omp_set_num_threads(1);
+#endif
+      apply(isa, kind, team1);
+#ifdef _OPENMP
+      omp_set_num_threads(4);
+#endif
+      apply(isa, kind, team4);
+      expect_same_bits(team1, team4, kind, isa);
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
 TEST(Kernels, KqDiagonalSweepIsBitIdenticalToGroupLoop) {
   // Lowest target 0 (runs of one amplitude), 1 and >= 2, k = 2-6; 16 qubits
   // with k = 2 crosses the parallel threshold.
@@ -425,11 +474,12 @@ std::vector<cplx> evolve_plan(const qutes::circ::QuantumCircuit& c, bool referen
   namespace circ = qutes::circ;
   const circ::FusionPlan plan = build_fusion_plan(c.instructions(), circ::FusionOptions{});
   qutes::sim::StateVector sv(c.num_qubits());
-  std::uint64_t scratch = 0;
-  Rng rng(0);
   for (const circ::FusedOp& op : plan.ops) {
     if (!op.fused) {
-      circ::apply_instruction(sv, c.instructions()[op.instruction], scratch, rng);
+      // Grover's closing measures are skipped: the check compares the state
+      // they would read.
+      const circ::Instruction& in = c.instructions()[op.instruction];
+      if (in.type != circ::GateType::Measure) circ::apply_gate(sv, in);
     } else if (!reference || op.qubits.size() == 1) {
       sv.apply_kq(op.matrix, op.qubits);
     } else {

@@ -23,6 +23,7 @@
 #include "qutes/service/protocol.hpp"
 #include "qutes/service/server.hpp"
 #include "qutes/service/service.hpp"
+#include "qutes/testing/differential.hpp"
 
 namespace {
 
@@ -88,10 +89,6 @@ TEST(CacheKey, SeedAndPerRequestKnobsDoNotChangeTheKey) {
   RunConfig memory = base;
   memory.record_memory = true;
   EXPECT_EQ(cache_key(source, memory), base_key);
-
-  RunConfig serial = base;
-  serial.backend.parallel_shots = false;
-  EXPECT_EQ(cache_key(source, serial), base_key);
 }
 
 TEST(CacheKey, CanonicalStringNamesEveryKeyedKnob) {
@@ -250,18 +247,15 @@ TEST(RunBatch, StatevectorFastPathBitIdenticalToSequential) {
 }
 
 TEST(RunBatch, BitIdenticalAcrossThreadCounts) {
-  // parallel_shots toggles the OpenMP split; counts must not move.
-  RunConfig parallel;
-  parallel.backend.parallel_shots = true;
-  RunConfig serial;
-  serial.backend.parallel_shots = false;
-  expect_batch_matches_sequential(dynamic_circuit(), parallel);
-  expect_batch_matches_sequential(dynamic_circuit(), serial);
+  // The OpenMP team splits the shots; counts must not move with its size.
+  const RunConfig config;
   const std::vector<circ::ShotBatchItem> items(3, circ::ShotBatchItem{11, 400, false});
-  const auto a = circ::Executor(parallel).run_batch(dynamic_circuit(), items);
-  const auto b = circ::Executor(serial).run_batch(dynamic_circuit(), items);
+  const auto [team1, team4] = qutes::testing::at_teams_1_and_4([&] {
+    expect_batch_matches_sequential(dynamic_circuit(), config);
+    return circ::Executor(config).run_batch(dynamic_circuit(), items);
+  });
   for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(a[i].counts, b[i].counts);
+    EXPECT_EQ(team1[i].counts, team4[i].counts);
   }
 }
 

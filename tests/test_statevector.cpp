@@ -214,30 +214,6 @@ TEST(StateVector, MeasurementStatistics) {
   EXPECT_NEAR(static_cast<double>(ones) / trials, 0.25, 0.02);
 }
 
-TEST(StateVector, SampleCountsSumToShots) {
-  StateVector sv(3);
-  for (std::size_t q = 0; q < 3; ++q) sv.apply_1q(H(), q);
-  Rng rng(11);
-  const Counts counts = sv.sample_counts(4096, rng);
-  std::uint64_t total = 0;
-  for (const auto& [key, n] : counts) {
-    EXPECT_EQ(key.size(), 3u);
-    total += n;
-  }
-  EXPECT_EQ(total, 4096u);
-  EXPECT_EQ(counts.size(), 8u);  // uniform over 8 states, 4096 shots
-}
-
-TEST(StateVector, SampleCountsSubsetOfQubits) {
-  StateVector sv(3);
-  sv.apply_1q(X(), 2);
-  Rng rng(13);
-  const std::size_t qubits[1] = {2};
-  const Counts counts = sv.sample_counts(100, rng, qubits);
-  ASSERT_EQ(counts.size(), 1u);
-  EXPECT_EQ(counts.begin()->first, "1");
-}
-
 TEST(StateVector, MeasureAllCollapsesToBasis) {
   Rng rng(3);
   StateVector sv(4);
