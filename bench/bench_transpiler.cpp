@@ -13,7 +13,7 @@
 #include "qutes/algorithms/grover.hpp"
 #include "qutes/algorithms/qft.hpp"
 #include "qutes/circuit/pass_manager.hpp"
-#include "qutes/circuit/routing.hpp"  // fuse_single_qubit_gates (not deprecated)
+#include "qutes/circuit/routing.hpp"  // fuse_single_qubit_gates
 #include "qutes/circuit/transpiler.hpp"
 
 namespace {

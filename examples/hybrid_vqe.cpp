@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "qutes/algorithms/qaoa.hpp"
 #include "qutes/algorithms/variational.hpp"
-#include "qutes/algorithms/vqe.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/common/rng.hpp"
 

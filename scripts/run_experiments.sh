@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Reproduce everything: configure, build, run the full test suite, and
-# regenerate every experiment table (E1..E10). Outputs land in
-# test_output.txt and bench_output.txt at the repository root, and the
-# machine-readable gate-fusion comparison in BENCH_fusion.json.
+# regenerate every experiment table (E1..E17, EXPERIMENTS.md). Outputs land
+# in test_output.txt and bench_output.txt at the repository root, and the
+# machine-readable records in the BENCH_*.json files listed at the end.
+#
+# Every bench binary runs with OMP_NUM_THREADS=1, the OpenMP team perfbench
+# and the perf smoke use, so each BENCH_*.json row means the same thing from
+# one regeneration to the next (the fused/unfused ratios move with the team).
 #
 # Pass --sanitizers to also run the quick differential smoke suite under
 # ASan and UBSan (scripts/check.sh --asan/--ubsan --quick); the verdicts
@@ -41,7 +45,7 @@ collect_stab_json() {
 }
 
 if [[ "$STABILIZER_ONLY" == 1 ]]; then
-  build/bench/bench_stabilizer 2>&1 | tee bench_stab_output.txt
+  OMP_NUM_THREADS=1 build/bench/bench_stabilizer 2>&1 | tee bench_stab_output.txt
   collect_stab_json bench_stab_output.txt
   echo "Done. See bench_stab_output.txt and BENCH_stab.json."
   exit 0
@@ -52,7 +56,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 : > bench_output.txt
 for b in build/bench/bench_*; do
   echo "===== $b =====" | tee -a bench_output.txt
-  "$b" 2>&1 | tee -a bench_output.txt
+  OMP_NUM_THREADS=1 "$b" 2>&1 | tee -a bench_output.txt
 done
 
 # Collect the BENCH_JSON lines (one object per fusion workload, emitted by

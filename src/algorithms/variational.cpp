@@ -1,12 +1,16 @@
 #include "qutes/algorithms/variational.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <string>
 
 #include "qutes/circuit/executor.hpp"
+#include "qutes/common/bitops.hpp"
 #include "qutes/common/error.hpp"
 #include "qutes/common/rng.hpp"
+#include "qutes/sim/observables.hpp"
 
 namespace qutes::algo {
 
@@ -66,7 +70,109 @@ void check_binding_size(const circ::QuantumCircuit& ansatz,
   }
 }
 
+/// Dense matrix of a Pauli string (MSB-first), as action on basis states:
+/// P|j> = phase * |j'>; accumulate coefficient * P into `matrix`.
+void accumulate_term(std::vector<sim::cplx>& matrix, std::uint64_t dim,
+                     const Hamiltonian::Term& term, std::size_t n) {
+  for (std::uint64_t j = 0; j < dim; ++j) {
+    std::uint64_t target = j;
+    sim::cplx phase{1.0, 0.0};
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t qubit = n - 1 - i;
+      const bool bit = test_bit(j, qubit);
+      switch (term.pauli[i]) {
+        case 'I': break;
+        case 'Z': if (bit) phase = -phase; break;
+        case 'X': target = flip_bit(target, qubit); break;
+        case 'Y':
+          target = flip_bit(target, qubit);
+          phase *= bit ? sim::cplx{0.0, -1.0} : sim::cplx{0.0, 1.0};
+          break;
+        default:
+          throw InvalidArgument("bad Pauli character in Hamiltonian term");
+      }
+    }
+    matrix[target + dim * j] += term.coefficient * phase;
+  }
+}
+
 }  // namespace
+
+double Hamiltonian::energy(const sim::StateVector& psi) const {
+  double total = 0.0;
+  for (const Term& term : terms) {
+    total += term.coefficient * sim::expectation_pauli(psi, term.pauli);
+  }
+  return total;
+}
+
+double Hamiltonian::exact_ground_energy(std::size_t num_qubits) const {
+  const std::uint64_t dim = dim_of(num_qubits);
+  if (dim > 256) throw InvalidArgument("exact diagonalization limited to 8 qubits");
+  std::vector<sim::cplx> h(dim * dim, sim::cplx{});
+  double bound = 0.0;
+  for (const Term& term : terms) {
+    if (term.pauli.size() != num_qubits) {
+      throw InvalidArgument("Hamiltonian term width mismatch");
+    }
+    accumulate_term(h, dim, term, num_qubits);
+    bound += std::abs(term.coefficient);
+  }
+
+  // Power iteration on (bound * I - H): its top eigenvalue is
+  // bound - lambda_min(H).
+  Rng rng(12345);
+  std::vector<sim::cplx> v(dim);
+  for (auto& x : v) x = sim::cplx{rng.uniform() - 0.5, rng.uniform() - 0.5};
+  const auto normalize = [&](std::vector<sim::cplx>& vec) {
+    double norm2 = 0.0;
+    for (const auto& x : vec) norm2 += std::norm(x);
+    const double inv = 1.0 / std::sqrt(norm2);
+    for (auto& x : vec) x *= inv;
+  };
+  normalize(v);
+
+  std::vector<sim::cplx> w(dim);
+  double eigen = 0.0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    for (std::uint64_t r = 0; r < dim; ++r) {
+      sim::cplx acc = bound * v[r];
+      for (std::uint64_t cidx = 0; cidx < dim; ++cidx) {
+        acc -= h[r + dim * cidx] * v[cidx];
+      }
+      w[r] = acc;
+    }
+    // Rayleigh quotient (v normalized, matrix Hermitian).
+    sim::cplx rq{};
+    for (std::uint64_t r = 0; r < dim; ++r) rq += std::conj(v[r]) * w[r];
+    const double next = rq.real();
+    v = w;
+    normalize(v);
+    if (iter > 10 && std::abs(next - eigen) < 1e-13) {
+      eigen = next;
+      break;
+    }
+    eigen = next;
+  }
+  return bound - eigen;
+}
+
+std::size_t MaxCutInstance::cut_value(std::uint64_t assignment) const {
+  std::size_t cut = 0;
+  for (const auto& [u, v] : edges) {
+    if (test_bit(assignment, u) != test_bit(assignment, v)) ++cut;
+  }
+  return cut;
+}
+
+std::size_t MaxCutInstance::max_cut_brute_force() const {
+  if (num_vertices > 20) throw InvalidArgument("brute force limited to 20 vertices");
+  std::size_t best = 0;
+  for (std::uint64_t a = 0; a < dim_of(num_vertices); ++a) {
+    best = std::max(best, cut_value(a));
+  }
+  return best;
+}
 
 double expectation(const circ::QuantumCircuit& ansatz,
                    const Hamiltonian& hamiltonian,
@@ -199,7 +305,7 @@ circ::QuantumCircuit build_qaoa_ansatz(const MaxCutInstance& instance,
     }
   }
   circ::QuantumCircuit circuit(instance.num_vertices);
-  // Declare in [gammas | betas] order so bindings line up with run_qaoa's
+  // Declare in [gammas | betas] order: a binding is one [gammas | betas]
   // angle vector.
   std::vector<circ::Param> gammas, betas;
   for (std::size_t l = 0; l < layers; ++l) {

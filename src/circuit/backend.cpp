@@ -666,7 +666,8 @@ std::vector<double> cumulative(const Values& values, Weight weight) {
 
 /// The sampler of the statevector and density: each shot draws a basis state
 /// from `cdf` by binary search, all from one Rng(seed) stream. With a readout
-/// error every clbit then draws its flip from that stream, in clbit order.
+/// error every clbit that a measure writes then draws its flip from that
+/// stream, in clbit order; an unwritten clbit reads 0.
 void sample_cdf(const std::vector<double>& cdf, const Wiring& wiring,
                 std::size_t num_clbits, const ShotBatchItem& item,
                 double readout_error, ExecutionResult& result) {
@@ -680,7 +681,7 @@ void sample_cdf(const std::vector<double>& cdf, const Wiring& wiring,
     if (basis >= cdf.size()) basis = cdf.size() - 1;
     std::string key = key_from_basis(basis, wire);
     for (std::size_t c = 0; readout_error > 0.0 && c < num_clbits; ++c) {
-      if (sim::draw_readout_flip(readout_error, rng)) {
+      if (wire[c] && sim::draw_readout_flip(readout_error, rng)) {
         char& bit = key[num_clbits - 1 - c];
         bit = bit == '1' ? '0' : '1';
       }
@@ -897,7 +898,6 @@ public:
     caps.fused_adjacent_only = true;
     caps.supports_noise = false;  // no trajectory channels on an MPS (yet)
     caps.max_qubits = 64;         // sampling packs outcomes into a uint64
-    caps.prefers_linear_layout = true;
     return caps;
   }
 

@@ -225,14 +225,42 @@ PreparedRun prepare_run(const QuantumCircuit& circuit, const RunConfig& config) 
   return prep;
 }
 
-}  // namespace
-
-ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
-  obs::Span run_span("executor.run");
+/// The counters every run entry point records, summed over its results:
+/// runs, shots (the total requested), trajectories, evolutions, and the
+/// fusion engine's blocks and fused gates.
+void record_run_metrics(std::span<const ExecutionResult> results,
+                        std::size_t shots) {
   static obs::Counter& runs_metric =
       obs::metrics().counter(obs::names::kExecutorRuns);
   static obs::Counter& shots_metric =
       obs::metrics().counter(obs::names::kExecutorShots);
+  static obs::Counter& trajectories_metric =
+      obs::metrics().counter(obs::names::kTrajectories);
+  static obs::Counter& evolutions_metric =
+      obs::metrics().counter(obs::names::kEvolutions);
+  static obs::Counter& fused_blocks_metric =
+      obs::metrics().counter(obs::names::kFusedBlocks);
+  static obs::Counter& fused_gates_metric =
+      obs::metrics().counter(obs::names::kFusedGates);
+  std::size_t trajectories = 0, evolutions = 0, fused_blocks = 0, fused_gates = 0;
+  for (const ExecutionResult& result : results) {
+    trajectories += result.trajectories;
+    evolutions += result.evolutions;
+    fused_blocks += result.fused_blocks;
+    fused_gates += result.fused_gates;
+  }
+  runs_metric.add(results.size());
+  shots_metric.add(shots);
+  trajectories_metric.add(trajectories);
+  evolutions_metric.add(evolutions);
+  fused_blocks_metric.add(fused_blocks);
+  fused_gates_metric.add(fused_gates);
+}
+
+}  // namespace
+
+ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
+  obs::Span run_span("executor.run");
   static obs::Gauge& shots_per_sec =
       obs::metrics().gauge(obs::names::kShotsPerSec);
 
@@ -252,35 +280,17 @@ ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
     prep.backend->execute(*prep.circ, config_, result);
   }
 
-  runs_metric.add(1);
-  shots_metric.add(config_.shots);
-  static obs::Counter& trajectories_metric =
-      obs::metrics().counter(obs::names::kTrajectories);
-  static obs::Counter& evolutions_metric =
-      obs::metrics().counter(obs::names::kEvolutions);
-  trajectories_metric.add(result.trajectories);
-  evolutions_metric.add(result.evolutions);
+  record_run_metrics({&result, 1}, config_.shots);
   const double elapsed_ms = run_span.elapsed_ms();
   if (obs::metrics_enabled() && elapsed_ms > 0.0) {
     shots_per_sec.set(static_cast<double>(config_.shots) * 1e3 / elapsed_ms);
   }
-  static obs::Counter& fused_blocks_metric =
-      obs::metrics().counter(obs::names::kFusedBlocks);
-  static obs::Counter& fused_gates_metric =
-      obs::metrics().counter(obs::names::kFusedGates);
-  fused_blocks_metric.add(result.fused_blocks);
-  fused_gates_metric.add(result.fused_gates);
   return result;
 }
 
 std::vector<ExecutionResult> Executor::run_batch(
     const QuantumCircuit& circuit, std::span<const ShotBatchItem> items) const {
   obs::Span run_span("executor.run_batch");
-  static obs::Counter& runs_metric =
-      obs::metrics().counter(obs::names::kExecutorRuns);
-  static obs::Counter& shots_metric =
-      obs::metrics().counter(obs::names::kExecutorShots);
-
   config_.validate();
   if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
   reject_unbound(circuit, "run_batch");
@@ -299,32 +309,15 @@ std::vector<ExecutionResult> Executor::run_batch(
     prep.backend->execute_batch(*prep.circ, config_, items, results);
   }
 
-  runs_metric.add(items.size());
   std::size_t total_shots = 0;
-  std::size_t total_trajectories = 0;
-  std::size_t total_evolutions = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    total_shots += items[i].shots;
-    total_trajectories += results[i].trajectories;
-    total_evolutions += results[i].evolutions;
-  }
-  shots_metric.add(total_shots);
-  static obs::Counter& trajectories_metric =
-      obs::metrics().counter(obs::names::kTrajectories);
-  static obs::Counter& evolutions_metric =
-      obs::metrics().counter(obs::names::kEvolutions);
-  trajectories_metric.add(total_trajectories);
-  evolutions_metric.add(total_evolutions);
+  for (const ShotBatchItem& item : items) total_shots += item.shots;
+  record_run_metrics(results, total_shots);
   return results;
 }
 
 std::vector<ExecutionResult> Executor::run_bound_batch(
     const QuantumCircuit& circuit, std::span<const BindBatchItem> items) const {
   obs::Span run_span("executor.run_bound_batch");
-  static obs::Counter& runs_metric =
-      obs::metrics().counter(obs::names::kExecutorRuns);
-  static obs::Counter& shots_metric =
-      obs::metrics().counter(obs::names::kExecutorShots);
   static obs::Counter& binds_metric =
       obs::metrics().counter(obs::names::kExecutorBinds);
   static obs::Counter& batches_metric =
@@ -345,8 +338,6 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
 
   std::vector<ExecutionResult> results(items.size());
   std::size_t total_shots = 0;
-  std::size_t total_trajectories = 0;
-  std::size_t total_evolutions = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const QuantumCircuit bound = prep.circ->bind(items[i].params);
     RunConfig item_config = config_;
@@ -361,19 +352,10 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
       prep.backend->execute(bound, item_config, result);
     }
     total_shots += items[i].shots;
-    total_trajectories += result.trajectories;
-    total_evolutions += result.evolutions;
   }
 
-  runs_metric.add(items.size());
   binds_metric.add(items.size());
-  shots_metric.add(total_shots);
-  static obs::Counter& trajectories_metric =
-      obs::metrics().counter(obs::names::kTrajectories);
-  static obs::Counter& evolutions_metric =
-      obs::metrics().counter(obs::names::kEvolutions);
-  trajectories_metric.add(total_trajectories);
-  evolutions_metric.add(total_evolutions);
+  record_run_metrics(results, total_shots);
   return results;
 }
 

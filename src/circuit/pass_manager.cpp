@@ -667,7 +667,7 @@ void Route::run(QuantumCircuit& circuit, PropertySet& properties) {
     // adjacency — remap their qubits through the live layout and move on.
     // Only unitary gates on 3+ wires are unroutable.
     if (src.qubits.size() > 2 && is_unitary_gate(src.type)) {
-      throw CircuitError(std::string("route_linear: lower ") + gate_name(src.type) +
+      throw CircuitError(std::string("route: lower ") + gate_name(src.type) +
                          " to <= 2-qubit gates first");
     }
     if (src.qubits.size() == 2 && is_unitary_gate(src.type)) {
@@ -703,12 +703,6 @@ void Route::run(QuantumCircuit& circuit, PropertySet& properties) {
   properties.final_layout = l2p;
   properties.swaps_inserted += swaps;
   circuit = std::move(out);
-}
-
-std::string FuseGates::name() const { return "fuse-gates"; }
-
-void FuseGates::run(QuantumCircuit& circuit, PropertySet& properties) {
-  properties.fusion_plan = build_fusion_plan(circuit.instructions(), options_);
 }
 
 // ---- presets ---------------------------------------------------------------

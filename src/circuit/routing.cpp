@@ -1,8 +1,6 @@
-// 1q-unitary utilities plus the legacy hardware-aware entry points.
-// fuse_single_qubit_gates() and route_linear() are thin wrappers over
-// one-pass PassManagers (see circuit/pass_manager.cpp for the transforms);
-// the ZYZ decomposition and gate-matrix lookup stay here as shared
-// utilities.
+// 1q-unitary utilities: the ZYZ decomposition and gate-matrix lookup shared
+// by the passes, and fuse_single_qubit_gates(), a one-pass PassManager (see
+// circuit/pass_manager.cpp for the transform).
 #include "qutes/circuit/routing.hpp"
 
 #include <cmath>
@@ -64,17 +62,6 @@ QuantumCircuit fuse_single_qubit_gates(const QuantumCircuit& circuit) {
   PassManager pm;
   pm.emplace<FuseSingleQubitGates>();
   return pm.run(circuit);
-}
-
-RoutingResult route_linear(const QuantumCircuit& circuit, bool restore_layout) {
-  PassManager pm;
-  pm.emplace<Route>(CouplingMap::line(), restore_layout);
-  PropertySet properties;
-  RoutingResult result;
-  result.circuit = pm.run(circuit, properties);
-  result.final_layout = std::move(properties.final_layout);
-  result.swaps_inserted = properties.swaps_inserted;
-  return result;
 }
 
 }  // namespace qutes::circ

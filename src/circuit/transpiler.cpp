@@ -1,6 +1,6 @@
-// Legacy transpiler entry points, kept for source compatibility. Each free
-// function is a thin wrapper over a one-pass (or preset) PassManager — the
-// transform implementations live in circuit/pass_manager.cpp.
+// One-pass helpers (the QASM and Qiskit exporters lower through
+// decompose_multicontrolled). Each free function runs a one-pass PassManager;
+// the transforms live in circuit/pass_manager.cpp.
 #include "qutes/circuit/transpiler.hpp"
 
 #include "qutes/circuit/pass_manager.hpp"
@@ -22,19 +22,6 @@ QuantumCircuit decompose_to_basis(const QuantumCircuit& circuit) {
 QuantumCircuit optimize(const QuantumCircuit& circuit, int max_passes) {
   PassManager pm;
   pm.emplace<Optimize>(max_passes);
-  return pm.run(circuit);
-}
-
-QuantumCircuit transpile(const QuantumCircuit& circuit, const TranspileOptions& options) {
-  PassManager pm;
-  if (options.to_basis) {
-    pm.emplace<DecomposeToBasis>();
-  } else if (options.lower_multicontrolled) {
-    pm.emplace<DecomposeMulticontrolled>();
-  }
-  if (options.optimization_level > 0) {
-    pm.emplace<Optimize>();
-  }
   return pm.run(circuit);
 }
 

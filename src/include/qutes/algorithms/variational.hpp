@@ -1,5 +1,7 @@
 // Unified variational driver — the hybrid quantum-classical loop behind VQE
-// and QAOA, rebuilt on symbolic circuit parameters (circ::Param).
+// and QAOA, the workflows the paper's introduction motivates ("hybrid
+// workflows in fields like machine learning", combinatorial optimization),
+// built on symbolic circuit parameters (circ::Param).
 //
 // The problem is stated once as an *unbound* ansatz plus an observable; the
 // optimizer never rebuilds the circuit. Each objective evaluation is a cheap
@@ -7,19 +9,51 @@
 // supplied, runs exactly once on the symbolic circuit — symbolic angles
 // survive every pass), and gradients come from the exact two-term
 // parameter-shift rule rather than finite differences. This mirrors the
-// qutesd service path, where a VQE sweep is one compile and N binds.
+// qutesd service path, where a VQE sweep is one compile and N binds. A
+// concrete circuit is one `QuantumCircuit::bind()` away from an ansatz.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "qutes/algorithms/qaoa.hpp"
-#include "qutes/algorithms/vqe.hpp"
 #include "qutes/circuit/circuit.hpp"
 #include "qutes/circuit/pass_manager.hpp"
+#include "qutes/sim/statevector.hpp"
 
 namespace qutes::algo {
+
+/// Observable: sum_k coefficient_k * PauliString_k (strings MSB-first, one
+/// character per qubit, over {I, X, Y, Z}).
+struct Hamiltonian {
+  struct Term {
+    double coefficient = 0.0;
+    std::string pauli;
+  };
+  std::vector<Term> terms;
+
+  /// <psi| H |psi>.
+  [[nodiscard]] double energy(const sim::StateVector& psi) const;
+
+  /// Exact ground-state energy by dense diagonalization (power iteration on
+  /// a shifted matrix); intended for validation at small n.
+  [[nodiscard]] double exact_ground_energy(std::size_t num_qubits) const;
+};
+
+/// A MaxCut problem graph (QAOA's workload).
+struct MaxCutInstance {
+  std::size_t num_vertices = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+
+  /// Number of cut edges for an assignment (bit v = side of vertex v).
+  [[nodiscard]] std::size_t cut_value(std::uint64_t assignment) const;
+
+  /// Exhaustive optimum (instances here are small).
+  [[nodiscard]] std::size_t max_cut_brute_force() const;
+};
 
 /// A variational optimization problem: minimize (or maximize)
 /// <psi(theta)| H |psi(theta)> over the ansatz parameters.
@@ -82,17 +116,16 @@ struct MinimizeResult {
 
 // ---- symbolic ansatz builders ----------------------------------------------
 
-/// Hardware-efficient RY ansatz as an *unbound* circuit: parameters
-/// t0..t{n*(layers+1)-1} in the same order the concrete build_ry_ansatz
-/// overload consumes them.
+/// Hardware-efficient RY ansatz as an *unbound* circuit: `layers`
+/// repetitions of per-qubit RY rotations followed by a CX entangling ladder,
+/// then one final RY layer. Parameters t0..t{n*(layers+1)-1}, layer by layer.
 [[nodiscard]] circ::QuantumCircuit build_ry_ansatz(std::size_t num_qubits,
                                                    std::size_t layers);
 
-/// The p-layer QAOA MaxCut circuit as an *unbound* circuit: parameters
-/// g0..g{p-1} then b0..b{p-1} in the [gammas | betas] layout of run_qaoa.
-/// Note b{l} is the raw RX mixer angle (2*beta of the concrete
-/// build_qaoa_circuit overload) — a symbolic angle cannot carry the 2x
-/// arithmetic.
+/// The p-layer QAOA MaxCut circuit as an *unbound* circuit: H^n, then per
+/// layer exp(-i gamma C) as CX-RZ-CX per edge and the mixer as RX per
+/// vertex. Parameters g0..g{p-1} then b0..b{p-1} ([gammas | betas]); b{l} is
+/// the raw RX mixer angle, i.e. 2*beta in the exp(-i beta B) convention.
 [[nodiscard]] circ::QuantumCircuit build_qaoa_ansatz(
     const MaxCutInstance& instance, std::size_t layers);
 

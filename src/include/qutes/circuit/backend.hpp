@@ -51,10 +51,6 @@ struct BackendCapabilities {
   bool supports_noise = true;
   /// Hard qubit-count ceiling (0 = no backend-specific ceiling).
   std::size_t max_qubits = 0;
-  /// Performs best when 2q gates touch neighboring wires — pair with the
-  /// `hardware` pipeline preset (linear-topology routing) to feed it that
-  /// layout.
-  bool prefers_linear_layout = false;
   /// Gate mnemonics (gate_name() spellings) the backend implements; empty =
   /// the full gate set. When non-empty the executor rejects every other
   /// unitary gate by name before execution — the stabilizer backend lists

@@ -43,14 +43,6 @@
 
 namespace qutes::circ {
 
-/// Deprecated aliases for the pre-RunConfig spelling. Note the fields moved:
-/// `backend`/`max_fused_qubits`/`max_bond_dim`/
-/// `truncation_threshold`/`noise` now live under `RunConfig::backend`
-/// (as `backend.name`, ...), and `pipeline` under `RunConfig::pipeline`
-/// (as `pipeline.manager`).
-using ExecutionOptions [[deprecated("use qutes::RunConfig")]] = qutes::RunConfig;
-using ExecutorOptions [[deprecated("use qutes::RunConfig")]] = qutes::RunConfig;
-
 struct ExecutionResult {
   /// Histogram over classical registers, MSB-first (clbit N-1 leftmost).
   sim::Counts counts;

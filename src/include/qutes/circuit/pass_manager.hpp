@@ -1,22 +1,20 @@
 // Unified compilation pipeline: Pass / PropertySet / PassManager.
 //
-// The paper outsources its whole lowering story to qiskit.transpile(); our
-// replacement used to be a pile of disconnected entry points (transpile()
-// free functions, route_linear(), the executor's inline fusion). This header
-// gives them one architecture, modeled on Qiskit's PassManager and on the
-// pass pipelines argued for by XACC and Bettelli et al.:
+// The paper outsources its whole lowering story to qiskit.transpile(); this
+// header is our one architecture for it, modeled on Qiskit's PassManager and
+// on the pass pipelines argued for by XACC and Bettelli et al.:
 //
 //  * Pass      — a named IR transformation run(QuantumCircuit&, PropertySet&);
 //  * PropertySet — analysis state shared across passes and with the runtime
-//    (coupling map, final qubit layout, fusion plan, per-pass metrics);
+//    (coupling map, final qubit layout, per-pass metrics);
 //  * PassManager — an ordered pass list; running it instruments every pass
 //    with wall time and depth/size/2q-gate deltas.
 //
-// Concrete passes migrate every pre-existing transform: multi-controlled
-// lowering, basis lowering, the peephole fixpoint, 1q-run fusion, linear
-// routing, and the runtime gate-fusion planner. The legacy free functions in
-// transpiler.hpp / routing.hpp are thin wrappers over one-pass managers, and
-// the Executor consumes a pre-run pipeline instead of fusing inline.
+// Concrete passes: multi-controlled lowering, basis lowering, the peephole
+// fixpoint, commutation-aware reordering, 1q-run fusion, and linear routing.
+// The Executor runs a caller's pipeline before hand-off to the backend;
+// runtime gate fusion is not a pass — each backend plans it itself
+// (fusion.hpp), clamped to its capabilities.
 #pragma once
 
 #include <memory>
@@ -27,13 +25,12 @@
 #include <vector>
 
 #include "qutes/circuit/circuit.hpp"
-#include "qutes/circuit/fusion.hpp"
 
 namespace qutes::circ {
 
 /// Target connectivity for routing passes. Full means all-to-all (no routing
-/// needed); Line is the linear-nearest-neighbor chain 0-1-...-n-1 that
-/// route_linear supports. Richer graphs plug in here later without touching
+/// needed); Line is the linear-nearest-neighbor chain 0-1-...-n-1 that the
+/// Route pass supports. Richer graphs plug in here later without touching
 /// the Pass interface.
 struct CouplingMap {
   enum class Topology { Full, Line };
@@ -73,10 +70,6 @@ struct PropertySet {
   /// pass restored the layout with trailing SWAPs.
   std::vector<std::size_t> final_layout;
   std::size_t swaps_inserted = 0;
-  /// Runtime gate-fusion plan produced by FuseGates, for callers that replay
-  /// a pipeline's output themselves. Executor backends do not read it: they
-  /// plan fusion directly, clamped to their capabilities.
-  std::optional<FusionPlan> fusion_plan;
   /// One entry per executed pass, in order.
   std::vector<PassStats> stats;
 
@@ -197,27 +190,11 @@ private:
   bool restore_layout_;
 };
 
-/// Runtime gate-fusion planner (lifted out of the executor): builds the
-/// greedy disjoint-block FusionPlan over the circuit's instruction list and
-/// stores it in the PropertySet. The circuit itself is left untouched — the
-/// plan references instruction indices, so this must be the last pass of a
-/// pipeline whose output the executor replays.
-class FuseGates final : public Pass {
-public:
-  explicit FuseGates(FusionOptions options = {}) : options_(std::move(options)) {}
-  [[nodiscard]] std::string name() const override;
-  void run(QuantumCircuit& circuit, PropertySet& properties) override;
-
-private:
-  FusionOptions options_;
-};
-
 // ---- pipeline presets ------------------------------------------------------
 
 /// Named pipelines mirroring qiskit.transpile(optimization_level=...):
 ///  * O0       — multi-controlled lowering only (execution-legal, unoptimized);
-///  * O1       — O0 + commutation-aware reordering + peephole fixpoint (a
-///               superset of the legacy transpile() default);
+///  * O1       — O0 + commutation-aware reordering + peephole fixpoint;
 ///  * Basis    — {u, cx} lowering + 1q-run fusion + peephole;
 ///  * Hardware — Basis, then routing to the coupling map, then re-lowering
 ///               the inserted SWAPs and a final peephole.

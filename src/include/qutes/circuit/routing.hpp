@@ -1,28 +1,14 @@
-// Hardware-aware passes: single-qubit gate fusion and routing to a
-// linear-nearest-neighbor coupling map.
+// Single-qubit gate utilities behind the FuseSingleQubitGates pass
+// (pass_manager.hpp): the ZYZ decomposition and the 2x2 matrix of a 1-qubit
+// instruction, plus fuse_single_qubit_gates, a one-pass PassManager over
+// that pass that collapses maximal runs of adjacent 1-qubit unitaries on one
+// wire into a single U(theta, phi, lambda) (global phase tracked in the
+// circuit).
 //
-// The paper claims Qutes inherits "hardware-agnostic capabilities" from its
-// backend; these passes are the backend half of that story — the step
-// between the abstract circuit the compiler emits and what a
-// restricted-connectivity device can execute.
-//
-//  * fuse_single_qubit_gates: collapse maximal runs of adjacent 1-qubit
-//    unitaries on one wire into a single U(theta, phi, lambda) (ZYZ
-//    decomposition, global phase tracked in the circuit).
-//  * route_linear: insert SWAPs so every 2-qubit gate acts on adjacent
-//    qubits of a line 0-1-2-...-n-1. Input must already be lowered to at
-//    most 2-qubit gates (run decompose_to_basis or decompose_multicontrolled
-//    + CCX lowering first). With restore_layout, trailing SWAPs undo the
-//    permutation so the routed circuit is semantically identical.
-//
-// Both entry points are thin wrappers over one-pass PassManagers
-// (FuseSingleQubitGates / Route in pass_manager.hpp); use that API to
-// compose them with other passes or read the final layout from a
-// PropertySet.
+// Routing to a linear-nearest-neighbor line, the step between the abstract
+// circuit and a restricted-connectivity device, is the Route pass; it
+// threads final_layout and swaps_inserted through a PropertySet.
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 #include "qutes/circuit/circuit.hpp"
 #include "qutes/sim/matrix.hpp"
@@ -47,22 +33,5 @@ struct EulerAngles {
 /// gate (identity runs vanish entirely). Barriers, measurements, resets,
 /// conditions, and multi-qubit gates break runs.
 [[nodiscard]] QuantumCircuit fuse_single_qubit_gates(const QuantumCircuit& circuit);
-
-struct RoutingResult {
-  QuantumCircuit circuit;
-  /// final_layout[logical] = physical wire holding that logical qubit at the
-  /// end (identity when restore_layout was requested).
-  std::vector<std::size_t> final_layout;
-  std::size_t swaps_inserted = 0;
-};
-
-/// Route onto the line topology. Throws CircuitError if the input still has
-/// gates on 3+ qubits.
-/// Deprecated: use a PassManager with the Route pass (or the Hardware
-/// preset, pass_manager.hpp), which threads final_layout/swaps_inserted
-/// through a PropertySet alongside per-pass instrumentation.
-[[deprecated("use PassManager + Route (or make_pipeline(Preset::Hardware))")]]
-[[nodiscard]] RoutingResult route_linear(const QuantumCircuit& circuit,
-                                         bool restore_layout = true);
 
 }  // namespace qutes::circ

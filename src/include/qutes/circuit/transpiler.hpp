@@ -10,21 +10,14 @@
 //  * optimize — peephole passes: cancel adjacent self-inverse pairs, fuse
 //    consecutive phase rotations on one qubit, drop identity rotations.
 //
-// Passes are pure functions circuit -> circuit; composition order is up to
-// the caller (transpile() runs the standard pipeline). Every function here
-// is a thin wrapper over a one-pass PassManager (see pass_manager.hpp) —
-// compose, reorder, or instrument the underlying passes through that API.
+// Passes are pure functions circuit -> circuit. Each is a one-pass
+// PassManager (see pass_manager.hpp); compose, reorder, or instrument the
+// passes through that API, whose presets are the standard pipelines.
 #pragma once
 
 #include "qutes/circuit/circuit.hpp"
 
 namespace qutes::circ {
-
-struct TranspileOptions {
-  bool lower_multicontrolled = true;
-  bool to_basis = false;
-  int optimization_level = 1;  // 0 = none, 1 = peephole to fixpoint
-};
 
 /// Lower MCX/MCZ/MCP/CSWAP to {1q gates, CX, CCX, CP}. Gates with >= 3
 /// controls use a V-chain over a shared clean ancilla register appended to
@@ -37,15 +30,5 @@ struct TranspileOptions {
 
 /// Peephole optimizer. Runs to fixpoint (bounded by `max_passes`).
 [[nodiscard]] QuantumCircuit optimize(const QuantumCircuit& circuit, int max_passes = 8);
-
-/// Standard pipeline: lowerings per options, then optimization.
-/// Deprecated: compose the equivalent pipeline through PassManager presets —
-/// make_pipeline(Preset::O1) subsumes the default options (it additionally
-/// runs ReorderCommuting before the peephole), Preset::Basis the to_basis
-/// variant (pass_manager.hpp) — which adds per-pass instrumentation and a
-/// PropertySet the free function cannot return.
-[[deprecated("use make_pipeline(Preset::O1) / make_pipeline(Preset::Basis)")]]
-[[nodiscard]] QuantumCircuit transpile(const QuantumCircuit& circuit,
-                                       const TranspileOptions& options = {});
 
 }  // namespace qutes::circ

@@ -15,7 +15,7 @@
 //    serves every seed), `record_memory` (response shape, not compiled
 //    content), `bind_params`/`allow_unbound_params` (a cached entry is the *unbound*
 //    artifact; every parameter binding replays against it, so values must
-//    never cause a miss), and the echo/trace/replay/obs plumbing (per-call
+//    never cause a miss), and the echo/debug-trace/replay plumbing (per-call
 //    I/O, not program identity).
 //  * cache_key    — fnv1a64 over source + '\0' + canonical_run_config.
 //

@@ -14,8 +14,8 @@
 //
 // Options live in qutes::RunConfig (run_config.hpp) — the same struct the
 // Executor and the CLI consume. The front-end-specific fields are `echo`,
-// `debug_trace` (the statement-level trace, formerly RunOptions::trace),
-// `include_stdlib`, and `replay_shots`; the backend/pipeline sub-structs
+// `debug_trace` (the statement-level trace), `include_stdlib`, `exec_mode`,
+// `replay_shots` and the parameter bindings; the backend/pipeline sub-structs
 // configure the post-run replay experiment.
 #pragma once
 
@@ -33,12 +33,6 @@
 #include "qutes/run_config.hpp"
 
 namespace qutes::lang {
-
-/// Deprecated alias for the pre-RunConfig spelling. Fields moved: `trace`
-/// is now `debug_trace`, and `backend`/`max_bond_dim`/`truncation_threshold`
-/// live under `RunConfig::backend` (as `backend.name`, ...); `pipeline` is
-/// `pipeline.manager`.
-using RunOptions [[deprecated("use qutes::RunConfig")]] = qutes::RunConfig;
 
 struct RunResult {
   std::string output;             ///< everything `print` produced

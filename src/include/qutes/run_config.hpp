@@ -1,26 +1,18 @@
 // qutes::RunConfig — the one run-options struct for the whole stack.
 //
-// Before this header, options lived in two overlapping structs with fuzzy
-// ownership: `lang::RunOptions` (seed/echo/backend/bond-dim for the language
-// front end) and `circ::ExecutionOptions` (the same backend knobs again, plus
-// shots/noise/fusion for the executor), each validated in its own layer with
-// its own error type. RunConfig collapses them: the compiler facade, the
-// executor, every Backend, and the CLI all consume this struct end-to-end,
-// and `validate()` is the single validation point (throws CircuitError; the
-// language layer re-wraps into LangError so CLI diagnostics keep their
-// source-located shape).
+// The compiler facade, the executor, every Backend, and the CLI consume this
+// struct end-to-end, and `validate()` is the single validation point (throws
+// CircuitError; the language layer re-wraps into LangError so CLI
+// diagnostics keep their source-located shape).
 //
 // Layout: run-identity knobs (shots/seed/...) at top level, subsystem knobs
 // grouped in sub-structs —
 //   * pipeline — the optional compilation PassManager,
 //   * backend  — which simulation method and its tuning (fusion width,
-//                bond dim, noise model),
-//   * obs      — observability switches (tracing/metrics + export paths,
-//                see qutes/obs/obs.hpp).
-//
-// The old names survive one release as deprecated aliases
-// (`circ::ExecutionOptions`, `circ::ExecutorOptions`, `lang::RunOptions`);
-// field spellings moved where noted on each member.
+//                bond dim, noise model).
+// Observability switches (tracing/metrics, qutes/obs/obs.hpp) are process
+// state, not run options: whoever owns the run boundary (the CLI, qutesd, a
+// test) turns them on and writes the exports.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +52,6 @@ struct PipelineConfig {
   /// over the circuit before execution. Not owned; must outlive the run.
   /// Per-pass instrumentation lands in ExecutionResult::pass_stats (and in
   /// the obs layer's pipeline.* metrics / pass.* spans).
-  /// Was `ExecutionOptions::pipeline` / `RunOptions::pipeline`.
   const circ::PassManager* manager = nullptr;
 };
 
@@ -73,12 +64,12 @@ struct BackendConfig {
   /// thousands of qubits). "auto" defers the choice to the executor, which
   /// picks stabilizer for noiseless all-Clifford circuits and statevector
   /// otherwise. Unknown names fail validate() with a CircuitError listing
-  /// the registry. Was the flat `backend` string.
+  /// the registry.
   std::string name = "statevector";
   /// Widest runtime-fused block; 1 disables gate fusion (gate-at-a-time
   /// execution). Clamped to sim::MatrixN::kMaxQubits and to the backend's
   /// own capability cap. 5 matches the vectorized kernels' sweet spot (see
-  /// FusionOptions). Was `ExecutionOptions::max_fused_qubits`.
+  /// FusionOptions).
   std::size_t max_fused_qubits = 5;
   /// MPS bond-dimension cap (must be >= 1; only the mps backend reads it).
   /// Exact simulation needs up to 2^(n/2), so a finite cap trades fidelity
@@ -87,19 +78,8 @@ struct BackendConfig {
   /// MPS relative SVD truncation threshold (see sim::MpsOptions).
   double truncation_threshold = 1e-12;
   /// Noise model applied by the backend (trajectory sampling on the
-  /// statevector method, closed-form channels on density). Was the flat
-  /// `ExecutionOptions::noise`.
+  /// statevector method, closed-form channels on density).
   sim::NoiseModel noise;
-};
-
-/// Observability switches (qutes/obs/obs.hpp). The consumer that owns the
-/// run boundary (the CLI, or a test harness) applies these: enables
-/// tracing/metrics before the run and writes the exports after it.
-struct ObsConfig {
-  bool trace = false;            ///< record spans (--trace)
-  bool metrics = false;          ///< record metric instruments (--metrics)
-  std::string trace_path;        ///< Chrome-trace JSON destination ("" = none)
-  std::string metrics_json_path; ///< metrics JSON destination ("" = none)
 };
 
 struct RunConfig {
@@ -111,8 +91,7 @@ struct RunConfig {
   bool record_memory = false;
   /// Language front end: mirror `print` output here (e.g. &std::cout).
   std::ostream* echo = nullptr;
-  /// Language front end: statement-level debug trace destination. Was
-  /// `RunOptions::trace` (renamed: `obs.trace` now means span tracing).
+  /// Language front end: statement-level debug trace destination.
   std::ostream* debug_trace = nullptr;
   /// Language front end: load the Qutes standard library first.
   bool include_stdlib = true;
@@ -140,7 +119,6 @@ struct RunConfig {
 
   PipelineConfig pipeline = {};
   BackendConfig backend = {};
-  ObsConfig obs = {};
 
   /// The single validation point: checks the backend name against the
   /// registry and the numeric knobs' ranges. Throws CircuitError with the

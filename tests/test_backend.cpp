@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -250,14 +251,34 @@ TEST(BackendSemantics, DensityMatchesTrajectoryAverageUnderNoise) {
   options.shots = 20000;
   options.backend.noise.depolarizing_1q = 0.05;
   options.backend.noise.depolarizing_2q = 0.08;
-  options.backend.name = "density";
-  const sim::Counts exact = circ::Executor(options).run(c).counts;
-  options.backend.name = "statevector";
-  const sim::Counts sampled = circ::Executor(options).run(c).counts;
+  const auto exact_vs_sampled = [&](const circ::QuantumCircuit& circuit) {
+    options.backend.name = "density";
+    const sim::Counts exact = circ::Executor(options).run(circuit).counts;
+    options.backend.name = "statevector";
+    const sim::Counts sampled = circ::Executor(options).run(circuit).counts;
+    return std::pair{exact, sampled};
+  };
+  const auto tvd_of = [](const sim::Counts& a, const sim::Counts& b) {
+    return qt::total_variation_distance(qt::counts_to_distribution(a),
+                                        qt::counts_to_distribution(b));
+  };
 
-  const double tvd = qt::total_variation_distance(
-      qt::counts_to_distribution(exact), qt::counts_to_distribution(sampled));
+  const auto [exact, sampled] = exact_vs_sampled(c);
+  const double tvd = tvd_of(exact, sampled);
   EXPECT_LT(tvd, 0.03) << "exact-channel vs trajectory TVD=" << tvd;
+
+  // A readout error flips only the clbits a measure writes: c1 is never
+  // written, so it reads 0 on both backends.
+  circ::QuantumCircuit partial(2, 3);
+  partial.h(0).cx(0, 1);
+  partial.measure(0, 0).measure(1, 2);
+  options.backend.noise.readout_error = 0.1;
+  const auto [exact_ro, sampled_ro] = exact_vs_sampled(partial);
+  for (const auto& [bits, count] : exact_ro) {
+    EXPECT_EQ(bits[1], '0') << "density flipped the unwritten c1 in " << bits;
+  }
+  const double tvd_ro = tvd_of(exact_ro, sampled_ro);
+  EXPECT_LT(tvd_ro, 0.03) << "readout: exact-channel vs trajectory TVD=" << tvd_ro;
 }
 
 TEST(BackendSemantics, DensityAppliesReadoutError) {
@@ -588,9 +609,9 @@ circ::QuantumCircuit rotations_with_toffoli() {
 TEST(StaticPath, PerShotOutcomesArePinned) {
   // Recorded from the per-backend static paths (24 shots, seed 77): the
   // statevector and density draw every shot from one Rng(seed) stream (density
-  // then draws a readout flip for every clbit, in clbit order), the MPS and
-  // the tableau give shot s its own Rng(seed, s). No shot may move at any
-  // OpenMP team size.
+  // then draws a readout flip for every clbit a measure writes, in clbit
+  // order), the MPS and the tableau give shot s its own Rng(seed, s). No shot
+  // may move at any OpenMP team size.
   sim::NoiseModel noise;
   noise.depolarizing_1q = 0.08;
   noise.depolarizing_2q = 0.12;
@@ -613,8 +634,8 @@ TEST(StaticPath, PerShotOutcomesArePinned) {
        "0001 0101 0100 0001 0101 0001 0101 0101 0101 0100 0000 0101 "
        "0000 0000 0101 0001 0000 0101 0101 0101 0000 0101 0101 0101"},
       {"noisy_rotations", {"density"}, rotations_with_toffoli(), noise,
-       "0100 0001 0001 0100 0100 0000 1111 0000 1001 0010 0010 0001 "
-       "0101 0000 0110 0101 0001 0010 0000 0001 0001 0111 0011 0000"},
+       "0100 0101 0000 0100 0001 0100 0000 0000 0000 0001 0001 0100 "
+       "0100 0101 0100 0100 0100 0101 0000 0000 0101 0000 0001 0100"},
   };
 
 #ifdef _OPENMP

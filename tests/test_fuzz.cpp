@@ -13,7 +13,7 @@
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/pass_manager.hpp"
 #include "qutes/circuit/qasm.hpp"
-#include "qutes/circuit/routing.hpp"  // fuse_single_qubit_gates (not deprecated)
+#include "qutes/circuit/routing.hpp"  // fuse_single_qubit_gates
 #include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/rng.hpp"
 #include "qutes/lang/compiler.hpp"

@@ -1,7 +1,8 @@
 // Observability tests: span recording and nesting (including the OpenMP
 // shot loop), disabled-mode inertness, Chrome-trace / metrics JSON schema,
 // counter determinism across identical runs, counters matching actual
-// instruction counts, and RunConfig validation.
+// instruction counts and fused blocks on every run entry point, and
+// RunConfig validation.
 
 #include <gtest/gtest.h>
 
@@ -308,6 +309,37 @@ TEST_F(MetricsTest, ExecutorCountersAreDeterministicAcrossRuns) {
   EXPECT_EQ(first.counters, second.counters);
   ASSERT_TRUE(first.counters.count("executor.shots"));
   EXPECT_EQ(first.counters.at("executor.shots"), 128u);
+}
+
+TEST_F(MetricsTest, FusionCountersCoverBatchedAndBoundRuns) {
+  // qutesd sends batched requests through run_batch and bound ones through
+  // run_bound_batch: both count fused blocks and gates as run does.
+  obs::set_metrics_enabled(true);
+  circ::QuantumCircuit ansatz(6, 6);
+  const circ::Param theta = ansatz.parameter("theta");
+  for (std::size_t q = 0; q < 6; ++q) ansatz.h(q).ry(theta, q);
+  for (std::size_t q = 0; q + 1 < 6; ++q) ansatz.cx(q, q + 1);
+  ansatz.measure_all();
+
+  const auto expect_fusion_counted = [](const std::vector<circ::ExecutionResult>& results) {
+    std::uint64_t blocks = 0, gates = 0;
+    for (const circ::ExecutionResult& result : results) {
+      blocks += result.fused_blocks;
+      gates += result.fused_gates;
+    }
+    EXPECT_GT(blocks, 0u);
+    const auto snap = obs::metrics().snapshot();
+    EXPECT_EQ(snap.counters.at("fusion.blocks"), blocks);
+    EXPECT_EQ(snap.counters.at("fusion.gates_fused"), gates);
+    EXPECT_EQ(snap.counters.at("executor.runs"), results.size());
+    obs::reset_metrics();
+  };
+  const std::vector<circ::ShotBatchItem> shot_items = {{5, 16, false}, {9, 8, false}};
+  expect_fusion_counted(
+      circ::Executor().run_batch(ansatz.bind(std::vector<double>{0.3}), shot_items));
+  const std::vector<circ::BindBatchItem> bind_items = {{{0.3}, 5, 16, false},
+                                                       {{1.1}, 9, 8, false}};
+  expect_fusion_counted(circ::Executor().run_bound_batch(ansatz, bind_items));
 }
 
 TEST_F(MetricsTest, GateCounterMatchesInstructionCount) {

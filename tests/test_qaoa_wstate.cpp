@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "qutes/algorithms/entanglement.hpp"
-#include "qutes/algorithms/qaoa.hpp"
 #include "qutes/algorithms/variational.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/common/bitops.hpp"
@@ -37,17 +36,19 @@ TEST(MaxCut, CutValueAndBruteForce) {
 
 TEST(Qaoa, CircuitShape) {
   const MaxCutInstance path3{3, {{0, 1}, {1, 2}}};
-  const std::vector<double> gammas = {0.3, 0.5};
-  const std::vector<double> betas = {0.2, 0.4};
-  const auto c = build_qaoa_circuit(path3, gammas, betas);
+  const auto ansatz = build_qaoa_ansatz(path3, 2);
+  EXPECT_EQ(ansatz.num_parameters(), 4u);  // [gammas | betas]
+  const std::vector<double> angles = {0.3, 0.5, 0.4, 0.8};
+  const auto c = ansatz.bind(angles);
   EXPECT_EQ(c.num_qubits(), 3u);
+  EXPECT_FALSE(c.is_parameterized());
   const auto counts = c.count_ops();
   EXPECT_EQ(counts.at("h"), 3u);
   EXPECT_EQ(counts.at("cx"), 2u * 2u * 2u);  // 2 CX per edge per layer
   EXPECT_EQ(counts.at("rz"), 4u);
   EXPECT_EQ(counts.at("rx"), 6u);
-  const std::vector<double> mismatched = {0.1};
-  EXPECT_THROW((void)build_qaoa_circuit(path3, mismatched, betas), Error);
+  const std::vector<double> mismatched = {0.3, 0.5, 0.4};
+  EXPECT_THROW((void)ansatz.bind(mismatched), Error);
 }
 
 class QaoaGraphs : public ::testing::TestWithParam<int> {};
@@ -93,38 +94,13 @@ TEST_P(QaoaGraphs, ReachesTheOptimalCut) {
   }
   EXPECT_EQ(best_cut, optimum) << "graph " << GetParam();
   EXPECT_EQ(g.cut_value(best_assignment), optimum);
-  // ...and the variational expectation should be a decent fraction of it.
+  // ...and the variational expectation should be a decent fraction of it,
+  // never above it: <C> averages cuts that are each at most the optimum.
   EXPECT_GT(result.value, 0.7 * static_cast<double>(optimum));
+  EXPECT_LE(result.value, static_cast<double>(optimum) + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, QaoaGraphs, ::testing::Range(0, 5));
-
-// The deprecated wrapper keeps its QaoaResult contract (gammas/betas in the
-// old convention, sampled best assignment) on top of minimize().
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Qaoa, DeprecatedRunQaoaWrapperStillFindsTheCut) {
-  const MaxCutInstance ring{4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}};
-  QaoaOptions options;
-  options.layers = 2;
-  options.max_sweeps = 60;
-  options.seed = 23;
-  const QaoaResult result = run_qaoa(ring, options);
-  EXPECT_EQ(result.best_cut, ring.max_cut_brute_force());
-  EXPECT_EQ(result.gammas.size(), 2u);
-  EXPECT_EQ(result.betas.size(), 2u);
-}
-
-TEST(Qaoa, ExpectationNeverExceedsOptimum) {
-  const MaxCutInstance ring{4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}};
-  QaoaOptions options;
-  options.layers = 1;
-  options.seed = 5;
-  const QaoaResult result = run_qaoa(ring, options);
-  EXPECT_LE(result.expected_cut,
-            static_cast<double>(ring.max_cut_brute_force()) + 1e-9);
-}
-#pragma GCC diagnostic pop
 
 // ---- GHZ / W states -------------------------------------------------------------
 

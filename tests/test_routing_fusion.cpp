@@ -1,15 +1,11 @@
 // Gate-fusion and linear-routing pass tests: semantic preservation (exact
 // state fidelity), resource reduction, topology compliance.
 #include <gtest/gtest.h>
-// This file exercises the deprecated transpile()/route_linear() free
-// functions on purpose (legacy-vs-pipeline equivalence); silence their
-// deprecation warnings locally.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 #include <cmath>
 
 #include "qutes/circuit/executor.hpp"
+#include "qutes/circuit/pass_manager.hpp"
 #include "qutes/circuit/routing.hpp"
 #include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/error.hpp"
@@ -134,19 +130,34 @@ bool all_two_qubit_gates_adjacent(const QuantumCircuit& c) {
   return true;
 }
 
+/// A circuit routed onto the line by a one-pass Route pipeline, with the
+/// PropertySet that carries its final_layout and swaps_inserted.
+struct Routed {
+  QuantumCircuit circuit;
+  PropertySet properties;
+};
+
+Routed route_line(const QuantumCircuit& c, bool restore_layout = true) {
+  PassManager pm;
+  pm.emplace<Route>(CouplingMap::line(), restore_layout);
+  Routed routed;
+  routed.circuit = pm.run(c, routed.properties);
+  return routed;
+}
+
 TEST(Routing, AdjacentGatesPassThrough) {
   QuantumCircuit c(3);
   c.h(0).cx(0, 1).cx(1, 2);
-  const RoutingResult routed = route_linear(c);
-  EXPECT_EQ(routed.swaps_inserted, 0u);
+  const Routed routed = route_line(c);
+  EXPECT_EQ(routed.properties.swaps_inserted, 0u);
   EXPECT_EQ(routed.circuit.size(), c.size());
 }
 
 TEST(Routing, DistantGateGetsSwaps) {
   QuantumCircuit c(4);
   c.h(0).cx(0, 3);
-  const RoutingResult routed = route_linear(c);
-  EXPECT_GT(routed.swaps_inserted, 0u);
+  const Routed routed = route_line(c);
+  EXPECT_GT(routed.properties.swaps_inserted, 0u);
   EXPECT_TRUE(all_two_qubit_gates_adjacent(routed.circuit));
   EXPECT_NEAR(final_fidelity(c, routed.circuit), 1.0, 1e-9);
 }
@@ -165,9 +176,11 @@ TEST_P(RoutingSweep, SemanticsPreservedWithRestore) {
       break;
     default: break;
   }
-  const RoutingResult routed = route_linear(c, /*restore_layout=*/true);
+  const Routed routed = route_line(c, /*restore_layout=*/true);
   EXPECT_TRUE(all_two_qubit_gates_adjacent(routed.circuit));
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(routed.final_layout[i], i);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(routed.properties.final_layout[i], i);
+  }
   EXPECT_NEAR(final_fidelity(c, routed.circuit), 1.0, 1e-9);
 }
 
@@ -176,12 +189,12 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RoutingSweep, ::testing::Range(0, 4));
 TEST(Routing, WithoutRestoreLayoutIsPermutation) {
   QuantumCircuit c(4);
   c.cx(0, 3);
-  const RoutingResult routed = route_linear(c, /*restore_layout=*/false);
+  const Routed routed = route_line(c, /*restore_layout=*/false);
   // Some logical qubit moved; the layout records where.
   EXPECT_TRUE(all_two_qubit_gates_adjacent(routed.circuit));
   bool moved = false;
   for (std::size_t i = 0; i < 4; ++i) {
-    if (routed.final_layout[i] != i) moved = true;
+    if (routed.properties.final_layout[i] != i) moved = true;
   }
   EXPECT_TRUE(moved);
 }
@@ -190,7 +203,7 @@ TEST(Routing, MeasurementsFollowTheLayout) {
   QuantumCircuit c(4, 1);
   c.x(3).cx(0, 3);  // forces movement of qubit 0 or 3
   c.measure(3, 0);
-  const RoutingResult routed = route_linear(c, /*restore_layout=*/false);
+  const Routed routed = route_line(c, /*restore_layout=*/false);
   // Replay: clbit 0 must still read logical qubit 3's value (1).
   Executor ex({.shots = 1, .seed = 3});
   EXPECT_EQ(ex.run_single(routed.circuit).clbits, 1u);
@@ -199,7 +212,7 @@ TEST(Routing, MeasurementsFollowTheLayout) {
 TEST(Routing, RejectsWideGates) {
   QuantumCircuit c(4);
   c.ccx(0, 1, 3);
-  EXPECT_THROW((void)route_linear(c), CircuitError);
+  EXPECT_THROW((void)route_line(c), CircuitError);
 }
 
 TEST(Routing, ComposesWithFullPipeline) {
@@ -210,7 +223,7 @@ TEST(Routing, ComposesWithFullPipeline) {
   c.mcx(controls, 4);
   const QuantumCircuit basis = decompose_to_basis(c);
   const QuantumCircuit fused = fuse_single_qubit_gates(basis);
-  const RoutingResult routed = route_linear(fused);
+  const Routed routed = route_line(fused);
   EXPECT_TRUE(all_two_qubit_gates_adjacent(routed.circuit));
   EXPECT_NEAR(final_fidelity(basis, routed.circuit), 1.0, 1e-9);
 }

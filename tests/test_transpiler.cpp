@@ -2,15 +2,11 @@
 // (state fidelity against the unlowered circuit), and the peephole
 // optimizer must shrink without changing meaning.
 #include <gtest/gtest.h>
-// This file exercises the deprecated transpile()/route_linear() free
-// functions on purpose (legacy-vs-pipeline equivalence); silence their
-// deprecation warnings locally.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 
 #include <cmath>
 
 #include "qutes/circuit/executor.hpp"
+#include "qutes/circuit/pass_manager.hpp"
 #include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/bitops.hpp"
 
@@ -221,9 +217,7 @@ TEST(Transpiler, PipelineRunsEndToEnd) {
   const std::size_t controls[3] = {0, 1, 2};
   c.mcx(controls, 3);
   c.h(0).h(0);
-  TranspileOptions to_basis_opts;
-  to_basis_opts.to_basis = true;
-  const QuantumCircuit t = transpile(c, to_basis_opts);
+  const QuantumCircuit t = make_pipeline(Preset::Basis).run(c);
   EXPECT_NEAR(circuit_fidelity(c, t), 1.0, 1e-9);
   for (const Instruction& in : t.instructions()) {
     EXPECT_TRUE(in.type == GateType::U || in.type == GateType::CX ||

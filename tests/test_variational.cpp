@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "qutes/algorithms/variational.hpp"
-#include "qutes/algorithms/vqe.hpp"
 #include "qutes/circuit/draw.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/pass_manager.hpp"

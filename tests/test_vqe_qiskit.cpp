@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "qutes/algorithms/variational.hpp"
-#include "qutes/algorithms/vqe.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/qiskit_export.hpp"
 #include "qutes/common/error.hpp"
@@ -51,19 +50,22 @@ TEST(Hamiltonian, TermWidthValidation) {
 // ---- ansatz ------------------------------------------------------------------------
 
 TEST(Ansatz, ParameterCountAndShape) {
+  const auto ansatz = build_ry_ansatz(3, 1);
+  EXPECT_EQ(ansatz.num_parameters(), 3u * 2u);
   const std::vector<double> params(3 * 2, 0.25);
-  const auto c = build_ry_ansatz(3, 1, params);
+  const auto c = ansatz.bind(params);
   EXPECT_EQ(c.num_qubits(), 3u);
+  EXPECT_FALSE(c.is_parameterized());
   const auto counts = c.count_ops();
   EXPECT_EQ(counts.at("ry"), 6u);
   EXPECT_EQ(counts.at("cx"), 2u);
   const std::vector<double> wrong(5, 0.0);
-  EXPECT_THROW((void)build_ry_ansatz(3, 1, wrong), Error);
+  EXPECT_THROW((void)ansatz.bind(wrong), Error);
 }
 
 TEST(Ansatz, ZeroParametersIsIdentityOnZero) {
   const std::vector<double> params(4, 0.0);
-  const auto c = build_ry_ansatz(2, 1, params);
+  const auto c = build_ry_ansatz(2, 1).bind(params);
   circ::Executor ex({.shots = 1, .seed = 1});
   const auto traj = ex.run_single(c);
   EXPECT_NEAR(std::norm(traj.state.amplitude(0)), 1.0, 1e-12);
@@ -121,25 +123,6 @@ TEST(Vqe, DeterministicGivenInitialPoint) {
   EXPECT_EQ(a.value, b.value);
   EXPECT_EQ(a.parameters, b.parameters);
 }
-
-// The deprecated wrapper must keep its old contract (random init from the
-// seed, VqeResult shape) while delegating to minimize() underneath.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Vqe, DeprecatedRunVqeWrapperStillConverges) {
-  const Hamiltonian h{{{-1.0, "XX"}, {-1.0, "ZZ"}}};
-  const VqeResult result = run_vqe(h, 2, {.layers = 1, .max_sweeps = 80,
-                                          .initial_step = 0.7, .tolerance = 1e-6,
-                                          .seed = 3});
-  EXPECT_NEAR(result.energy, -2.0, 0.01);
-  EXPECT_EQ(result.parameters.size(), 4u);
-
-  const VqeResult again = run_vqe(h, 2, {.layers = 1, .max_sweeps = 80,
-                                         .initial_step = 0.7, .tolerance = 1e-6,
-                                         .seed = 3});
-  EXPECT_EQ(result.energy, again.energy);  // still deterministic given seed
-}
-#pragma GCC diagnostic pop
 
 // ---- Qiskit export ------------------------------------------------------------------
 

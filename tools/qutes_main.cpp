@@ -157,16 +157,26 @@ bool parse_pipeline_flag(const std::string& value, std::optional<qutes::circ::Pr
   return true;
 }
 
-/// Enable tracing/metrics before the run per the ObsConfig. Metrics are
-/// implied by --trace so one flag yields the full picture.
-void obs_begin(const qutes::ObsConfig& obs) {
+/// The observability flags (qutes/obs/obs.hpp): the CLI owns the run
+/// boundary, so it enables tracing/metrics before the run and writes the
+/// exports after it.
+struct ObsConfig {
+  bool trace = false;            ///< record spans (--trace)
+  bool metrics = false;          ///< record metric instruments (--metrics)
+  std::string trace_path;        ///< Chrome-trace JSON destination ("" = none)
+  std::string metrics_json_path; ///< metrics JSON destination ("" = none)
+};
+
+/// Enable tracing/metrics before the run. Metrics are implied by --trace so
+/// one flag yields the full picture.
+void obs_begin(const ObsConfig& obs) {
   if (obs.trace) qutes::obs::set_tracing_enabled(true);
   if (obs.metrics) qutes::obs::set_metrics_enabled(true);
 }
 
 /// Write/print the requested exports after the run. Returns false if a file
 /// could not be written.
-bool obs_end(const qutes::ObsConfig& obs) {
+bool obs_end(const ObsConfig& obs) {
   bool ok = true;
   if (!obs.trace_path.empty()) {
     if (qutes::obs::write_chrome_trace(obs.trace_path)) {
@@ -192,7 +202,7 @@ bool obs_end(const qutes::ObsConfig& obs) {
 
 /// Try to consume one observability flag at argv[i]; advances i past a
 /// consumed value argument. Returns true if the flag was recognized.
-bool parse_obs_flag(int argc, char** argv, int& i, qutes::ObsConfig& obs) {
+bool parse_obs_flag(int argc, char** argv, int& i, ObsConfig& obs) {
   const std::string arg = argv[i];
   if (arg == "--trace" && i + 1 < argc) {
     obs.trace = true;
@@ -272,6 +282,7 @@ int main(int argc, char** argv) {
   const std::string target = argv[2];
   if (mode == "sim") {
     qutes::RunConfig config;
+    ObsConfig obs;
     std::optional<qutes::circ::Preset> preset;
     bool dump_passes = false;
     for (int i = 3; i < argc; ++i) {
@@ -296,7 +307,7 @@ int main(int argc, char** argv) {
           std::cerr << "--max-bond-dim must be >= 1\n";
           return 2;
         }
-      } else if (parse_obs_flag(argc, argv, i, config.obs)) {
+      } else if (parse_obs_flag(argc, argv, i, obs)) {
         // handled
       } else {
         return unknown_flag(arg, kSimFlags);
@@ -311,7 +322,7 @@ int main(int argc, char** argv) {
       }
       std::ostringstream buffer;
       buffer << file.rdbuf();
-      obs_begin(config.obs);
+      obs_begin(obs);
       const auto circuit = qutes::circ::qasm::import_circuit(buffer.str());
       qutes::circ::PassManager pipeline;
       if (preset) {
@@ -335,7 +346,7 @@ int main(int argc, char** argv) {
       for (const auto& [bits, count] : result.counts) {
         std::cout << bits << ": " << count << "\n";
       }
-      return obs_end(config.obs) ? 0 : 1;
+      return obs_end(obs) ? 0 : 1;
     } catch (const qutes::Error& error) {
       std::cerr << "error: " << error.what() << "\n";
       return 1;
@@ -403,6 +414,7 @@ int main(int argc, char** argv) {
   }
 
   qutes::RunConfig config;
+  ObsConfig obs;
   bool stats = false;
   bool draw = false;
   bool dump_passes = false;
@@ -455,7 +467,7 @@ int main(int argc, char** argv) {
       if (!parse_bind_flag(argv[++i], config.bind_params)) return 2;
     } else if (arg.rfind("--bind=", 0) == 0) {
       if (!parse_bind_flag(arg.substr(7), config.bind_params)) return 2;
-    } else if (parse_obs_flag(argc, argv, i, config.obs)) {
+    } else if (parse_obs_flag(argc, argv, i, obs)) {
       // handled
     } else {
       return unknown_flag(arg, kRunFlags);
@@ -508,7 +520,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    obs_begin(config.obs);
+    obs_begin(obs);
     qutes::circ::PassManager pipeline;
     config.echo = &std::cout;
     if (preset) {
@@ -573,8 +585,7 @@ int main(int argc, char** argv) {
       }
     }
     if (stats) {
-      // Without an explicit pipeline, show the default (O1) preset numbers
-      // (what the deprecated transpile() free function used to run).
+      // Without an explicit pipeline, show the O1 preset's numbers.
       qutes::circ::QuantumCircuit o1_lowered;
       if (!preset) {
         o1_lowered = qutes::circ::make_pipeline(qutes::circ::Preset::O1)
@@ -588,7 +599,7 @@ int main(int argc, char** argv) {
                 << "transpiled depth: " << lowered.depth() << "\n"
                 << "transpiled gates: " << lowered.gate_count() << "\n";
     }
-    return obs_end(config.obs) ? 0 : 1;
+    return obs_end(obs) ? 0 : 1;
   } catch (const qutes::Error& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
