@@ -68,6 +68,11 @@ public:
   [[nodiscard]] const QuantumRef& as_quantum() const;
   [[nodiscard]] ArrayValue& as_array();
   [[nodiscard]] const ArrayValue& as_array() const;
+  /// The int a classical Int holds, or nullptr for any other kind: the
+  /// unchecked inline read behind the VM's fused int sequences.
+  [[nodiscard]] const std::int64_t* if_int() const noexcept {
+    return type_.kind == TypeKind::Int ? std::get_if<std::int64_t>(&data_) : nullptr;
+  }
 
   /// Overwrite contents in place (assignment through a reference).
   void assign(const Value& other) {

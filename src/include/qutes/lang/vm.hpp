@@ -4,13 +4,15 @@
 // explicit frame stack: no per-node virtual dispatch, no recursion, no name
 // lookups (slots were resolved at lowering time). The operand stack holds
 // the classical scalars the VM creates inline, with no heap cell, and
-// everything with identity as a shared Value cell (see Operand). Int
-// arithmetic and comparison, truthiness, and same-kind scalar stores run
-// inline and mirror Runtime's rules exactly; every other value-level
-// operation delegates to the same lang::Runtime the tree-walking Interpreter
-// uses. The two engines therefore produce bit-identical circuits,
-// measurement draws, outputs, and diagnostics; `--exec-mode ast` keeps the
-// tree-walk available as the differential reference.
+// everything with identity as a shared Value cell (see Operand). Int and
+// float arithmetic and comparison, truthiness, and same-kind scalar stores
+// run inline and mirror Runtime's rules exactly, and the int sequences the
+// lowerer emits for loops, conditions and counters run as one dispatch (see
+// exec_loop); every other value-level operation delegates to the same
+// lang::Runtime the tree-walking Interpreter uses. The two engines therefore
+// produce bit-identical circuits, measurement draws, outputs, and
+// diagnostics; `--exec-mode ast` keeps the tree-walk available as the
+// differential reference.
 //
 // The VM is defensive against adversarial artifacts (a load()ed file is
 // attacker-controlled input for a future qutesd daemon): the loader
@@ -54,14 +56,14 @@ public:
 
 private:
   /// One operand-stack entry. A classical Bool/Int/Float the VM creates
-  /// itself (a literal, an int arithmetic or comparison result, a truth
-  /// value) is held inline, with no heap cell. Everything with identity
-  /// stays a ValuePtr: the variable cells Load* pushes (so `g + f()` reads
-  /// `g` after `f` assigned it), arrays, strings, quantum references, and
-  /// call and index results.
+  /// itself (a literal, an int or float arithmetic or comparison result, a
+  /// truth value, a scalar a user function returns) is held inline, with no
+  /// heap cell, and so is a void function's result (kind Void). Everything with identity stays a ValuePtr: the variable
+  /// cells Load* pushes (so `g + f()` reads `g` after `f` assigned it),
+  /// arrays, strings, quantum references, builtin and index results.
   struct Operand {
     ValuePtr cell;                   ///< null while the operand is inline
-    TypeKind kind = TypeKind::Void;  ///< Bool, Int or Float when inline
+    TypeKind kind = TypeKind::Void;  ///< Void, Bool, Int or Float when inline
     union {
       bool b;
       std::int64_t i = 0;
@@ -90,7 +92,10 @@ private:
   };
 
   void exec_loop(std::uint64_t& steps);
-  Frame make_frame(const Chunk& chunk, std::uint32_t call_loc) const;
+  /// Enter `chunk`: the next frame of frames_, reusing the vectors an
+  /// earlier call left there, so a call allocates nothing once the frame
+  /// stack has reached its depth.
+  Frame& push_frame(const Chunk& chunk, std::uint32_t call_loc);
 
   [[nodiscard]] SourceLocation loc_of(std::uint32_t idx) const {
     return bc_.locations[idx];
@@ -102,11 +107,18 @@ private:
   /// as unaliased as a fresh Runtime result.
   ValuePtr pop_cell(std::uint32_t loc_idx);
   static TypeKind kind_of(const Operand& v);
-  /// The operand as a cell: its own, or a fresh one for an inline scalar.
+  /// The operand as a cell: its own, or a fresh one for an inline scalar or
+  /// void.
   static ValuePtr box(Operand v);
-  /// Value::as_int / as_bool of an operand, errors included.
+  /// Value::as_int / as_bool / as_float of an operand, errors included.
   static std::int64_t int_of(const Operand& v);
   static bool bool_of(const Operand& v);
+  static double float_of(const Operand& v);
+  /// The int an Int operand holds, inline or in its cell; nullptr for any
+  /// other kind.
+  static const std::int64_t* if_int(const Operand& v) {
+    return v.cell ? v.cell->if_int() : v.kind == TypeKind::Int ? &v.i : nullptr;
+  }
   const BuiltinFn& builtin_of(std::uint32_t name_idx, std::uint32_t loc_idx);
 
   /// TypeCastingHandler::condition_bool, inline for inline scalars.
@@ -115,8 +127,8 @@ private:
   /// coerce is an identity there); anything else goes to
   /// Runtime::assign_plain.
   void assign(const ValuePtr& slot, Operand rhs, std::uint32_t loc_idx);
-  /// `slot op= rhs`: int into an Int slot inline, anything else through
-  /// Runtime::compound_assign.
+  /// `slot op= rhs`: int into an Int slot and int or float into a Float slot
+  /// inline, anything else through Runtime::compound_assign.
   void compound(const std::string& name, const ValuePtr& slot, BinaryOp op,
                 Operand rhs, std::uint32_t loc_idx);
   /// `a op b` bit-exact with the int branch of Runtime::classical_binary
@@ -124,16 +136,23 @@ private:
   /// op it does not cover; the caller falls back to Runtime.
   bool int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
                   std::uint32_t loc_idx, Operand& out) const;
+  /// The same for the float branch (an Int operand widens), for `lhs op rhs`
+  /// when one is a Float and the other a Float or an Int. Returns false for
+  /// any other operand kinds or an op floats do not define.
+  bool float_binary(BinaryOp op, const Operand& lhs, const Operand& rhs,
+                    std::uint32_t loc_idx, Operand& out) const;
 
   const Bytecode& bc_;
   Runtime runtime_;
   std::vector<Operand> stack_;  ///< inline scalars and cells (see Operand)
+  /// frames_[0, depth_) are live, frames_[0] the top level; the rest keep
+  /// their vectors' capacity for the next call.
   std::vector<Frame> frames_;
+  std::size_t depth_ = 0;
   std::vector<Runtime::SupBuilder> sups_;
   std::vector<Runtime::ArrBuilder> arrs_;
   /// Builtins resolved once per name (index = string pool slot).
   std::vector<const BuiltinFn*> builtin_cache_;
-  std::size_t call_depth_ = 0;
 };
 
 }  // namespace qutes::lang

@@ -68,6 +68,12 @@ struct ProgramGenOptions {
   std::size_t max_depth = 3;
   /// Emit quantum declarations and gate statements (not just classical code).
   bool quantum = true;
+  /// Also declare user functions and call them inside expressions: int and
+  /// bool functions over their parameters, `set_g`, which assigns the global
+  /// `g` that its caller reads in the same expression, and `/`, `%`, `<<`
+  /// and `>>` with literal or variable right operands. Off, every seed
+  /// generates the program it always did.
+  bool functions = false;
 };
 
 /// Grammar-driven random Qutes source program. Output is syntactically valid

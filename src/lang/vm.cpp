@@ -12,10 +12,12 @@ Vm::Vm(const Bytecode& bytecode, VmOptions options)
                            options.allow_unbound_params);
 }
 
-Vm::Frame Vm::make_frame(const Chunk& chunk, std::uint32_t call_loc) const {
-  Frame frame;
+Vm::Frame& Vm::push_frame(const Chunk& chunk, std::uint32_t call_loc) {
+  if (depth_ == frames_.size()) frames_.emplace_back();
+  Frame& frame = frames_[depth_++];
   frame.chunk = &chunk;
-  frame.slots.resize(chunk.num_slots);
+  frame.pc = 0;
+  frame.slots.resize(chunk.num_slots);  // all null: a return clears them
   frame.declared.assign(chunk.num_slots, 0);
   frame.declared_at.assign(chunk.num_slots, 0);
   frame.loops.assign(chunk.num_loops, 0);
@@ -49,6 +51,7 @@ TypeKind Vm::kind_of(const Operand& v) {
 ValuePtr Vm::box(Operand v) {
   if (v.cell) return std::move(v.cell);
   switch (v.kind) {
+    case TypeKind::Void: return Value::make_void();
     case TypeKind::Bool: return Value::make_bool(v.b);
     case TypeKind::Float: return Value::make_float(v.f);
     default: return Value::make_int(v.i);
@@ -65,9 +68,16 @@ bool Vm::bool_of(const Operand& v) {
   return v.kind == TypeKind::Bool ? v.b : box(v)->as_bool();
 }
 
+double Vm::float_of(const Operand& v) {
+  if (v.cell) return v.cell->as_float();
+  return v.kind == TypeKind::Float ? v.f : box(v)->as_float();
+}
+
 bool Vm::truthy(const Operand& v, std::uint32_t loc_idx) {
   if (v.cell) return runtime_.casting().condition_bool(*v.cell, loc_of(loc_idx));
   switch (v.kind) {
+    case TypeKind::Void:  // a void call's result: the Runtime's diagnostic
+      return runtime_.casting().condition_bool(*box(v), loc_of(loc_idx));
     case TypeKind::Bool: return v.b;
     case TypeKind::Float: return v.f != 0.0;
     default: return v.i != 0;
@@ -94,14 +104,21 @@ void Vm::assign(const ValuePtr& slot, Operand rhs, std::uint32_t loc_idx) {
 
 void Vm::compound(const std::string& name, const ValuePtr& slot, BinaryOp op,
                   Operand rhs, std::uint32_t loc_idx) {
-  // An Int result needs no coercion back into the Int slot; any other shape,
-  // a Bool from a comparison op in a loaded artifact included, goes to the
-  // Runtime.
+  // A result of the slot's own kind needs no coercion back into it; any
+  // other shape, a Bool from a comparison op in a loaded artifact included,
+  // goes to the Runtime.
   Operand out;
-  if (slot->kind() == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
+  const TypeKind k = slot->kind();
+  if (k == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
       int_binary(op, slot->as_int(), int_of(rhs), loc_idx, out) &&
       out.kind == TypeKind::Int) {
     slot->set_int(out.i);
+    return;
+  }
+  if (k == TypeKind::Float &&
+      float_binary(op, Operand(slot->as_float()), rhs, loc_idx, out) &&
+      out.kind == TypeKind::Float) {
+    slot->set_float(out.f);
     return;
   }
   runtime_.compound_assign(name, slot, op, box(std::move(rhs)),
@@ -152,6 +169,40 @@ bool Vm::int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
   }
 }
 
+bool Vm::float_binary(BinaryOp op, const Operand& lhs, const Operand& rhs,
+                      std::uint32_t loc_idx, Operand& out) const {
+  // Mirrors the float branch of Runtime::classical_binary: it runs when
+  // either operand is a Float, and widens an Int through as_float. A Bool
+  // operand (as_float's internal error), a string or a quantum operand, and
+  // the ops floats do not define stay with the Runtime and its messages.
+  const TypeKind lk = kind_of(lhs);
+  const TypeKind rk = kind_of(rhs);
+  if ((lk != TypeKind::Float && rk != TypeKind::Float) ||
+      (lk != TypeKind::Float && lk != TypeKind::Int) ||
+      (rk != TypeKind::Float && rk != TypeKind::Int)) {
+    return false;
+  }
+  const double a = float_of(lhs);
+  const double b = float_of(rhs);
+  switch (op) {
+    case BinaryOp::Add: out = Operand(a + b); return true;
+    case BinaryOp::Sub: out = Operand(a - b); return true;
+    case BinaryOp::Mul: out = Operand(a * b); return true;
+    case BinaryOp::Div:
+      if (b == 0.0) throw LangError("division by zero", loc_of(loc_idx));
+      out = Operand(a / b);
+      return true;
+    case BinaryOp::Eq: out = Operand(a == b); return true;
+    case BinaryOp::Ne: out = Operand(a != b); return true;
+    case BinaryOp::Lt: out = Operand(a < b); return true;
+    case BinaryOp::Le: out = Operand(a <= b); return true;
+    case BinaryOp::Gt: out = Operand(a > b); return true;
+    case BinaryOp::Ge: out = Operand(a >= b); return true;
+    default:
+      return false;
+  }
+}
+
 const BuiltinFn& Vm::builtin_of(std::uint32_t name_idx, std::uint32_t loc_idx) {
   const BuiltinFn*& cached = builtin_cache_[name_idx];
   if (cached == nullptr) {
@@ -175,51 +226,111 @@ void Vm::run() {
       obs::metrics().counter(obs::names::kLangVmSteps).add(steps);
     }
   } recorder{steps};
-  frames_.push_back(make_frame(bc_.chunks.front(), 0));
+  push_frame(bc_.chunks.front(), 0);
   exec_loop(steps);
 }
 
 void Vm::exec_loop(std::uint64_t& steps) {
-  Frame* fr = &frames_.back();
+  Frame* fr = &frames_[depth_ - 1];
   const std::vector<Instr>* code = &fr->chunk->code;
   const auto refresh = [&] {
-    fr = &frames_.back();
+    fr = &frames_[depth_ - 1];
     code = &fr->chunk->code;
   };
 
   // Pop the current frame and hand `value` back through the callee's
   // return-type coercion (tree-walk: call_user_function's epilogue).
   // Returns false when the popped frame was the top level.
-  const auto do_return = [&](ValuePtr value) -> bool {
-    Frame done = std::move(frames_.back());
-    frames_.pop_back();
-    if (frames_.empty()) return false;  // top level finished
-    --call_depth_;
+  const auto do_return = [&](Operand value) -> bool {
+    Frame& done = frames_[--depth_];
+    done.slots.clear();  // release the locals; the vectors stay for reuse
+    done.iters.clear();
+    if (depth_ == 0) return false;  // top level finished
     const Chunk& ck = *done.chunk;
     const QType& rtype = bc_.types[ck.return_type];
     if (rtype.kind == TypeKind::Void) {
-      stack_.emplace_back(Value::make_void());
+      stack_.emplace_back();  // inline void, boxed only where a cell is needed
+    } else if (rtype.is_classical_scalar() && kind_of(value) == rtype.kind) {
+      // coerce returns a classical scalar of the target kind unchanged, so
+      // an inline one stays inline.
+      stack_.push_back(std::move(value));
     } else {
       stack_.emplace_back(runtime_.casting().coerce(
-          value, rtype, bc_.strings[ck.name] + "() result",
+          box(std::move(value)), rtype, bc_.strings[ck.name] + "() result",
           loc_of(done.call_loc)));
     }
     refresh();
     return true;
   };
 
+  // Fused int sequences. The lowerer emits a few short instruction runs in
+  // every loop, condition and counter; when all their operands are Ints the
+  // dispatch loop runs such a run in one dispatch, recognised from the
+  // executing pc (the bytecode is unchanged and no jump target moves). Only
+  // a run's last instruction can fail (LoopBump fails before its Jump), so
+  // a diagnostic keeps its location, and `steps` still counts every
+  // instruction. With any other operand the run falls back to one
+  // instruction at a time.
+
+  // The int that the second operand instruction of `Load s; X; BinaryApply`
+  // supplies: a PushInt immediate or the value of a bound Int slot.
+  const auto int_operand = [&](const Instr& src) -> const std::int64_t* {
+    if (src.op == Op::PushInt) return &src.a;
+    if (src.op != Op::LoadLocal && src.op != Op::LoadGlobal) return nullptr;
+    const ValuePtr& v =
+        (src.op == Op::LoadGlobal ? frames_.front() : *fr).slots[src.b];
+    return v ? v->if_int() : nullptr;
+  };
+  // Apply the BinaryApply at `at` to ints a and b, counting the `extra`
+  // instructions the run covers beyond the one dispatched. False, with
+  // nothing done, when int_binary does not cover its op.
+  const auto fused_int = [&](std::size_t at, std::int64_t a, std::int64_t b,
+                             std::uint64_t extra, Operand& out) {
+    const Instr& bin = (*code)[at];
+    steps += extra;
+    if (int_binary(static_cast<BinaryOp>(bin.a), a, b, bin.loc, out)) {
+      return true;
+    }
+    steps -= extra;
+    return false;
+  };
+  // Continue at `next` with an inline BinaryApply result pushed, or, for a
+  // Bool that a JumpIfFalse at `next` tests, take that branch directly.
+  const auto push_or_branch = [&](Operand out, std::size_t next) {
+    if (out.kind == TypeKind::Bool && next < code->size() &&
+        (*code)[next].op == Op::JumpIfFalse) {
+      ++steps;
+      fr->pc = out.b ? next + 1 : static_cast<std::size_t>((*code)[next].a);
+      return;
+    }
+    stack_.push_back(std::move(out));
+    fr->pc = next;
+  };
+
   for (;;) {
     if (fr->pc >= code->size()) {
       // Only the top-level chunk ends without an explicit Return.
-      if (!do_return(Value::make_void())) return;
+      if (!do_return(Operand())) return;
       continue;
     }
     const Instr& in = (*code)[fr->pc++];
     ++steps;
     switch (in.op) {
-      case Op::PushInt:
+      case Op::PushInt: {
+        // Fused: `PushInt k; BinaryApply op` on an Int top of stack.
+        Operand out;
+        if (fr->pc < code->size() && (*code)[fr->pc].op == Op::BinaryApply &&
+            !stack_.empty()) {
+          const std::int64_t* a = if_int(stack_.back());
+          if (a && fused_int(fr->pc, *a, in.a, 1, out)) {
+            stack_.pop_back();
+            push_or_branch(std::move(out), fr->pc + 1);
+            break;
+          }
+        }
         stack_.emplace_back(in.a);
         break;
+      }
       case Op::PushFloat:
         stack_.emplace_back(bc_.floats[in.b]);
         break;
@@ -293,17 +404,51 @@ void Vm::exec_loop(std::uint64_t& steps) {
                   bc_.strings[owner.chunk->slot_names[in.b]] + "'",
               loc_of(in.loc));
         }
+        // Fused: `Load s; PushInt k | Load t; BinaryApply op` over Ints
+        // pushes the inline result, with no copy of either cell.
+        if (fr->pc + 1 < code->size() &&
+            (*code)[fr->pc + 1].op == Op::BinaryApply) {
+          const std::int64_t* a = v->if_int();
+          const std::int64_t* b = a ? int_operand((*code)[fr->pc]) : nullptr;
+          Operand out;
+          if (b && fused_int(fr->pc + 1, *a, *b, 2, out)) {
+            push_or_branch(std::move(out), fr->pc + 2);
+            break;
+          }
+        }
         stack_.emplace_back(v);
         break;
       }
       case Op::CheckLocal:
       case Op::CheckGlobal: {
         Frame& owner = in.op == Op::CheckGlobal ? frames_.front() : *fr;
-        if (!owner.slots[in.b]) {
+        const ValuePtr& slot = owner.slots[in.b];
+        if (!slot) {
           throw LangError(
               "assignment to undeclared variable '" +
                   bc_.strings[owner.chunk->slot_names[in.b]] + "'",
               loc_of(in.loc));
+        }
+        // Fused: `Check s; PushInt k; Compound op s` updates an Int slot
+        // in place.
+        const Op compound_op =
+            in.op == Op::CheckGlobal ? Op::CompoundGlobal : Op::CompoundLocal;
+        const std::int64_t* a = slot->if_int();
+        if (a && fr->pc + 1 < code->size() &&
+            (*code)[fr->pc].op == Op::PushInt &&
+            (*code)[fr->pc + 1].op == compound_op &&
+            (*code)[fr->pc + 1].b == in.b) {
+          const Instr& update = (*code)[fr->pc + 1];
+          Operand out;
+          steps += 2;
+          if (int_binary(static_cast<BinaryOp>(update.a), *a,
+                         (*code)[fr->pc].a, update.loc, out) &&
+              out.kind == TypeKind::Int) {
+            slot->set_int(out.i);
+            fr->pc += 2;
+            break;
+          }
+          steps -= 2;
         }
         break;
       }
@@ -468,9 +613,11 @@ void Vm::exec_loop(std::uint64_t& steps) {
         Operand lhs = pop(in.loc);
         const auto op = static_cast<BinaryOp>(in.a);
         Operand out;
-        if (kind_of(lhs) == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
-            int_binary(op, int_of(lhs), int_of(rhs), in.loc, out)) {
-          stack_.push_back(std::move(out));
+        if ((kind_of(lhs) == TypeKind::Int && kind_of(rhs) == TypeKind::Int &&
+             int_binary(op, int_of(lhs), int_of(rhs), in.loc, out)) ||
+            float_binary(op, lhs, rhs, in.loc, out)) {
+          // Fused when a JumpIfFalse tests the result: see push_or_branch.
+          push_or_branch(std::move(out), fr->pc);
         } else {
           stack_.emplace_back(runtime_.evaluate_binary(
               op, box(std::move(lhs)), box(std::move(rhs)), loc_of(in.loc)));
@@ -500,6 +647,11 @@ void Vm::exec_loop(std::uint64_t& steps) {
         if (++fr->loops[in.b] > kMaxWhileIterations) {
           throw LangError("while loop exceeded the iteration budget",
                           loc_of(in.loc));
+        }
+        // Fused: `LoopBump; Jump` (the back edge of every while loop).
+        if (fr->pc < code->size() && (*code)[fr->pc].op == Op::Jump) {
+          ++steps;
+          fr->pc = static_cast<std::size_t>((*code)[fr->pc].a);
         }
         break;
       case Op::ForeachInit: {
@@ -540,15 +692,17 @@ void Vm::exec_loop(std::uint64_t& steps) {
                               " arguments, got " + std::to_string(argc),
                           loc_of(in.loc));
         }
-        if (++call_depth_ > kMaxCallDepth) {
-          --call_depth_;
+        if (depth_ > kMaxCallDepth) {
           throw LangError(
               "call depth exceeded (" + std::to_string(kMaxCallDepth) + ")",
               loc_of(in.loc));
         }
-        std::vector<ValuePtr> args(argc);
-        for (std::size_t i = argc; i-- > 0;) args[i] = pop_cell(in.loc);
-        Frame frame = make_frame(callee, in.loc);
+        if (stack_.size() < argc) {
+          throw LangError("bytecode: stack underflow", loc_of(in.loc));
+        }
+        // The arguments are coerced where they lie on the operand stack.
+        const std::size_t base = stack_.size() - argc;
+        Frame& frame = push_frame(callee, in.loc);
         for (std::size_t i = 0; i < argc; ++i) {
           // The reference binds parameters in order and trips the
           // redeclaration error when it reaches a duplicate name — after
@@ -560,18 +714,17 @@ void Vm::exec_loop(std::uint64_t& steps) {
                 loc_of(in.loc));
           }
           frame.slots[i] = runtime_.casting().coerce(
-              args[i], bc_.types[callee.params[i].type],
+              box(std::move(stack_[base + i])), bc_.types[callee.params[i].type],
               bc_.strings[callee.params[i].name], loc_of(in.loc));
           frame.declared[i] = 1;
           frame.declared_at[i] = in.loc;
         }
-        frames_.push_back(std::move(frame));
+        stack_.resize(base);
         refresh();
         break;
       }
       case Op::Return: {
-        ValuePtr value = in.a != 0 ? pop_cell(in.loc) : Value::make_void();
-        if (!do_return(std::move(value))) return;
+        if (!do_return(in.a != 0 ? pop(in.loc) : Operand())) return;
         break;
       }
 

@@ -204,6 +204,7 @@ public:
       : rng_(rng), options_(options) {}
 
   std::string build() {
+    if (options_.functions) functions();
     for (std::size_t s = 0; s < options_.statements; ++s) statement(0);
     return std::move(out_);
   }
@@ -219,7 +220,88 @@ private:
 
   std::string int_literal() { return std::to_string(rng_.below(16)); }
 
+  struct Function {
+    std::string name;
+    std::size_t arity;
+  };
+
+  /// The declarations ProgramGenOptions::functions adds ahead of the
+  /// statements. Each body reads only its parameters, its locals and `g`,
+  /// and calls only the functions declared before it, so no call recurses.
+  void functions() {
+    line(0, "int g = " + int_literal() + ";");
+    line(0, "int set_g(int a) { g = g + a; return a * 2; }");
+    int_fns_.push_back({"set_g", 1});
+    const std::size_t count = 1 + rng_.below(3);
+    for (std::size_t k = 0; k < count; ++k) {
+      const bool returns_bool = rng_.below(3) == 0;
+      const Function fn{fresh('f'), 1 + rng_.below(2)};
+      ints_ = {"g", "a"};
+      if (fn.arity == 2) ints_.push_back("b");
+      bools_.clear();
+      line(0, std::string(returns_bool ? "bool " : "int ") + fn.name +
+                  (fn.arity == 2 ? "(int a, int b) {" : "(int a) {"));
+      line(1, "int t = " + int_expr(0) + ";");
+      ints_.push_back("t");
+      if (rng_.below(2) == 0) {
+        static const char* ops[] = {" += ", " -= ", " *= "};
+        line(1, "if (" + bool_expr(0) + ") {");
+        const char* op = ops[rng_.below(3)];
+        line(2, "t" + std::string(op) + int_expr(1) + ";");
+        line(1, "}");
+      }
+      if (rng_.below(2) == 0) {
+        line(1, "int n = " + std::to_string(1 + rng_.below(4)) + ";");
+        line(1, "while (n > 0) {");
+        line(2, "n -= 1;");
+        line(2, "t = " + int_expr(0) + ";");
+        line(1, "}");
+      }
+      line(1, "return " + (returns_bool ? bool_expr(0) : int_expr(0)) + ";");
+      line(0, "}");
+      (returns_bool ? bool_fns_ : int_fns_).push_back(fn);
+    }
+    ints_ = {"g"};  // the statements start from empty pools
+    bools_.clear();
+  }
+
+  std::string call(const Function& fn, std::size_t depth) {
+    std::string text = fn.name + "(" + int_expr(depth + 1);
+    if (fn.arity == 2) text += ", " + int_expr(depth + 1);
+    return text + ")";
+  }
+
+  /// A literal right operand for `/`, `%` and the shifts, or now and then a
+  /// variable, which may be zero or out of shift range.
+  std::string divisor() {
+    if (!ints_.empty() && rng_.below(4) == 0) return pick(ints_);
+    return std::to_string(1 + rng_.below(8));
+  }
+
+  /// The int expressions ProgramGenOptions::functions adds: a call, `g`
+  /// read beside a set_g call that assigns it, or a division, modulo or
+  /// shift.
+  std::string function_expr(std::size_t depth) {
+    switch (rng_.below(3)) {
+      case 0:
+        return call(int_fns_[rng_.below(int_fns_.size())], depth);
+      case 1: {
+        const std::string set = "set_g(" + int_expr(depth + 1) + ")";
+        return rng_.below(2) ? "(g + " + set + ")" : "(" + set + " - g)";
+      }
+      default: {
+        static const char* ops[] = {" / ", " % ", " << ", " >> "};
+        const std::string lhs = int_expr(depth + 1);
+        const char* op = ops[rng_.below(4)];
+        return "(" + lhs + op + divisor() + ")";
+      }
+    }
+  }
+
   std::string int_expr(std::size_t depth) {
+    if (options_.functions && depth < 2 && rng_.below(4) == 0) {
+      return function_expr(depth);
+    }
     if (depth >= 2 || ints_.empty() || rng_.below(3) == 0) {
       return ints_.empty() || rng_.below(2) == 0 ? int_literal() : pick(ints_);
     }
@@ -235,6 +317,10 @@ private:
   }
 
   std::string bool_expr(std::size_t depth) {
+    if (options_.functions && !bool_fns_.empty() && depth < 2 &&
+        rng_.below(4) == 0) {
+      return call(bool_fns_[rng_.below(bool_fns_.size())], depth);
+    }
     switch (rng_.below(4)) {
       case 0: return rng_.below(2) ? "true" : "false";
       case 1:
@@ -298,7 +384,12 @@ private:
         break;
       }
       case 2:  // assignment / compound assignment
-        if (!ints_.empty()) {
+        if (!ints_.empty() && options_.functions && rng_.below(3) == 0) {
+          static const char* ops[] = {" /= ", " %= ", " <<= ", " >>= "};
+          const std::string target = pick(ints_);
+          const char* op = ops[rng_.below(4)];
+          line(depth, target + op + divisor() + ";");
+        } else if (!ints_.empty()) {
           static const char* ops[] = {" = ", " += ", " -= ", " *= "};
           line(depth, pick(ints_) + ops[rng_.below(4)] + int_expr(0) + ";");
         } else {
@@ -459,6 +550,7 @@ private:
   int counter_ = 0;
   std::size_t qubits_declared_ = 0;
   std::vector<std::string> ints_, bools_, qubits_, quints_;
+  std::vector<Function> int_fns_, bool_fns_;
 };
 
 }  // namespace

@@ -281,6 +281,212 @@ TEST(VmParity, ReferenceSemanticsMatch) {
       "2\n3\n2\n");
 }
 
+// ---- fused int sequences ------------------------------------------------------
+//
+// The VM runs five int instruction sequences as one dispatch (vm.cpp,
+// exec_loop): `Load s; PushInt k | Load t; BinaryApply`, `PushInt k;
+// BinaryApply` on the top of stack, an int comparison feeding JumpIfFalse,
+// `Check s; PushInt k; Compound s`, and `LoopBump; Jump`. Any other operand
+// must fall back to one instruction at a time with the Runtime deciding, so
+// each sequence meets every kind of operand it can see here, and both
+// engines must print or fail identically, message and location included.
+
+TEST(VmParity, FusedSequencesMatchOnEveryOperandKind) {
+  // Variables of every kind a fused operand can meet.
+  const std::string decls =
+      "int i = 6; int z = 0; int big = 63; bool b = true; float f = 1.5;"
+      " string s = \"ab\"; quint<3> q = 5q; int[] xs = [4, 7, 9];"
+      " float[] fs = [0.5, 2.5];\n";
+  // `X` is replaced by each operand below: the first operand of
+  // `Load s; PushInt k`, `Load s; Load t` (both orders), `PushInt k;
+  // BinaryApply` on the top of stack, a comparison feeding a branch, and a
+  // compound assignment.
+  const std::vector<std::string> shapes = {
+      "print X + 2;",        "print X * i;",       "print i - X;",
+      "print (X) / 2;",      "print X % 4;",       "print X << 1;",
+      "print (X + i) - 3;",  "if (X < 3) { print 1; } else { print 0; }",
+      "if (X == i) { print 1; }",
+      "int k = 0; while (X > k) { k += 1; if (k > 9) { k = 99; } } print k;",
+      "int c = X; c += 3; print c;",  "float g = X; g += 2; print g;",
+      "print X + 0.5;",      "print X / 2.0;",     "print 2.0 * X;",
+      "print X - X;",        "print X == X;",      "print X >= 2;",
+  };
+  const std::vector<std::string> operands = {
+      "i", "b", "f", "s", "q", "xs", "xs[1]", "fs[0]", "nope", "z", "big",
+  };
+  for (const std::string& shape : shapes) {
+    for (const std::string& operand : operands) {
+      std::string body = shape;
+      for (std::size_t at = body.find('X'); at != std::string::npos;
+           at = body.find('X', at + operand.size())) {
+        body.replace(at, 1, operand);
+      }
+      expect_parity(decls + body);
+    }
+  }
+}
+
+TEST(VmParity, FusedSequencesMatchOnUnboundSlots) {
+  // A slot whose declaration has not run: a global read or assigned from a
+  // function before its declaration executes, and a local read inside its
+  // own initializer.
+  expect_parity("int f() { return g + 1; } print f(); int g = 1;");
+  expect_parity("int f() { return 2 * g; } print f(); int g = 1;");
+  expect_parity("int x = 1; int f() { return x + g; } print f(); int g = 1;");
+  expect_parity("int f() { return g < 3; } print f(); int g = 1;");
+  expect_parity("int f() { g += 1; return 0; } print f(); int g = 1;");
+  expect_parity("int f() { while (g < 3) { g += 1; } return g; } print f(); int g = 0;");
+  expect_parity("int x = x + 1;");
+  expect_parity("int y = 2; { int x = y * x; }");
+  // Bound later: the same functions succeed once the global exists.
+  expect_parity("int g = 1; int f() { g += 1; return g * 2 + g; } print f(); print g;");
+}
+
+TEST(VmParity, FusedSequencesMatchOnTraps) {
+  // Division and modulo by zero, and the shift bound, from every fused
+  // shape: literal and variable right operands, the top of stack, and a
+  // compound assignment; each diagnostic keeps its own location.
+  for (const char* body : {
+           "print x / 0;", "print x % 0;", "print x / z;", "print x % z;",
+           "print (x + 1) / 0;", "print (x + 1) % 0;", "if (x / z > 0) { print 1; }",
+           "j /= 0;", "j %= 0;", "j /= z;", "print 1 << y;", "print x << y;",
+           "print x >> y;", "print x << 63;", "j <<= 63;", "j >>= y;",
+           "print (x * 2) << 63;", "if (x << y == 0) { print 1; }",
+           "print 1.5 / 0;", "float h = 2.0; print h / z;", "float h = 2.0; h /= 0;",
+           "print x / -1; print x % -1;",
+       }) {
+    expect_parity("int x = 7; int z = 0; int y = 63; int j = 5;\n" +
+                  std::string(body));
+  }
+}
+
+TEST(VmParity, FusedSequencesMatchOnLoopBudgetAndLateLoads) {
+  // A while loop whose every instruction is fused exhausts its budget at
+  // LoopBump's location in both engines.
+  expect_parity("int i = 0; while (i >= 0) { i += 1; }");
+  // A load reads its variable when the operator runs: `f` assigns `g` first.
+  const std::string f = "int g = 1; int f() { g = 10; return 2; }\n";
+  expect_parity(f + "print g + f();");
+  expect_parity(f + "print g * 1 + f();");
+  expect_parity(f + "print f() + g;");
+  expect_parity(f + "print g + 1 + f() + g;");
+  expect_parity(f + "if (g < f()) { print g; }");
+  expect_parity(f + "int k = 0; k += g + f(); print k;");
+}
+
+TEST(VmParity, CallsAndInlineReturnsMatch) {
+  // A scalar of the declared return kind comes back inline; any other kind
+  // still goes through the return-type coercion, diagnostics included.
+  for (const char* source : {
+           "float half(int v) { return v; } print half(7) / 2;",
+           "int one() { return true; } print one() + 1;",
+           "bool odd(int v) { return v % 2; } print odd(3); print !odd(4);",
+           "int trunc(float v) { return v; } print trunc(1.5);",
+           "float twice(float v) { return v * 2; } print twice(3) / 4;",
+           "string id(string s) { return s; } print id(\"ab\") + \"c\";",
+           "int bump(int a) { a += 1; return a; } int v = 1; int w = bump(v);"
+           " w += 10; print v; print w;",
+           "int get() { int t = 4; return t; } int r = get(); r += 1;"
+           " print r; print get();",
+           "void nothing() { } nothing(); print 1;",
+           "int bare() { return; } print bare();",
+           "int loud() { } print loud() + 1;",
+           // A void call's result, wherever it can flow.
+           "void n() { } print n();",
+           "void n() { } if (n()) { print 1; }",
+           "void n() { } print !n();",
+           "void n() { } print -n();",
+           "void n() { } print n() + 1;",
+           "void n() { } int x = n();",
+           "void n() { } int x = 1; x = n();",
+           "void n() { } int[] xs = [1, 2]; print xs[n()];",
+           "void n() { } print [n(), n()];",
+           "void n() { } foreach v in [n()] { v = 5; print v; } print n();",
+           "void n() { } int f(int a) { return a; } print f(n());",
+           "void n() { return n(); } n(); print 2;",
+           "void n() { } print n() && true;",
+       }) {
+    expect_parity(source);
+  }
+  // Frames are reused across calls: fresh locals, loop budgets and foreach
+  // cursors on every call, through recursion and alternating callees.
+  expect_parity(
+      "int sum(int[] xs) { int t = 0; foreach x in xs { t += x; } return t; }\n"
+      "int tri(int n) { if (n == 0) { return 0; } int k = n; return k + tri(n - 1); }\n"
+      "int spin(int n) { int i = 0; while (i < n) { i += 1; } return i; }\n"
+      "int j = 0;\n"
+      "while (j < 4) {\n"
+      "  print sum([j, 2, 3]) + tri(j + 3) * spin(j) + spin(j * 2);\n"
+      "  j += 1;\n"
+      "}\n");
+}
+
+TEST(VmParity, FusedSequencesKeepTheStepCount) {
+  // lang.vm_steps counts every instruction executed, fused or not. These
+  // counts were recorded before the fusion existed: bench_lang's four
+  // workloads and a ten-function classical template (the shape of
+  // perfbench's trace program).
+  const bool metrics_were_enabled = qutes::obs::metrics_enabled();
+  qutes::obs::set_metrics_enabled(true);
+  auto& counter = qutes::obs::metrics().counter(qutes::obs::names::kLangVmSteps);
+  const auto steps_of = [&](const std::string& source, bool stdlib) {
+    const lang::Bytecode bc = lang::lower_source(source, stdlib);
+    const std::uint64_t before = counter.value();
+    lang::Vm vm(bc, {.seed = 7});
+    vm.run();
+    return counter.value() - before;
+  };
+
+  std::ostringstream arrays;
+  arrays << "int[] xs = [";
+  for (int i = 0; i < 64; ++i) arrays << (i ? ", " : "") << (i * 37 % 101);
+  arrays << "];\nint acc = 0;\nint r = 0;\nwhile (r < 300) {\n"
+            "  foreach x in xs { acc = (acc + x) % 9973; xs[acc % 64] = x + 1; }\n"
+            "  r = r + 1;\n}\nprint acc;\n";
+  std::ostringstream classical;
+  for (int i = 0; i < 10; ++i) {
+    classical << "int f" << i << "(int x) {\n  int acc = " << 3 * i + 1
+              << ";\n  int j = 0;\n  while (j < 500) {\n    acc = acc + x * "
+              << i % 9 + 1 << ";\n    if (j - j / 2 * 2 == 0) {\n      acc = acc - "
+              << 7 * i + 5 << ";\n    }\n    j += 1;\n  }\n  return acc;\n}\n";
+  }
+  classical << "int[] xs = [3, 14, 1, 5, 9, 2, 6, 5];\n";
+  for (int i = 0; i < 10; ++i) {
+    classical << "int total" << i << " = 0;\nforeach v in xs {\n  total" << i
+              << " += f" << i << "(v);\n}\nprint total" << i << ";\n";
+  }
+  classical << "print sum(xs);\nprint pow_i(3, 7);\nprint max_i(12, 500);\n"
+               "print min_i(12, 500);\nprint abs_i(12 - 500);\n"
+               "print contains(xs, 9);\n";
+
+  EXPECT_EQ(steps_of("int acc = 0;\n"
+                     "int i = 0;\n"
+                     "while (i < 20000) { acc = acc + i * 3 - 1; i = i + 1; }\n"
+                     "print acc;\n",
+                     false),
+            400013u) << "tight_loop";
+  EXPECT_EQ(steps_of("int acc = 0;\n"
+                     "int i = 0;\n"
+                     "while (i < 15000) {\n"
+                     "  if (i % 3 == 0) { acc += i; }\n"
+                     "  else { if (i % 3 == 1) { acc -= 2; } else { acc = acc * 2 % 1021; } }\n"
+                     "  i = i + 1;\n"
+                     "}\n"
+                     "print acc;\n",
+                     false),
+            390013u) << "branchy";
+  EXPECT_EQ(steps_of("int step(int a, int b) { return (a * b + 7) % 4093; }\n"
+                     "int acc = 1;\n"
+                     "int i = 0;\n"
+                     "while (i < 8000) { acc = step(acc, i); i = i + 1; }\n"
+                     "print acc;\n",
+                     false),
+            192013u) << "calls";
+  EXPECT_EQ(steps_of(arrays.str(), false), 388345u) << "arrays";
+  EXPECT_EQ(steps_of(classical.str(), true), 1141964u) << "classical template";
+  qutes::obs::set_metrics_enabled(metrics_were_enabled);
+}
+
 TEST(VmParity, QuantumProgramsMatchBitForBit) {
   // Same Runtime, same RNG draw order: measured results must agree exactly.
   expect_parity("qubit q = |+>; print q; print q;");

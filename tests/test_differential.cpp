@@ -433,6 +433,22 @@ EngineOutcome run_engine(const std::string& source, qutes::ExecMode mode) {
   return out;
 }
 
+/// Both engines print the same output and circuit, or fail with the same
+/// diagnostic, on one generated program.
+void expect_engines_agree(const std::string& source, std::uint64_t seed) {
+  const EngineOutcome vm = run_engine(source, qutes::ExecMode::Vm);
+  const EngineOutcome ast = run_engine(source, qutes::ExecMode::Ast);
+  ASSERT_EQ(vm.ok, ast.ok) << "seed=" << seed << "\nvm error: " << vm.error
+                           << "\nast error: " << ast.error << "\nsource:\n"
+                           << source;
+  if (vm.ok) {
+    EXPECT_EQ(vm.output, ast.output) << "seed=" << seed << "\nsource:\n" << source;
+    EXPECT_EQ(vm.qasm, ast.qasm) << "seed=" << seed << "\nsource:\n" << source;
+  } else {
+    EXPECT_EQ(vm.error, ast.error) << "seed=" << seed << "\nsource:\n" << source;
+  }
+}
+
 }  // namespace
 
 TEST(Differential, VmMatchesTreeWalkOnRandomPrograms) {
@@ -443,18 +459,20 @@ TEST(Differential, VmMatchesTreeWalkOnRandomPrograms) {
   // message text and source location — must be bit-identical.
   const std::size_t programs = sweep(220, 24);
   for (std::uint64_t seed = 0; seed < programs; ++seed) {
-    const std::string source = qt::random_qutes_program(seed);
-    const EngineOutcome vm = run_engine(source, qutes::ExecMode::Vm);
-    const EngineOutcome ast = run_engine(source, qutes::ExecMode::Ast);
-    ASSERT_EQ(vm.ok, ast.ok) << "seed=" << seed << "\nvm error: " << vm.error
-                             << "\nast error: " << ast.error << "\nsource:\n"
-                             << source;
-    if (vm.ok) {
-      EXPECT_EQ(vm.output, ast.output) << "seed=" << seed << "\nsource:\n" << source;
-      EXPECT_EQ(vm.qasm, ast.qasm) << "seed=" << seed << "\nsource:\n" << source;
-    } else {
-      EXPECT_EQ(vm.error, ast.error) << "seed=" << seed << "\nsource:\n" << source;
-    }
+    expect_engines_agree(qt::random_qutes_program(seed), seed);
+  }
+}
+
+TEST(Differential, VmMatchesTreeWalkOnRandomFunctionPrograms) {
+  // The same, over programs with user functions: calls inside expressions
+  // (the VM's frame reuse and inline scalar returns), a function assigning
+  // the global its caller reads in the same expression, and division,
+  // modulo and shifts whose right operands may trap.
+  qt::ProgramGenOptions options;
+  options.functions = true;
+  const std::size_t programs = sweep(220, 24);
+  for (std::uint64_t seed = 0; seed < programs; ++seed) {
+    expect_engines_agree(qt::random_qutes_program(seed, options), seed);
   }
 }
 

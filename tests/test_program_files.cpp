@@ -31,6 +31,7 @@ TEST(ProgramFiles, AllProgramsParseAndRun) {
       "quickstart.qut", "grover.qut",      "deutsch_jozsa.qut",
       "entanglement.qut", "cyclic_shift.qut", "database.qut",
       "stdlib_demo.qut",  "debugging.qut",  "ghz.qut", "randomness.qut",
+      "classical_kernels.qut",
   };
   for (const char* name : programs) {
     EXPECT_NO_THROW((void)run_program(name)) << name;
@@ -105,6 +106,15 @@ TEST(ProgramFiles, RandomnessStaysInRange) {
   const int v = std::stoi(sample);
   EXPECT_GE(v, 0);
   EXPECT_LT(v, 64);
+}
+
+TEST(ProgramFiles, ClassicalKernelsValues) {
+  // Purely classical: the same text on every seed, and no circuit.
+  const RunResult result = run_program("classical_kernels.qut");
+  EXPECT_EQ(result.output,
+            "46\n21\n42\n6\n1000\n111\n10\n155\n10\n5.18738\n1.41421\n3.5\n"
+            "0.625\n3\n3.5\ntrue\n");
+  EXPECT_EQ(result.circuit.size(), 0u);
 }
 
 TEST(ProgramFiles, MissingFileErrors) {

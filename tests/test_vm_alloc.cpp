@@ -1,9 +1,10 @@
 // Heap-allocation budget of the bytecode VM. Classical Bool/Int/Float
-// temporaries live inline on the VM's operand stack, and int compound
-// assignment updates its slot in place, so a classical loop allocates
-// nothing per trip: a run's allocation count does not grow with its trip
-// count. This binary replaces the global operator new with a counting one;
-// it lives apart from test_bytecode so no other suite runs under it.
+// temporaries live inline on the VM's operand stack, int and float compound
+// assignment update their slot in place, and a user call reuses its frame's
+// vectors and returns a scalar inline, so a classical loop allocates nothing
+// per trip: a run's allocation count does not grow with its trip count.
+// This binary replaces the global operator new with a counting one; it
+// lives apart from test_bytecode so no other suite runs under it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,6 +62,47 @@ lang::Bytecode indexed_loop(int trips) {
       /*include_stdlib=*/false);
 }
 
+/// Float arithmetic on a Float slot per trip.
+lang::Bytecode float_loop(int trips) {
+  return lang::lower_source(
+      "float x = 0.0;\n"
+      "int j = 0;\n"
+      "while (j < " + std::to_string(trips) + ") {\n"
+      "  x = x + 0.5;\n"
+      "  j += 1;\n"
+      "}\n"
+      "print x;\n",
+      /*include_stdlib=*/false);
+}
+
+/// One call of an int function per trip, its argument a variable.
+lang::Bytecode call_loop(int calls) {
+  return lang::lower_source(
+      "int f(int a) { return a * 2; }\n"
+      "int acc = 0;\n"
+      "int j = 0;\n"
+      "while (j < " + std::to_string(calls) + ") {\n"
+      "  acc = acc + f(j);\n"
+      "  j += 1;\n"
+      "}\n"
+      "print acc;\n",
+      /*include_stdlib=*/false);
+}
+
+/// One call of a void function per trip.
+lang::Bytecode void_call_loop(int calls) {
+  return lang::lower_source(
+      "int acc = 0;\n"
+      "void add(int a) { acc += a; }\n"
+      "int j = 0;\n"
+      "while (j < " + std::to_string(calls) + ") {\n"
+      "  add(j);\n"
+      "  j += 1;\n"
+      "}\n"
+      "print acc;\n",
+      /*include_stdlib=*/false);
+}
+
 /// Allocations made by constructing and running one VM over `bytecode`.
 std::size_t allocations_of_run(const lang::Bytecode& bytecode) {
   const std::size_t before = g_allocations.load();
@@ -69,32 +111,46 @@ std::size_t allocations_of_run(const lang::Bytecode& bytecode) {
   return g_allocations.load() - before;
 }
 
-TEST(VmAllocations, ClassicalLoopAllocatesNothingPerTrip) {
-  const lang::Bytecode short_loop = classical_loop(100);
-  const lang::Bytecode long_loop = classical_loop(10000);
+/// A run of `program(many)` allocates no more than a run of `program(few)`.
+/// Both counts are recorded as test properties named "allocations_<n>_<unit>",
+/// prefixed with "<label>_" when a label is given.
+void expect_flat_allocations(lang::Bytecode (*program)(int), int few, int many,
+                             const std::string& unit,
+                             const std::string& label = "") {
+  const lang::Bytecode few_program = program(few);
+  const lang::Bytecode many_program = program(many);
   // Warm-up: first-use statics (builtin table, metric registry entries).
-  (void)allocations_of_run(short_loop);
-  const std::size_t short_count = allocations_of_run(short_loop);
-  const std::size_t long_count = allocations_of_run(long_loop);
-  RecordProperty("allocations_100_trips", std::to_string(short_count));
-  RecordProperty("allocations_10000_trips", std::to_string(long_count));
-  EXPECT_GT(short_count, 0u) << "the operator new counter is not installed";
-  EXPECT_LE(long_count, short_count)
-      << "100 trips: " << short_count << " allocations, 10000 trips: "
-      << long_count;
+  (void)allocations_of_run(few_program);
+  const std::size_t few_count = allocations_of_run(few_program);
+  const std::size_t many_count = allocations_of_run(many_program);
+  const std::string prefix = label.empty() ? "" : label + "_";
+  const auto name = [&](int n) {
+    return prefix + "allocations_" + std::to_string(n) + "_" + unit;
+  };
+  ::testing::Test::RecordProperty(name(few), std::to_string(few_count));
+  ::testing::Test::RecordProperty(name(many), std::to_string(many_count));
+  EXPECT_GT(few_count, 0u) << "the operator new counter is not installed";
+  EXPECT_LE(many_count, few_count)
+      << label << (label.empty() ? "" : ", ") << few << " " << unit << ": "
+      << few_count << " allocations, "
+      << many << " " << unit << ": " << many_count;
+}
+
+TEST(VmAllocations, ClassicalLoopAllocatesNothingPerTrip) {
+  expect_flat_allocations(&classical_loop, 100, 10000, "trips");
 }
 
 TEST(VmAllocations, ComputedIndexReadAllocatesNothingPerTrip) {
-  const lang::Bytecode short_loop = indexed_loop(100);
-  const lang::Bytecode long_loop = indexed_loop(10000);
-  (void)allocations_of_run(short_loop);
-  const std::size_t short_count = allocations_of_run(short_loop);
-  const std::size_t long_count = allocations_of_run(long_loop);
-  RecordProperty("allocations_100_trips", std::to_string(short_count));
-  RecordProperty("allocations_10000_trips", std::to_string(long_count));
-  EXPECT_LE(long_count, short_count)
-      << "100 trips: " << short_count << " allocations, 10000 trips: "
-      << long_count;
+  expect_flat_allocations(&indexed_loop, 100, 10000, "trips");
+}
+
+TEST(VmAllocations, FloatLoopAllocatesNothingPerTrip) {
+  expect_flat_allocations(&float_loop, 100, 1000, "trips");
+}
+
+TEST(VmAllocations, UserCallsAllocateNothingPerCall) {
+  expect_flat_allocations(&call_loop, 100, 1000, "calls", "int");
+  expect_flat_allocations(&void_call_loop, 100, 1000, "calls", "void");
 }
 
 }  // namespace
