@@ -46,7 +46,7 @@ double ms_since(clock_type::time_point t0) {
 }
 
 /// Daemon-shaped workloads: the Qutes source a client would POST. All use
-/// the default include_stdlib=true, so a cold compile pays the stdlib parse
+/// the default include_stdlib=true, so a cold compile links the stdlib image
 /// the same way `qutes run` does.
 struct Workload {
   const char* name;
@@ -129,7 +129,7 @@ void print_latency_json() {
                 w.name, w.shots, cold_ms, warm_ms, speedup);
   }
   std::printf("shape check: warm-cache latency >= 10x under cold on every "
-              "workload (the cold request pays the stdlib parse + lower + "
+              "workload (the cold request pays the parse + lower + "
               "pipeline; the hit replays the cached lowered circuit)\n\n");
 }
 

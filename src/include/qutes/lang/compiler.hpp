@@ -58,10 +58,11 @@ struct RunResult {
 
 /// Parse only (lex + parse + pass 1); useful for front-end tests and for
 /// measuring compile time without execution. Throws LangError on malformed
-/// programs.
+/// programs. The stdlib is not parsed again: `functions` starts from a copy
+/// of the stdlib image's table (stdlib.hpp), whose declarations live in the
+/// image for the whole process.
 struct CompileResult {
   Program program;
-  Program stdlib_program;  ///< owns the standard library's AST (if loaded)
   FunctionTable functions; ///< stdlib + user functions
   DiagnosticEngine diagnostics;
 };
@@ -69,7 +70,8 @@ struct CompileResult {
                                            bool include_stdlib = true);
 
 /// Compile then lower to bytecode (lex + parse + pass 1 + lowering), without
-/// executing. The artifact's `source_hash` is the fnv1a64 of `source`, so a
+/// executing. With the stdlib, the artifact links the image's stdlib chunks
+/// (lower.hpp). The artifact's `source_hash` is the fnv1a64 of `source`, so a
 /// cache can check `Bytecode::load(path).source_hash == fnv1a64(source)` and
 /// skip the whole front end on a hit. Throws LangError on malformed programs
 /// and on statically-detected over-deep nesting.

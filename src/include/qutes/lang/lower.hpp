@@ -18,7 +18,18 @@
 // message, and bounds statement nesting (belt over the parser's own guard),
 // so lowering a pathological program raises LangError instead of
 // overflowing the C++ stack.
+//
+// Linking: the stdlib is lowered once per process into the stdlib image
+// (stdlib.hpp). When `functions` holds the image's own stdlib declarations,
+// as every table compile_source() builds does, lower() starts from a copy
+// of the image's lowered state and lowers only main and the user's
+// functions. The layout is then chunk 0 = main, the stdlib chunks, the
+// user's functions, each group in name order. Any other table (no stdlib,
+// or a separately parsed one) lowers in full, every function in name order.
 #pragma once
+
+#include <string>
+#include <unordered_map>
 
 #include "qutes/lang/ast.hpp"
 #include "qutes/lang/bytecode.hpp"
@@ -31,5 +42,20 @@ namespace qutes::lang {
 /// Bytecode::save); pass fnv1a64 of the source text.
 [[nodiscard]] Bytecode lower(Program& program, const FunctionTable& functions,
                              std::uint64_t source_hash = 0);
+
+/// The lowerer's state after lowering a function table with an empty main:
+/// the artifact so far (chunk 0 = the empty main, then one chunk per
+/// function in name order) and the maps a later lowering continues from.
+struct LoweredLibrary {
+  Bytecode bytecode;
+  std::unordered_map<std::string, std::uint32_t> chunk_index;  ///< function -> chunk
+  std::unordered_map<std::string, std::uint32_t> strings;      ///< string pool index
+  std::unordered_map<std::uint64_t, std::uint32_t> locations;  ///< location pool index
+};
+
+/// Lower every function of `functions` with an empty main. The stdlib image
+/// is built with it; it adds nothing to `lang.bytecode_ops`, which counts
+/// the artifacts lower() returns.
+[[nodiscard]] LoweredLibrary lower_library(const FunctionTable& functions);
 
 }  // namespace qutes::lang

@@ -221,9 +221,7 @@ bool write_metrics_json(const std::string& path);
 namespace names {
 // language front end
 inline constexpr const char* kLangTokens = "lang.tokens";               // counter
-inline constexpr const char* kLangStatements = "lang.statements";       // counter (top-level parsed)
-inline constexpr const char* kLangStmtsExecuted = "lang.stmts_executed";// counter
-inline constexpr const char* kLangBytecodeOps = "lang.bytecode_ops";    // counter (instructions emitted by lowering)
+inline constexpr const char* kLangBytecodeOps = "lang.bytecode_ops";    // counter (instructions in each lowered artifact, linked stdlib chunks included)
 inline constexpr const char* kLangVmSteps = "lang.vm_steps";            // counter (instructions dispatched by the VM)
 // compilation pipeline
 inline constexpr const char* kPassesRun = "pipeline.passes_run";        // counter

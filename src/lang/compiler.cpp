@@ -34,14 +34,10 @@ ExecMode resolve_exec_mode(ExecMode requested) {
 CompileResult compile_source(const std::string& source, bool include_stdlib) {
   obs::Span span("lang.compile");
   CompileResult result;
-  if (include_stdlib) {
-    // The stdlib is pure function declarations: collecting it registers its
-    // functions; there are no top-level effects to execute.
-    obs::Span stdlib_span("lang.parse_stdlib");
-    result.stdlib_program = parse(stdlib_source());
-    SymbolCollector stdlib_collector(result.functions, result.diagnostics);
-    stdlib_collector.collect(result.stdlib_program);
-  }
+  // The stdlib is pure function declarations with no top-level effects, so
+  // a copy of the image's table is all a program needs of it; lower() then
+  // links the image's chunks.
+  if (include_stdlib) result.functions = stdlib_image().functions;
   {
     obs::Span parse_span("lang.parse");
     result.program = parse(source);
@@ -49,9 +45,6 @@ CompileResult compile_source(const std::string& source, bool include_stdlib) {
   obs::Span collect_span("lang.collect_symbols");
   SymbolCollector collector(result.functions, result.diagnostics);
   collector.collect(result.program);
-  static obs::Counter& statements_metric =
-      obs::metrics().counter(obs::names::kLangStatements);
-  statements_metric.add(result.program.statements.size());
   return result;
 }
 

@@ -42,9 +42,6 @@ void Interpreter::run(Program& program, FunctionTable& functions) {
 }
 
 void Interpreter::execute(Stmt& stmt) {
-  static obs::Counter& executed_metric =
-      obs::metrics().counter(obs::names::kLangStmtsExecuted);
-  executed_metric.add(1);
   if (trace_ != nullptr) {
     StmtTagger tagger;
     stmt.accept(tagger);

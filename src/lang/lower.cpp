@@ -4,6 +4,7 @@
 
 #include "qutes/lang/builtins.hpp"
 #include "qutes/lang/runtime.hpp"
+#include "qutes/lang/stdlib.hpp"
 #include "qutes/obs/obs.hpp"
 
 namespace qutes::lang {
@@ -13,19 +14,31 @@ constexpr std::uint32_t kNoPc = 0xffffffffu;
 
 class Lowerer final : public StmtVisitor {
 public:
-  Lowerer(const FunctionTable& functions, std::uint64_t source_hash)
+  /// Starts empty, or from a copy of `linked`'s state, whose chunks then
+  /// stay as they are.
+  Lowerer(const FunctionTable& functions, std::uint64_t source_hash,
+          const LoweredLibrary* linked)
       : functions_(functions) {
+    if (linked != nullptr) {
+      bc_ = linked->bytecode;
+      chunk_index_ = linked->chunk_index;
+      str_pool_ = linked->strings;
+      loc_pool_ = linked->locations;
+    } else {
+      bc_.locations.push_back(SourceLocation{});  // index 0 = "<builtin>"
+      bc_.chunks.emplace_back();                  // main
+    }
     bc_.source_hash = source_hash;
-    bc_.locations.push_back(SourceLocation{});  // index 0 = "<builtin>"
   }
 
-  Bytecode run(Program& program) {
+  LoweredLibrary run(Program& program) {
     // Chunk indices first, so call sites in any chunk (main included)
-    // resolve to the final layout: main = 0, functions in name order.
-    bc_.chunks.emplace_back();
+    // resolve to the final layout: main = 0, the linked chunks, then the
+    // functions lowered here in name order.
+    const auto first_own = static_cast<std::uint32_t>(bc_.chunks.size());
     for (const auto& [name, fn] : functions_.items()) {
-      chunk_index_[name] = static_cast<std::uint32_t>(bc_.chunks.size());
-      bc_.chunks.emplace_back();
+      const auto next = static_cast<std::uint32_t>(bc_.chunks.size());
+      if (chunk_index_.try_emplace(name, next).second) bc_.chunks.emplace_back();
       (void)fn;
     }
 
@@ -38,11 +51,13 @@ public:
     end_chunk();
 
     for (const auto& [name, fn] : functions_.items()) {
-      lower_function(chunk_index_.at(name), *fn);
+      const std::uint32_t index = chunk_index_.at(name);
+      if (index >= first_own) lower_function(index, *fn);
     }
 
     bc_.validate();
-    return std::move(bc_);
+    return {std::move(bc_), std::move(chunk_index_), std::move(str_pool_),
+            std::move(loc_pool_)};
   }
 
 private:
@@ -661,17 +676,35 @@ private:
   std::size_t stmt_depth_ = 0;
 };
 
+/// The stdlib image's lowered state when `functions` holds the image's own
+/// stdlib declarations; null for a table without the stdlib (which never
+/// builds the image) or with a separately parsed one.
+const LoweredLibrary* linked_stdlib(const FunctionTable& functions) {
+  if (functions.lookup(stdlib_function_names().front()) == nullptr)
+    return nullptr;
+  const StdlibImage& image = stdlib_image();
+  for (const auto& [name, fn] : image.functions.items()) {
+    if (functions.lookup(name) != fn) return nullptr;
+  }
+  return &image.lowered;
+}
+
 }  // namespace
 
 Bytecode lower(Program& program, const FunctionTable& functions,
                std::uint64_t source_hash) {
   obs::Span span("lang.lower");
-  Lowerer lowerer(functions, source_hash);
-  Bytecode bc = lowerer.run(program);
+  Lowerer lowerer(functions, source_hash, linked_stdlib(functions));
+  Bytecode bc = lowerer.run(program).bytecode;
   obs::metrics()
       .counter(obs::names::kLangBytecodeOps)
       .add(static_cast<std::uint64_t>(bc.total_ops()));
   return bc;
+}
+
+LoweredLibrary lower_library(const FunctionTable& functions) {
+  Program empty;
+  return Lowerer(functions, 0, nullptr).run(empty);
 }
 
 }  // namespace qutes::lang

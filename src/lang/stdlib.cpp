@@ -1,13 +1,19 @@
 #include "qutes/lang/stdlib.hpp"
 
+#include <memory>
 #include <vector>
+
+#include "qutes/lang/diagnostics.hpp"
+#include "qutes/lang/parser.hpp"
+#include "qutes/lang/symbol_collector.hpp"
+#include "qutes/obs/obs.hpp"
 
 namespace qutes::lang {
 
 const std::string& stdlib_source() {
   static const std::string source = R"qutes(
 // ===== Qutes standard library ==============================================
-// Written in Qutes. Loaded before every program (see compiler.cpp).
+// Written in Qutes. Built once per process and linked into every program.
 
 // ---- classical helpers -----------------------------------------------------
 
@@ -149,6 +155,22 @@ const std::vector<std::string>& stdlib_function_names() {
       "dj_is_constant4",
   };
   return names;
+}
+
+const StdlibImage& stdlib_image() {
+  static const StdlibImage* const image = [] {
+    auto built = std::make_unique<StdlibImage>();
+    {
+      obs::Span span("lang.parse_stdlib");
+      built->program = parse(stdlib_source());
+      DiagnosticEngine diagnostics;
+      SymbolCollector(built->functions, diagnostics).collect(built->program);
+    }
+    obs::Span span("lang.lower_stdlib");
+    built->lowered = lower_library(built->functions);
+    return built.release();
+  }();
+  return *image;
 }
 
 }  // namespace qutes::lang
