@@ -21,6 +21,7 @@
 #include "qutes/lang/interpreter.hpp"
 #include "qutes/lang/lower.hpp"
 #include "qutes/lang/vm.hpp"
+#include "qutes/testing/generators.hpp"
 
 namespace {
 
@@ -32,12 +33,14 @@ double ms_since(clock_type::time_point t0) {
       .count();
 }
 
-/// Classical-heavy workloads: tight loops, branches, calls, arrays. Each
-/// executes tens of thousands of statements so engine dispatch cost, not
-/// setup, dominates.
+/// Classical-heavy workloads: tight loops, branches, calls, arrays and
+/// perfbench's classical template at 500 trips (qutesd_mix's `trace`
+/// program). Each executes tens of thousands of statements so engine
+/// dispatch cost, not setup, dominates.
 struct Workload {
   const char* name;
   std::string source;
+  bool stdlib = false;  ///< the program calls stdlib functions
 };
 
 std::vector<Workload> workloads() {
@@ -74,6 +77,7 @@ std::vector<Workload> workloads() {
          "}\n"
          "print acc;\n";
   out.push_back({"arrays", arr.str()});
+  out.push_back({"template", qutes::testing::classical_template(500), true});
   return out;
 }
 
@@ -111,7 +115,7 @@ void print_summary() {
   const int sweeps = 3;
   for (const Workload& w : workloads()) {
     // Front end once (shared by both engines), lowering timed separately.
-    CompileResult compiled = compile_source(w.source, /*include_stdlib=*/false);
+    CompileResult compiled = compile_source(w.source, w.stdlib);
     const auto l0 = clock_type::now();
     const Bytecode bc =
         lower(compiled.program, compiled.functions, fnv1a64(w.source));
@@ -133,8 +137,7 @@ void print_summary() {
     for (int s = 0; s < sweeps; ++s) {
       const auto f0 = clock_type::now();
       for (int r = 0; r < reps; ++r) {
-        benchmark::DoNotOptimize(
-            lower_source(w.source, /*include_stdlib=*/false).total_ops());
+        benchmark::DoNotOptimize(lower_source(w.source, w.stdlib).total_ops());
       }
       frontend_ms = std::min(frontend_ms, ms_since(f0) / reps);
       const auto h0 = clock_type::now();

@@ -5,7 +5,8 @@
 #
 # Modes (combinable with --quick):
 #   (none)    -Werror build + full test suite in build-check/, plus the
-#             perfbench self-test (python3 perfbench/run.py --selftest)
+#             perfbench self-test (python3 perfbench/run.py --selftest) and
+#             the unit checks of scripts/bench_compare.py's verdict
 #   --asan    AddressSanitizer build + full test suite in build-asan/
 #   --ubsan   UndefinedBehaviorSanitizer build + full test suite in build-ubsan/
 #   --native  -march=native build (QUTES_NATIVE=ON) + full test suite in
@@ -197,10 +198,13 @@ echo "check.sh: qutesd daemon smoke passed (cold miss, warm hit, graceful drain)
 # against src/ into .bench_build/ and runs its oracles, so a change that
 # breaks the benchmark's build or its oracles fails here instead of in a
 # benchmark run. The benchmark always builds its own Release tree, so the
-# sanitizer and native modes would only repeat it.
+# sanitizer and native modes would only repeat it. The verdict rule of
+# scripts/bench_compare.py is plain Python and runs here with it.
 if [[ -z "$SANITIZE" && "$NATIVE" == 0 ]]; then
   python3 perfbench/run.py --selftest
   echo "check.sh: perfbench self-test passed."
+  python3 scripts/test_bench_compare.py
+  echo "check.sh: bench_compare verdict checks passed."
 fi
 
 # Perf smoke: fused+reordered SIMD execution must beat the portable unfused

@@ -148,7 +148,9 @@ struct Bytecode {
   /// Structural validation: every operand index, enum value, and jump target
   /// in range. Throws LangError ("bytecode: ...") on the first violation.
   /// load() always runs this; the lowerer's output is valid by construction.
-  void validate() const;
+  /// Chunks [checked_begin, checked_end) are taken as checked already: a
+  /// lowering that links the stdlib image skips the image's chunks.
+  void validate(std::size_t checked_begin = 0, std::size_t checked_end = 0) const;
 
   /// Versioned binary artifact (little-endian). save() throws Error on I/O
   /// failure; load() throws LangError on I/O failure, bad magic, version

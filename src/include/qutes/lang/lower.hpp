@@ -22,8 +22,8 @@
 // Linking: the stdlib is lowered once per process into the stdlib image
 // (stdlib.hpp). When `functions` holds the image's own stdlib declarations,
 // as every table compile_source() builds does, lower() starts from a copy
-// of the image's lowered state and lowers only main and the user's
-// functions. The layout is then chunk 0 = main, the stdlib chunks, the
+// of the image's bytecode, looks names up in the image's maps before its
+// own, and lowers and validates only main and the user's functions. The layout is then chunk 0 = main, the stdlib chunks, the
 // user's functions, each group in name order. Any other table (no stdlib,
 // or a separately parsed one) lowers in full, every function in name order.
 #pragma once

@@ -123,10 +123,11 @@ public:
 
   // ---- statements -----------------------------------------------------------
   [[nodiscard]] std::string render_for_print(const ValuePtr& value);
-  /// Expand a foreach iterable into its item sequence (arrays by reference,
-  /// string characters, register qubits).
-  std::vector<ValuePtr> iterate_items(const ValuePtr& iterable,
-                                      SourceLocation loc);
+  /// Expand a foreach iterable into `items`, replacing what it held and
+  /// reusing its capacity: a snapshot of the item sequence (arrays by
+  /// reference, string characters, register qubits).
+  void iterate_items(const ValuePtr& iterable, SourceLocation loc,
+                     std::vector<ValuePtr>& items);
   /// Apply a gate statement to one evaluated operand (arrays broadcast).
   void apply_gate_value(GateKind gate, const ValuePtr& value,
                         SourceLocation loc);

@@ -6,19 +6,24 @@
 // the classical scalars the VM creates inline, with no heap cell, and
 // everything with identity as a shared Value cell (see Operand). Int and
 // float arithmetic and comparison, truthiness, and same-kind scalar stores
-// run inline and mirror Runtime's rules exactly, and the int sequences the
-// lowerer emits for loops, conditions and counters run as one dispatch (see
-// exec_loop); every other value-level operation delegates to the same
-// lang::Runtime the tree-walking Interpreter uses. The two engines therefore
-// produce bit-identical circuits, measurement draws, outputs, and
-// diagnostics; `--exec-mode ast` keeps the tree-walk available as the
-// differential reference.
+// run inline and mirror Runtime's rules exactly; every other value-level
+// operation delegates to the same lang::Runtime the tree-walking Interpreter
+// uses. The two engines therefore produce bit-identical circuits,
+// measurement draws, outputs, and diagnostics; `--exec-mode ast` keeps the
+// tree-walk available as the differential reference.
+//
+// Each chunk is decoded once per Vm, when it is first entered (decode): one
+// Kind per pc, either the pc's own Op or, at the head of an instruction run
+// the dispatch loop executes in one step, a fused kind decided there. The
+// loop then dispatches on the decoded kinds; the artifact itself is never
+// rewritten, so its format, listing and jump targets stay as lowered.
 //
 // The VM is defensive against adversarial artifacts (a load()ed file is
 // attacker-controlled input for a future qutesd daemon): the loader
-// validates all static indices, and the dispatch loop uses checked stack
-// pops so even a semantically-nonsense instruction stream raises a clean
-// LangError instead of corrupting memory.
+// validates all static indices, the decoder accepts any artifact that
+// validates, and the dispatch loop, fused kinds included, uses checked
+// stack pops and slot-null checks so even a semantically-nonsense
+// instruction stream raises a clean LangError instead of corrupting memory.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +62,12 @@ public:
 private:
   /// One operand-stack entry. A classical Bool/Int/Float the VM creates
   /// itself (a literal, an int or float arithmetic or comparison result, a
-  /// truth value, a scalar a user function returns) is held inline, with no
-  /// heap cell, and so is a void function's result (kind Void). Everything with identity stays a ValuePtr: the variable
-  /// cells Load* pushes (so `g + f()` reads `g` after `f` assigned it),
-  /// arrays, strings, quantum references, builtin and index results.
+  /// truth value, a scalar a user function returns, the value of an Int
+  /// variable that the next BinaryApply reads) is held inline, with no heap
+  /// cell, and so is a void function's result (kind Void). Everything with
+  /// identity stays a ValuePtr: the variable cells any other Load* pushes (so
+  /// `g + f()` reads `g` after `f` assigned it), arrays, strings, quantum
+  /// references, builtin and index results.
   struct Operand {
     ValuePtr cell;                   ///< null while the operand is inline
     TypeKind kind = TypeKind::Void;  ///< Void, Bool, Int or Float when inline
@@ -76,9 +83,38 @@ private:
     explicit Operand(double v) : kind(TypeKind::Float), f(v) {}
   };
 
+  /// What the dispatch loop runs at one pc. Values below kOpCount are the
+  /// pc's own Op, run alone; the rest are fused kinds, each the head of a
+  /// run of instructions that one dispatch executes when its operands are
+  /// Ints (DESIGN.md §13). Every pc has a kind, so a jump into the middle
+  /// of a run dispatches from there.
+  enum class Kind : std::uint8_t {
+    /// `Load s` whose value the next BinaryApply reads: an Int is pushed
+    /// inline. Only pushes, loads and BinaryApply come in between, and none
+    /// of them can assign a variable.
+    LoadValue = kOpCount,
+    /// `Load s; PushInt k | Load t; BinaryApply op`, then nothing, a
+    /// `JumpIfFalse` that tests the result, or an `Assign*` that stores it.
+    LoadBinary,
+    LoadBinaryBranch,
+    LoadBinaryAssign,
+    /// `PushInt k; BinaryApply op` on the top of stack, the same endings.
+    PushBinary,
+    PushBinaryBranch,
+    PushBinaryAssign,
+    /// `BinaryApply op; JumpIfFalse` and `BinaryApply op; Assign*`.
+    BinaryBranch,
+    BinaryAssign,
+    /// `Check s; PushInt k; Compound op s`: an Int slot updated in place.
+    CheckPushCompound,
+    /// `LoopBump; Jump`, the back edge of every while loop.
+    BumpJump,
+  };
+
   struct Frame {
     const Chunk* chunk = nullptr;
-    std::size_t pc = 0;
+    const Kind* kinds = nullptr;          ///< decoded_ of the chunk
+    std::size_t pc = 0;                   ///< saved while a callee runs
     std::vector<ValuePtr> slots;          ///< null = unbound (reads as undeclared)
     std::vector<std::uint8_t> declared;   ///< Declare executed (may be unbound)
     std::vector<std::uint32_t> declared_at;  ///< location pool idx per slot
@@ -91,22 +127,33 @@ private:
     std::uint32_t call_loc = 0;  ///< location pool idx of the call site
   };
 
-  void exec_loop(std::uint64_t& steps);
-  /// Enter `chunk`: the next frame of frames_, reusing the vectors an
+  /// One Kind per pc of `chunk`. Accepts any chunk that
+  /// Bytecode::validate() passes.
+  static std::vector<Kind> decode(const Chunk& chunk);
+
+  void exec_loop();
+  /// Enter chunk `index`: the next frame of frames_, reusing the vectors an
   /// earlier call left there, so a call allocates nothing once the frame
-  /// stack has reached its depth.
-  Frame& push_frame(const Chunk& chunk, std::uint32_t call_loc);
+  /// stack has reached its depth. Decodes the chunk on its first entry.
+  Frame& push_frame(std::uint32_t index, std::uint32_t call_loc);
 
   [[nodiscard]] SourceLocation loc_of(std::uint32_t idx) const {
     return bc_.locations[idx];
   }
+  /// Throw LangError(`message`) at location pool index `loc_idx`.
+  [[noreturn]] void fail(const char* message, std::uint32_t loc_idx) const;
+  /// "<what> undeclared variable '<name>'" for the slot `in.b` of `owner`.
+  [[noreturn]] void fail_undeclared(const char* what, const Frame& owner,
+                                    const Instr& in) const;
   Operand pop(std::uint32_t loc_idx);
   Operand& peek(std::uint32_t loc_idx);
   /// Pop, giving an inline scalar a fresh cell: the form every Runtime call
   /// and binding takes. Nothing else holds an inline scalar, so its cell is
   /// as unaliased as a fresh Runtime result.
   ValuePtr pop_cell(std::uint32_t loc_idx);
-  static TypeKind kind_of(const Operand& v);
+  static TypeKind kind_of(const Operand& v) {
+    return v.cell ? v.cell->kind() : v.kind;
+  }
   /// The operand as a cell: its own, or a fresh one for an inline scalar or
   /// void.
   static ValuePtr box(Operand v);
@@ -149,10 +196,17 @@ private:
   /// their vectors' capacity for the next call.
   std::vector<Frame> frames_;
   std::size_t depth_ = 0;
+  /// decode() of each chunk, filled when the chunk is first entered.
+  std::vector<std::vector<Kind>> decoded_;
   std::vector<Runtime::SupBuilder> sups_;
   std::vector<Runtime::ArrBuilder> arrs_;
   /// Builtins resolved once per name (index = string pool slot).
   std::vector<const BuiltinFn*> builtin_cache_;
+  /// The argument vector every builtin call fills and clears again (a
+  /// builtin gets the Runtime, not the Vm, so no call nests in another).
+  std::vector<ValuePtr> builtin_args_;
+  /// Instructions executed, fused or not (lang.vm_steps).
+  std::uint64_t steps_ = 0;
 };
 
 }  // namespace qutes::lang

@@ -88,4 +88,12 @@ struct ProgramGenOptions {
 /// front-end fuzzer.
 [[nodiscard]] std::string mutate_source(std::string source, std::uint64_t seed);
 
+/// The classical template of perfbench's frontend workload (its classical
+/// family) and of qutesd_mix's `trace` requests (at 500 trips): ten
+/// functions, each a `while` loop of `trips` trips with an int update and an
+/// every-other-trip branch, each called on the eight elements of an array
+/// through a `foreach`, then six stdlib calls, so it needs the stdlib.
+/// bench_lang times it and test_bytecode pins its lang.vm_steps.
+[[nodiscard]] std::string classical_template(int trips);
+
 }  // namespace qutes::testing

@@ -235,12 +235,15 @@ std::size_t Bytecode::total_ops() const {
 
 // ---- validation -------------------------------------------------------------
 
-void Bytecode::validate() const {
+void Bytecode::validate(std::size_t checked_begin,
+                        std::size_t checked_end) const {
   const auto str_ok = [&](std::uint32_t i) { return i < strings.size(); };
   const auto type_ok = [&](std::uint32_t i) { return i < types.size(); };
   if (chunks.empty()) corrupt("no chunks");
   if (locations.empty()) corrupt("empty location pool");
-  for (const Chunk& chunk : chunks) {
+  for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+    if (ci >= checked_begin && ci < checked_end) continue;
+    const Chunk& chunk = chunks[ci];
     if (!str_ok(chunk.name) || !type_ok(chunk.return_type))
       corrupt("chunk header index out of range");
     if (chunk.slot_names.size() != chunk.num_slots)

@@ -334,7 +334,8 @@ void Interpreter::visit(WhileStmt& stmt) {
 
 void Interpreter::visit(ForeachStmt& stmt) {
   const ValuePtr iterable = evaluate(*stmt.iterable);
-  const std::vector<ValuePtr> items = runtime_.iterate_items(iterable, stmt.location);
+  std::vector<ValuePtr> items;
+  runtime_.iterate_items(iterable, stmt.location, items);
 
   for (const ValuePtr& item : items) {
     const std::shared_ptr<Scope> saved = scope_;

@@ -12,18 +12,47 @@ namespace {
 
 constexpr std::uint32_t kNoPc = 0xffffffffu;
 
+/// The final class of an expression node.
+enum class ExprKind {
+  IntLit, FloatLit, BoolLit, StringLit, QuantumIntLit, QuantumStringLit,
+  KetLit, ArrayLit, VarRef, Index, Call, Unary, Binary,
+};
+
+/// One virtual dispatch per node: a chain of dynamic_casts would walk the
+/// type info once per failed test.
+ExprKind kind_of(Expr& expr) {
+  struct Classifier final : ExprVisitor {
+    ExprKind kind = ExprKind::IntLit;
+    void visit(IntLitExpr&) override { kind = ExprKind::IntLit; }
+    void visit(FloatLitExpr&) override { kind = ExprKind::FloatLit; }
+    void visit(BoolLitExpr&) override { kind = ExprKind::BoolLit; }
+    void visit(StringLitExpr&) override { kind = ExprKind::StringLit; }
+    void visit(QuantumIntLitExpr&) override { kind = ExprKind::QuantumIntLit; }
+    void visit(QuantumStringLitExpr&) override {
+      kind = ExprKind::QuantumStringLit;
+    }
+    void visit(KetLitExpr&) override { kind = ExprKind::KetLit; }
+    void visit(ArrayLitExpr&) override { kind = ExprKind::ArrayLit; }
+    void visit(VarRefExpr&) override { kind = ExprKind::VarRef; }
+    void visit(IndexExpr&) override { kind = ExprKind::Index; }
+    void visit(CallExpr&) override { kind = ExprKind::Call; }
+    void visit(UnaryExpr&) override { kind = ExprKind::Unary; }
+    void visit(BinaryExpr&) override { kind = ExprKind::Binary; }
+  } classifier;
+  expr.accept(classifier);
+  return classifier.kind;
+}
+
 class Lowerer final : public StmtVisitor {
 public:
-  /// Starts empty, or from a copy of `linked`'s state, whose chunks then
-  /// stay as they are.
+  /// Starts empty, or from a copy of `linked`'s bytecode, whose chunks then
+  /// stay as they are. Lookups fall through to `linked`'s maps, so this
+  /// lowering's own maps hold only what it adds.
   Lowerer(const FunctionTable& functions, std::uint64_t source_hash,
           const LoweredLibrary* linked)
-      : functions_(functions) {
+      : functions_(functions), linked_(linked) {
     if (linked != nullptr) {
       bc_ = linked->bytecode;
-      chunk_index_ = linked->chunk_index;
-      str_pool_ = linked->strings;
-      loc_pool_ = linked->locations;
     } else {
       bc_.locations.push_back(SourceLocation{});  // index 0 = "<builtin>"
       bc_.chunks.emplace_back();                  // main
@@ -35,11 +64,12 @@ public:
     // Chunk indices first, so call sites in any chunk (main included)
     // resolve to the final layout: main = 0, the linked chunks, then the
     // functions lowered here in name order.
-    const auto first_own = static_cast<std::uint32_t>(bc_.chunks.size());
+    const std::size_t first_own = bc_.chunks.size();
     for (const auto& [name, fn] : functions_.items()) {
-      const auto next = static_cast<std::uint32_t>(bc_.chunks.size());
-      if (chunk_index_.try_emplace(name, next).second) bc_.chunks.emplace_back();
       (void)fn;
+      if (chunk_of(name) != nullptr) continue;  // a linked chunk
+      chunk_index_.emplace(name, static_cast<std::uint32_t>(bc_.chunks.size()));
+      bc_.chunks.emplace_back();
     }
 
     // Main chunk: only the program's own statements (stdlib contributes
@@ -51,11 +81,14 @@ public:
     end_chunk();
 
     for (const auto& [name, fn] : functions_.items()) {
-      const std::uint32_t index = chunk_index_.at(name);
-      if (index >= first_own) lower_function(index, *fn);
+      const auto own = chunk_index_.find(name);
+      if (own != chunk_index_.end()) lower_function(own->second, *fn);
     }
 
-    bc_.validate();
+    // The linked chunks were validated when the image was built; the pools
+    // and the chunk table only grew since, so every index they hold is
+    // still in range.
+    bc_.validate(1, first_own);
     return {std::move(bc_), std::move(chunk_index_), std::move(str_pool_),
             std::move(loc_pool_)};
   }
@@ -68,9 +101,29 @@ private:
 
   // ---- pools ----------------------------------------------------------------
 
+  /// `key` in the linked image's map, then in this lowering's own.
+  template <typename Key>
+  static const std::uint32_t* find(
+      const std::unordered_map<Key, std::uint32_t>* linked,
+      const std::unordered_map<Key, std::uint32_t>& own, const Key& key) {
+    if (linked != nullptr) {
+      const auto it = linked->find(key);
+      if (it != linked->end()) return &it->second;
+    }
+    const auto it = own.find(key);
+    return it != own.end() ? &it->second : nullptr;
+  }
+
+  /// The chunk of function `name`, or nullptr.
+  const std::uint32_t* chunk_of(const std::string& name) const {
+    return find(linked_ ? &linked_->chunk_index : nullptr, chunk_index_, name);
+  }
+
   std::uint32_t intern_str(const std::string& s) {
-    const auto it = str_pool_.find(s);
-    if (it != str_pool_.end()) return it->second;
+    if (const std::uint32_t* idx =
+            find(linked_ ? &linked_->strings : nullptr, str_pool_, s)) {
+      return *idx;
+    }
     const auto idx = static_cast<std::uint32_t>(bc_.strings.size());
     bc_.strings.push_back(s);
     str_pool_.emplace(s, idx);
@@ -99,8 +152,10 @@ private:
   std::uint32_t intern_loc(SourceLocation loc) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(loc.line) << 32) ^ loc.column;
-    const auto it = loc_pool_.find(key);
-    if (it != loc_pool_.end()) return it->second;
+    if (const std::uint32_t* idx =
+            find(linked_ ? &linked_->locations : nullptr, loc_pool_, key)) {
+      return *idx;
+    }
     const auto idx = static_cast<std::uint32_t>(bc_.locations.size());
     bc_.locations.push_back(loc);
     loc_pool_.emplace(key, idx);
@@ -234,64 +289,73 @@ private:
   /// reference raises it.
   std::optional<ValuePtr> fold(Expr& expr, std::size_t depth) const {
     if (depth >= kMaxEvalDepth) return std::nullopt;
-    if (auto* lit = dynamic_cast<IntLitExpr*>(&expr))
-      return Value::make_int(lit->value);
-    if (auto* lit = dynamic_cast<FloatLitExpr*>(&expr))
-      return Value::make_float(lit->value);
-    if (auto* lit = dynamic_cast<BoolLitExpr*>(&expr))
-      return Value::make_bool(lit->value);
-    if (auto* lit = dynamic_cast<StringLitExpr*>(&expr))
-      return Value::make_string(lit->value);
-    if (auto* un = dynamic_cast<UnaryExpr*>(&expr)) {
-      const auto v = fold(*un->operand, depth + 1);
-      if (!v) return std::nullopt;
-      switch (un->op) {
-        case UnaryOp::Neg:
-          if ((*v)->kind() == TypeKind::Float)
-            return Value::make_float(-(*v)->as_float());
-          if ((*v)->kind() == TypeKind::Int)
-            return Value::make_int(static_cast<std::int64_t>(
-                std::uint64_t{0} - static_cast<std::uint64_t>((*v)->as_int())));
-          return std::nullopt;
-        case UnaryOp::Not:
-          if (const auto cond = const_condition(*v))
-            return Value::make_bool(!*cond);
-          return std::nullopt;
-        case UnaryOp::BitNot:
-          if ((*v)->kind() == TypeKind::Int)
-            return Value::make_int(~(*v)->as_int());
-          return std::nullopt;
-      }
-      return std::nullopt;
-    }
-    if (auto* bin = dynamic_cast<BinaryExpr*>(&expr)) {
-      if (bin->op == BinaryOp::And || bin->op == BinaryOp::Or) {
-        const auto lhs = fold(*bin->lhs, depth + 1);
-        if (!lhs) return std::nullopt;
-        const auto lcond = const_condition(*lhs);
-        if (!lcond) return std::nullopt;
-        // The lhs alone may decide: the reference then never evaluates the
-        // rhs, so an unfoldable (even over-deep) rhs does not block folding.
-        if (bin->op == BinaryOp::And && !*lcond) return Value::make_bool(false);
-        if (bin->op == BinaryOp::Or && *lcond) return Value::make_bool(true);
-        const auto rhs = fold(*bin->rhs, depth + 1);
-        if (!rhs) return std::nullopt;
-        const auto rcond = const_condition(*rhs);
-        if (!rcond) return std::nullopt;
-        return Value::make_bool(*rcond);
-      }
-      if (bin->op == BinaryOp::In) return std::nullopt;
-      const auto lhs = fold(*bin->lhs, depth + 1);
-      if (!lhs) return std::nullopt;
-      const auto rhs = fold(*bin->rhs, depth + 1);
-      if (!rhs) return std::nullopt;
-      try {
-        return Runtime::classical_binary(bin->op, *lhs, *rhs, expr.location);
-      } catch (const Error&) {
+    switch (kind_of(expr)) {
+      case ExprKind::IntLit:
+        return Value::make_int(static_cast<IntLitExpr&>(expr).value);
+      case ExprKind::FloatLit:
+        return Value::make_float(static_cast<FloatLitExpr&>(expr).value);
+      case ExprKind::BoolLit:
+        return Value::make_bool(static_cast<BoolLitExpr&>(expr).value);
+      case ExprKind::StringLit:
+        return Value::make_string(static_cast<StringLitExpr&>(expr).value);
+      case ExprKind::Unary:
+        return fold_unary(static_cast<UnaryExpr&>(expr), depth);
+      case ExprKind::Binary:
+        return fold_binary(static_cast<BinaryExpr&>(expr), depth);
+      default:
         return std::nullopt;
-      }
+    }
+  }
+
+  std::optional<ValuePtr> fold_unary(UnaryExpr& un, std::size_t depth) const {
+    const auto v = fold(*un.operand, depth + 1);
+    if (!v) return std::nullopt;
+    switch (un.op) {
+      case UnaryOp::Neg:
+        if ((*v)->kind() == TypeKind::Float)
+          return Value::make_float(-(*v)->as_float());
+        if ((*v)->kind() == TypeKind::Int)
+          return Value::make_int(static_cast<std::int64_t>(
+              std::uint64_t{0} - static_cast<std::uint64_t>((*v)->as_int())));
+        return std::nullopt;
+      case UnaryOp::Not:
+        if (const auto cond = const_condition(*v))
+          return Value::make_bool(!*cond);
+        return std::nullopt;
+      case UnaryOp::BitNot:
+        if ((*v)->kind() == TypeKind::Int)
+          return Value::make_int(~(*v)->as_int());
+        return std::nullopt;
     }
     return std::nullopt;
+  }
+
+  std::optional<ValuePtr> fold_binary(BinaryExpr& bin, std::size_t depth) const {
+    if (bin.op == BinaryOp::And || bin.op == BinaryOp::Or) {
+      const auto lhs = fold(*bin.lhs, depth + 1);
+      if (!lhs) return std::nullopt;
+      const auto lcond = const_condition(*lhs);
+      if (!lcond) return std::nullopt;
+      // The lhs alone may decide: the reference then never evaluates the
+      // rhs, so an unfoldable (even over-deep) rhs does not block folding.
+      if (bin.op == BinaryOp::And && !*lcond) return Value::make_bool(false);
+      if (bin.op == BinaryOp::Or && *lcond) return Value::make_bool(true);
+      const auto rhs = fold(*bin.rhs, depth + 1);
+      if (!rhs) return std::nullopt;
+      const auto rcond = const_condition(*rhs);
+      if (!rcond) return std::nullopt;
+      return Value::make_bool(*rcond);
+    }
+    if (bin.op == BinaryOp::In) return std::nullopt;
+    const auto lhs = fold(*bin.lhs, depth + 1);
+    if (!lhs) return std::nullopt;
+    const auto rhs = fold(*bin.rhs, depth + 1);
+    if (!rhs) return std::nullopt;
+    try {
+      return Runtime::classical_binary(bin.op, *lhs, *rhs, bin.location);
+    } catch (const Error&) {
+      return std::nullopt;
+    }
   }
 
   void emit_const(const ValuePtr& v, SourceLocation loc) {
@@ -331,116 +395,130 @@ private:
       ~DepthGuard() { --depth; }
     } guard{depth_};
 
-    if (const auto v = fold(expr, depth_ - 1)) {
-      emit_const(*v, expr.location);
-      return;
-    }
-
-    if (auto* lit = dynamic_cast<IntLitExpr*>(&expr)) {
-      emit(Op::PushInt, lit->value, 0, 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<FloatLitExpr*>(&expr)) {
-      emit(Op::PushFloat, 0, intern_float(lit->value), 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<BoolLitExpr*>(&expr)) {
-      emit(Op::PushBool, lit->value ? 1 : 0, 0, 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<StringLitExpr*>(&expr)) {
-      emit(Op::PushString, 0, intern_str(lit->value), 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<QuantumIntLitExpr*>(&expr)) {
-      emit(Op::QuintLit, lit->value, 0, 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<QuantumStringLitExpr*>(&expr)) {
-      emit(Op::QustringLit, 0, intern_str(lit->bits), 0, expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<KetLitExpr*>(&expr)) {
-      emit(Op::KetState, static_cast<std::int64_t>(lit->kind), 0, 0,
-           expr.location);
-      return;
-    }
-    if (auto* lit = dynamic_cast<ArrayLitExpr*>(&expr)) {
-      const Op begin = lit->superposition ? Op::SupBegin : Op::ArrBegin;
-      const Op elem = lit->superposition ? Op::SupElem : Op::ArrElem;
-      const Op end = lit->superposition ? Op::SupEnd : Op::ArrEnd;
-      emit(begin, 0, 0, 0, expr.location);
-      for (const ExprPtr& element : lit->elements) {
-        lower_expr(*element);
-        emit(elem, 0, 0, 0, expr.location);
-      }
-      emit(end, 0, 0, 0, expr.location);
-      return;
-    }
-    if (auto* ref = dynamic_cast<VarRefExpr*>(&expr)) {
-      const Resolved r = resolve(ref->name);
-      switch (r.where) {
-        case Resolved::Where::Local:
-          emit(Op::LoadLocal, 0, r.slot, 0, expr.location);
-          return;
-        case Resolved::Where::Global:
-          emit(Op::LoadGlobal, 0, r.slot, 0, expr.location);
-          return;
-        case Resolved::Where::Missing:
-          emit(Op::ThrowUseUndeclared, 0, intern_str(ref->name), 0,
-               expr.location);
-          return;
-      }
-      return;
-    }
-    if (auto* idx = dynamic_cast<IndexExpr*>(&expr)) {
-      lower_expr(*idx->target);
-      lower_expr(*idx->index);
-      emit(Op::IndexGet, 0, 0, 0, expr.location);
-      return;
-    }
-    if (auto* call = dynamic_cast<CallExpr*>(&expr)) {
-      for (const ExprPtr& arg : call->args) lower_expr(*arg);
-      const auto argc = static_cast<std::int64_t>(call->args.size());
-      if (is_builtin(call->callee)) {
-        emit(Op::CallBuiltin, argc, intern_str(call->callee), 0, expr.location);
+    // A literal emits itself (what folding it would emit); only operators
+    // are worth a fold.
+    switch (kind_of(expr)) {
+      case ExprKind::IntLit:
+        emit(Op::PushInt, static_cast<IntLitExpr&>(expr).value, 0, 0,
+             expr.location);
+        return;
+      case ExprKind::FloatLit:
+        emit(Op::PushFloat, 0,
+             intern_float(static_cast<FloatLitExpr&>(expr).value), 0,
+             expr.location);
+        return;
+      case ExprKind::BoolLit:
+        emit(Op::PushBool, static_cast<BoolLitExpr&>(expr).value ? 1 : 0, 0, 0,
+             expr.location);
+        return;
+      case ExprKind::StringLit:
+        emit(Op::PushString, 0,
+             intern_str(static_cast<StringLitExpr&>(expr).value), 0,
+             expr.location);
+        return;
+      case ExprKind::QuantumIntLit:
+        emit(Op::QuintLit, static_cast<QuantumIntLitExpr&>(expr).value, 0, 0,
+             expr.location);
+        return;
+      case ExprKind::QuantumStringLit:
+        emit(Op::QustringLit, 0,
+             intern_str(static_cast<QuantumStringLitExpr&>(expr).bits), 0,
+             expr.location);
+        return;
+      case ExprKind::KetLit:
+        emit(Op::KetState,
+             static_cast<std::int64_t>(static_cast<KetLitExpr&>(expr).kind), 0,
+             0, expr.location);
+        return;
+      case ExprKind::ArrayLit: {
+        auto& lit = static_cast<ArrayLitExpr&>(expr);
+        const Op begin = lit.superposition ? Op::SupBegin : Op::ArrBegin;
+        const Op elem = lit.superposition ? Op::SupElem : Op::ArrElem;
+        const Op end = lit.superposition ? Op::SupEnd : Op::ArrEnd;
+        emit(begin, 0, 0, 0, expr.location);
+        for (const ExprPtr& element : lit.elements) {
+          lower_expr(*element);
+          emit(elem, 0, 0, 0, expr.location);
+        }
+        emit(end, 0, 0, 0, expr.location);
         return;
       }
-      const auto target = chunk_index_.find(call->callee);
-      if (target != chunk_index_.end()) {
-        emit(Op::CallUser, argc, target->second, 0, expr.location);
+      case ExprKind::VarRef: {
+        const std::string& name = static_cast<VarRefExpr&>(expr).name;
+        const Resolved r = resolve(name);
+        switch (r.where) {
+          case Resolved::Where::Local:
+            emit(Op::LoadLocal, 0, r.slot, 0, expr.location);
+            return;
+          case Resolved::Where::Global:
+            emit(Op::LoadGlobal, 0, r.slot, 0, expr.location);
+            return;
+          case Resolved::Where::Missing:
+            emit(Op::ThrowUseUndeclared, 0, intern_str(name), 0, expr.location);
+            return;
+        }
         return;
       }
-      // Unknown callee: the reference evaluates the arguments first, then
-      // throws — so must we (the args just ran above).
-      emit(Op::ThrowUnknownFunction, 0, intern_str(call->callee), 0,
-           expr.location);
-      return;
-    }
-    if (auto* un = dynamic_cast<UnaryExpr*>(&expr)) {
-      lower_expr(*un->operand);
-      emit(Op::UnaryApply, static_cast<std::int64_t>(un->op), 0, 0,
-           expr.location);
-      return;
-    }
-    if (auto* bin = dynamic_cast<BinaryExpr*>(&expr)) {
-      if (bin->op == BinaryOp::And || bin->op == BinaryOp::Or) {
-        lower_expr(*bin->lhs);
-        emit(Op::ToBool, 0, 0, 0, expr.location);
-        const Op skip = bin->op == BinaryOp::And ? Op::JumpIfFalsePeek
-                                                 : Op::JumpIfTruePeek;
-        const std::uint32_t jump = emit(skip, kNoPc, 0, 0, expr.location);
-        emit(Op::Pop, 0, 0, 0, expr.location);
-        lower_expr(*bin->rhs);
-        emit(Op::ToBool, 0, 0, 0, expr.location);
-        patch(jump, here());
+      case ExprKind::Index: {
+        auto& idx = static_cast<IndexExpr&>(expr);
+        lower_expr(*idx.target);
+        lower_expr(*idx.index);
+        emit(Op::IndexGet, 0, 0, 0, expr.location);
         return;
       }
-      lower_expr(*bin->lhs);
-      lower_expr(*bin->rhs);
-      emit(Op::BinaryApply, static_cast<std::int64_t>(bin->op), 0, 0,
-           expr.location);
-      return;
+      case ExprKind::Call: {
+        auto& call = static_cast<CallExpr&>(expr);
+        for (const ExprPtr& arg : call.args) lower_expr(*arg);
+        const auto argc = static_cast<std::int64_t>(call.args.size());
+        if (is_builtin(call.callee)) {
+          emit(Op::CallBuiltin, argc, intern_str(call.callee), 0, expr.location);
+          return;
+        }
+        if (const std::uint32_t* target = chunk_of(call.callee)) {
+          emit(Op::CallUser, argc, *target, 0, expr.location);
+          return;
+        }
+        // Unknown callee: the reference evaluates the arguments first, then
+        // throws — so must we (the args just ran above).
+        emit(Op::ThrowUnknownFunction, 0, intern_str(call.callee), 0,
+             expr.location);
+        return;
+      }
+      case ExprKind::Unary: {
+        if (const auto v = fold(expr, depth_ - 1)) {
+          emit_const(*v, expr.location);
+          return;
+        }
+        auto& un = static_cast<UnaryExpr&>(expr);
+        lower_expr(*un.operand);
+        emit(Op::UnaryApply, static_cast<std::int64_t>(un.op), 0, 0,
+             expr.location);
+        return;
+      }
+      case ExprKind::Binary: {
+        if (const auto v = fold(expr, depth_ - 1)) {
+          emit_const(*v, expr.location);
+          return;
+        }
+        auto& bin = static_cast<BinaryExpr&>(expr);
+        if (bin.op == BinaryOp::And || bin.op == BinaryOp::Or) {
+          lower_expr(*bin.lhs);
+          emit(Op::ToBool, 0, 0, 0, expr.location);
+          const Op skip = bin.op == BinaryOp::And ? Op::JumpIfFalsePeek
+                                                  : Op::JumpIfTruePeek;
+          const std::uint32_t jump = emit(skip, kNoPc, 0, 0, expr.location);
+          emit(Op::Pop, 0, 0, 0, expr.location);
+          lower_expr(*bin.rhs);
+          emit(Op::ToBool, 0, 0, 0, expr.location);
+          patch(jump, here());
+          return;
+        }
+        lower_expr(*bin.lhs);
+        lower_expr(*bin.rhs);
+        emit(Op::BinaryApply, static_cast<std::int64_t>(bin.op), 0, 0,
+             expr.location);
+        return;
+      }
     }
     throw LangError("internal: unknown expression node", expr.location);
   }
@@ -474,19 +552,24 @@ private:
     // directly at the declared width/name (tree-walk fast path).
     if (stmt.type.kind == TypeKind::Quint || stmt.type.kind == TypeKind::Qubit ||
         stmt.type.kind == TypeKind::Qustring) {
-      if (auto* lit = dynamic_cast<QuantumIntLitExpr*>(stmt.init.get())) {
-        emit(Op::DeclarePromoteInt, lit->value, slot, type, stmt.location);
-        return;
-      }
-      if (auto* lit = dynamic_cast<IntLitExpr*>(stmt.init.get())) {
-        emit(Op::DeclarePromoteInt, lit->value, slot, type, stmt.location);
-        return;
-      }
-      if (auto* lit = dynamic_cast<QuantumStringLitExpr*>(stmt.init.get())) {
-        emit(Op::DeclarePromoteString,
-             static_cast<std::int64_t>(intern_str(lit->bits)), slot, type,
-             stmt.location);
-        return;
+      Expr& init = *stmt.init;
+      switch (kind_of(init)) {
+        case ExprKind::QuantumIntLit:
+          emit(Op::DeclarePromoteInt, static_cast<QuantumIntLitExpr&>(init).value,
+               slot, type, stmt.location);
+          return;
+        case ExprKind::IntLit:
+          emit(Op::DeclarePromoteInt, static_cast<IntLitExpr&>(init).value, slot,
+               type, stmt.location);
+          return;
+        case ExprKind::QuantumStringLit:
+          emit(Op::DeclarePromoteString,
+               static_cast<std::int64_t>(
+                   intern_str(static_cast<QuantumStringLitExpr&>(init).bits)),
+               slot, type, stmt.location);
+          return;
+        default:
+          break;
       }
     }
     emit(Op::Declare, 0, slot, type, stmt.location);
@@ -495,7 +578,9 @@ private:
   }
 
   void visit(AssignStmt& stmt) override {
-    if (auto* ref = dynamic_cast<VarRefExpr*>(stmt.lvalue.get())) {
+    const ExprKind target = kind_of(*stmt.lvalue);
+    if (target == ExprKind::VarRef) {
+      auto* ref = static_cast<VarRefExpr*>(stmt.lvalue.get());
       const Resolved r = resolve(ref->name);
       if (r.where == Resolved::Where::Missing) {
         // The reference resolves the target before evaluating the rhs, so
@@ -518,7 +603,8 @@ private:
       }
       return;
     }
-    if (auto* idx = dynamic_cast<IndexExpr*>(stmt.lvalue.get())) {
+    if (target == ExprKind::Index) {
+      auto* idx = static_cast<IndexExpr*>(stmt.lvalue.get());
       lower_expr(*idx->target);
       emit(Op::CheckIndexTarget, 0, 0, 0, idx->location);
       lower_expr(*idx->index);
@@ -664,6 +750,7 @@ private:
 
   Bytecode bc_;
   const FunctionTable& functions_;
+  const LoweredLibrary* linked_;  ///< null when lowering in full
   std::unordered_map<std::string, std::uint32_t> chunk_index_;
   std::unordered_map<std::string, std::uint32_t> str_pool_;
   std::unordered_map<std::uint64_t, std::uint32_t> loc_pool_;

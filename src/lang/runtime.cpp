@@ -622,9 +622,9 @@ std::string Runtime::render_for_print(const ValuePtr& value) {
   return value->to_display_string();
 }
 
-std::vector<ValuePtr> Runtime::iterate_items(const ValuePtr& iterable,
-                                             SourceLocation loc) {
-  std::vector<ValuePtr> items;
+void Runtime::iterate_items(const ValuePtr& iterable, SourceLocation loc,
+                            std::vector<ValuePtr>& items) {
+  items.clear();
   if (iterable->is_array()) {
     items = iterable->as_array().items;  // shared: iteration is by reference
   } else if (iterable->kind() == TypeKind::String) {
@@ -641,7 +641,6 @@ std::vector<ValuePtr> Runtime::iterate_items(const ValuePtr& iterable,
   } else {
     throw LangError("foreach needs an array, string, or quantum register", loc);
   }
-  return items;
 }
 
 void Runtime::apply_gate_value(GateKind gate, const ValuePtr& value,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "qutes/common/rng.hpp"
@@ -593,6 +594,24 @@ std::string mutate_source(std::string source, std::uint64_t seed) {
     }
   }
   return source;
+}
+
+std::string classical_template(int trips) {
+  std::ostringstream c;
+  for (int i = 0; i < 10; ++i) {
+    c << "int f" << i << "(int x) {\n  int acc = " << 3 * i + 1
+      << ";\n  int j = 0;\n  while (j < " << trips << ") {\n    acc = acc + x * "
+      << i % 9 + 1 << ";\n    if (j - j / 2 * 2 == 0) {\n      acc = acc - "
+      << 7 * i + 5 << ";\n    }\n    j += 1;\n  }\n  return acc;\n}\n";
+  }
+  c << "int[] xs = [3, 14, 1, 5, 9, 2, 6, 5];\n";
+  for (int i = 0; i < 10; ++i) {
+    c << "int total" << i << " = 0;\nforeach v in xs {\n  total" << i
+      << " += f" << i << "(v);\n}\nprint total" << i << ";\n";
+  }
+  c << "print sum(xs);\nprint pow_i(3, 7);\nprint max_i(12, 500);\n"
+       "print min_i(12, 500);\nprint abs_i(12 - 500);\nprint contains(xs, 9);\n";
+  return c.str();
 }
 
 }  // namespace qutes::testing

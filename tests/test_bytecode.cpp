@@ -19,11 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "qutes/circuit/qasm.hpp"
 #include "qutes/lang/bytecode.hpp"
 #include "qutes/lang/compiler.hpp"
+#include "qutes/lang/interpreter.hpp"
 #include "qutes/lang/lower.hpp"
 #include "qutes/lang/vm.hpp"
 #include "qutes/obs/obs.hpp"
+#include "qutes/testing/generators.hpp"
 
 namespace lang = qutes::lang;
 using qutes::ExecMode;
@@ -32,10 +35,16 @@ using qutes::LangError;
 namespace {
 
 /// Observable result of one engine: print output on success, LangError text
-/// (with its "line:col:" prefix) on rejection.
+/// (with its "line:col:" prefix) on rejection. `printed` also holds what a
+/// failing run printed before it failed, `qasm` is the logged circuit of a
+/// successful run, and `vm_steps` is what the run added to lang.vm_steps
+/// (0 unless metrics are enabled and the VM ran).
 struct Outcome {
   bool ok = false;
   std::string text;
+  std::string printed;
+  std::string qasm;
+  std::uint64_t vm_steps = 0;
 };
 
 Outcome run_mode(const std::string& source, ExecMode mode,
@@ -44,23 +53,35 @@ Outcome run_mode(const std::string& source, ExecMode mode,
   config.seed = 7;
   config.include_stdlib = include_stdlib;
   config.exec_mode = mode;
+  std::ostringstream printed;
+  config.echo = &printed;
+  const auto& steps = qutes::obs::metrics().counter(qutes::obs::names::kLangVmSteps);
+  const std::uint64_t steps_before = steps.value();
   Outcome out;
   try {
-    out.text = lang::run_source(source, config).output;
+    const lang::RunResult result = lang::run_source(source, config);
+    out.text = result.output;
+    out.qasm = qutes::circ::qasm::export_circuit(result.circuit);
     out.ok = true;
   } catch (const LangError& e) {
     out.text = e.what();
   }
+  out.printed = printed.str();
+  out.vm_steps = steps.value() - steps_before;
   return out;
 }
 
-/// Both engines must agree exactly — success/failure, output, diagnostic.
-void expect_parity(const std::string& source, bool include_stdlib = false) {
+/// Both engines must agree exactly — success/failure, output (also before a
+/// failure), diagnostic, logged circuit. Returns the VM's lang.vm_steps.
+std::uint64_t expect_parity(const std::string& source, bool include_stdlib = false) {
   const Outcome vm = run_mode(source, ExecMode::Vm, include_stdlib);
   const Outcome ast = run_mode(source, ExecMode::Ast, include_stdlib);
   EXPECT_EQ(vm.ok, ast.ok) << "vm: " << vm.text << "\nast: " << ast.text
                            << "\nsource:\n" << source;
   EXPECT_EQ(vm.text, ast.text) << "source:\n" << source;
+  EXPECT_EQ(vm.printed, ast.printed) << "source:\n" << source;
+  EXPECT_EQ(vm.qasm, ast.qasm) << "source:\n" << source;
+  return vm.vm_steps;
 }
 
 std::string listing(const std::string& source) {
@@ -283,13 +304,13 @@ TEST(VmParity, ReferenceSemanticsMatch) {
 
 // ---- fused int sequences ------------------------------------------------------
 //
-// The VM runs five int instruction sequences as one dispatch (vm.cpp,
-// exec_loop): `Load s; PushInt k | Load t; BinaryApply`, `PushInt k;
-// BinaryApply` on the top of stack, an int comparison feeding JumpIfFalse,
-// `Check s; PushInt k; Compound s`, and `LoopBump; Jump`. Any other operand
-// must fall back to one instruction at a time with the Runtime deciding, so
-// each sequence meets every kind of operand it can see here, and both
-// engines must print or fail identically, message and location included.
+// The VM runs int instruction sequences as one dispatch (vm.hpp, Vm::Kind):
+// `Load s; PushInt k | Load t; BinaryApply`, `PushInt k; BinaryApply` on the
+// top of stack, a result feeding JumpIfFalse or an Assign, `Check s;
+// PushInt k; Compound s`, and `LoopBump; Jump`. Any other operand must fall
+// back to one instruction at a time with the Runtime deciding, so each
+// sequence meets every kind of operand it can see here, and both engines
+// must print or fail identically, message and location included.
 
 TEST(VmParity, FusedSequencesMatchOnEveryOperandKind) {
   // Variables of every kind a fused operand can meet.
@@ -443,22 +464,6 @@ TEST(VmParity, FusedSequencesKeepTheStepCount) {
   arrays << "];\nint acc = 0;\nint r = 0;\nwhile (r < 300) {\n"
             "  foreach x in xs { acc = (acc + x) % 9973; xs[acc % 64] = x + 1; }\n"
             "  r = r + 1;\n}\nprint acc;\n";
-  std::ostringstream classical;
-  for (int i = 0; i < 10; ++i) {
-    classical << "int f" << i << "(int x) {\n  int acc = " << 3 * i + 1
-              << ";\n  int j = 0;\n  while (j < 500) {\n    acc = acc + x * "
-              << i % 9 + 1 << ";\n    if (j - j / 2 * 2 == 0) {\n      acc = acc - "
-              << 7 * i + 5 << ";\n    }\n    j += 1;\n  }\n  return acc;\n}\n";
-  }
-  classical << "int[] xs = [3, 14, 1, 5, 9, 2, 6, 5];\n";
-  for (int i = 0; i < 10; ++i) {
-    classical << "int total" << i << " = 0;\nforeach v in xs {\n  total" << i
-              << " += f" << i << "(v);\n}\nprint total" << i << ";\n";
-  }
-  classical << "print sum(xs);\nprint pow_i(3, 7);\nprint max_i(12, 500);\n"
-               "print min_i(12, 500);\nprint abs_i(12 - 500);\n"
-               "print contains(xs, 9);\n";
-
   EXPECT_EQ(steps_of("int acc = 0;\n"
                      "int i = 0;\n"
                      "while (i < 20000) { acc = acc + i * 3 - 1; i = i + 1; }\n"
@@ -483,8 +488,198 @@ TEST(VmParity, FusedSequencesKeepTheStepCount) {
                      false),
             192013u) << "calls";
   EXPECT_EQ(steps_of(arrays.str(), false), 388345u) << "arrays";
-  EXPECT_EQ(steps_of(classical.str(), true), 1141964u) << "classical template";
+  EXPECT_EQ(steps_of(qutes::testing::classical_template(500), true), 1141964u)
+      << "classical template";
   qutes::obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+// ---- the decoded form ----------------------------------------------------------
+//
+// The VM decodes each chunk once into one kind per pc (vm.hpp, Vm::Kind):
+// the pc's own Op, or a fused kind at the head of a run. Each fused kind
+// meets each of its fallbacks here through expect_parity: both engines
+// must print the same output (also before a failure), log the same circuit
+// and raise the same diagnostic (text and location), while lang.vm_steps
+// keeps the count of every instruction.
+
+TEST(DecodedForm, FusedKindsMeetEveryFallback) {
+  const bool metrics_were_enabled = qutes::obs::metrics_enabled();
+  qutes::obs::set_metrics_enabled(true);
+  const std::string decls =
+      "int i = 6; int z = 0; int big = 63; bool b = true; float f = 1.5;"
+      " string s = \"ab\"; quint<3> q = 5q; int c = 1;\n";
+  // Each shape puts the operand X where one kind of run reads it; the
+  // comment names the kinds the lowered shape decodes to.
+  const std::vector<std::string> operands = {"i", "b", "f", "s", "q", "z", "big"};
+  struct Group {
+    std::string name;
+    std::vector<std::string> programs;
+    /// lang.vm_steps of the group, recorded with the VM that recognised
+    /// its runs at run time, before the decoded form.
+    std::uint64_t steps;
+  };
+  const auto sweep = [&](const std::string& shape) {
+    std::vector<std::string> programs;
+    for (const std::string& operand : operands) {
+      std::string body = shape;
+      for (std::size_t at = body.find('X'); at != std::string::npos;
+           at = body.find('X', at + operand.size())) {
+        body.replace(at, 1, operand);
+      }
+      programs.push_back(decls + body);
+    }
+    return programs;
+  };
+  const std::string g = "int g = 1; int f() { g = 10; return 2; }\n";
+  const std::string traps = "int x = 7; int z = 0; int y = 63; int j = 5; int c = 0;\n";
+  const std::vector<Group> groups = {
+      // Load; PushInt; BinaryApply; Assign.
+      {"load-push-assign", sweep("c = X + 2; print c;"), 198},
+      // Load; Load; BinaryApply; Assign, the operand first and second.
+      {"load-load-assign", sweep("c = X * i; print c; c = i - X; print c;"), 233},
+      // Load; Load; BinaryApply, then PushInt; BinaryApply; Assign.
+      {"push-assign", sweep("c = (X + i) * 2; print c;"), 210},
+      // A value load of X, read by the BinaryApply that an Assign ends.
+      {"value-load-assign", sweep("c = X + i * 2; print c;"), 212},
+      // A value load, a plain BinaryApply, PushInt; BinaryApply; JumpIfFalse.
+      {"push-branch", sweep("if (X + i * 2 > 7) { print 1; } else { print 0; }"), 225},
+      // Two Load; PushInt; BinaryApply runs, BinaryApply; JumpIfFalse.
+      {"binary-branch", sweep("if (i * 2 < X * 1) { print 1; } else { print 0; }"), 221},
+      // Load; PushInt; BinaryApply; JumpIfFalse and Load; Load; ...
+      {"load-branch",
+       sweep("if (X < 3) { print 1; } if (X == i) { print 2; } if (X) { print 3; }"), 235},
+      // A value load beside a float: an Int widens inline.
+      {"value-load-float", sweep("print X + 0.5 * i; print i * 0.25 - X;"), 217},
+      // Load; Load; BinaryApply, then PushInt; BinaryApply.
+      {"load-load-push", sweep("print i + X + 1;"), 193},
+      // Check; PushInt; Compound on every kind of slot.
+      {"check-push-compound", sweep("X += 3; print X; X -= 1; print X;"), 217},
+      // A loop whose condition, counter and back edge are fused.
+      {"loop", sweep("int k = 0; while (X > k) { k += 1; if (k > 9) { k = 99; } } print k;"), 536},
+      // `in` is an op that int_binary does not cover.
+      {"in", {decls + "print i in z;", decls + "c = i in z;",
+              decls + "if (i in big) { print 1; }"}, 76},
+      // Traps inside a run: division and modulo by zero, bad shifts.
+      {"traps",
+       {traps + "print x / 0;", traps + "c = x % z;",
+        traps + "if (x << 63 > 0) { print 1; }", traps + "c = (x + 1) / z;",
+        traps + "c = x + j % 0;", traps + "j /= 0;", traps + "j %= z;",
+        traps + "j <<= 63;", traps + "if (x / z > 0) { print 1; }",
+        traps + "print (x * 2) << 63;", traps + "c = x >> -1;"}, 207},
+      // Slots a fused run reads before their declaration has run.
+      {"unbound",
+       {"int fn() { int t = g + 1; return t; } print fn(); int g = 1;",
+        "int fn() { int t = 2 * g; return t; } print fn(); int g = 1;",
+        "int fn() { return 1 + g * 2; } print fn(); int g = 1;",
+        "int fn() { int t = 0; t = g - 1; return t; } print fn(); int g = 1;",
+        "int fn() { int t = 3; t = t - g; return t; } print fn(); int g = 1;",
+        "int fn() { g += 1; return 0; } print fn(); int g = 1;",
+        "int fn() { if (g < 2) { return 1; } return 0; } print fn(); int g = 1;",
+        "int x = x + 1;", "int y = 2; { int x = y * x; }"}, 35},
+      // A load next to a call that assigns the loaded variable.
+      {"late-loads",
+       {g + "print g + f();", g + "print f() + g;", g + "print g + g * f();",
+        g + "print g * 2 + f() * g;", g + "int k = g + f(); print k;",
+        g + "print (g + 1) * f() + g;", g + "int k = 0; k = g - f(); print k;"}, 103},
+      // The budget trips on a fused LoopBump; Jump.
+      {"loop-budget", {"int i = 0; while (i >= 0) { i += 1; }"}, 9437196},
+  };
+  for (const Group& group : groups) {
+    std::uint64_t steps = 0;
+    for (const std::string& source : group.programs) steps += expect_parity(source);
+    EXPECT_EQ(steps, group.steps) << group.name;
+  }
+  qutes::obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+TEST(DecodedForm, JumpIntoAFusedRunRunsItsInstructionsOneAtATime) {
+  // A hand-built artifact: each Jump lands inside a run that decodes to one
+  // fused kind at its head, so the instructions from the landing pc on run
+  // as themselves, with whatever the stack holds at that point.
+  lang::Bytecode bc;
+  bc.strings = {"", "x", "y"};
+  bc.types = {lang::QType::scalar(lang::TypeKind::Void),
+              lang::QType::scalar(lang::TypeKind::Int)};
+  bc.locations = {qutes::SourceLocation{}, qutes::SourceLocation{1, 1}};
+  lang::Chunk main_chunk;
+  main_chunk.num_slots = 2;
+  main_chunk.slot_names = {1, 2};
+  const auto add = [&](lang::Op op, std::int64_t a = 0, std::uint32_t b = 0,
+                       std::uint32_t c = 0) {
+    main_chunk.code.push_back({op, a, b, c, 1});
+    return main_chunk.code.size() - 1;
+  };
+  const auto binary = [](lang::BinaryOp op) { return static_cast<std::int64_t>(op); };
+  using lang::Op;
+  add(Op::DeclareDefault, 0, 0, 1);  // int x = 0
+  add(Op::DeclareDefault, 0, 1, 1);  // int y = 0
+  add(Op::CheckLocal, 0, 1);
+  add(Op::PushInt, 4);
+  add(Op::AssignLocal, 0, 1);        // y = 4
+  // 1. Into `Load x; PushInt 3; BinaryApply +; Print` at its PushInt, with
+  //    10 on the stack: prints 13, not x + 3 = 3.
+  add(Op::PushInt, 10);
+  std::size_t jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  main_chunk.code[jump].a = static_cast<std::int64_t>(add(Op::PushInt, 3));
+  add(Op::BinaryApply, binary(lang::BinaryOp::Add));
+  add(Op::Print);
+  // 2. Into `Load x; Load y; BinaryApply -; Print` at its second Load, with
+  //    100 on the stack: prints 96, not x - y = -4.
+  add(Op::PushInt, 100);
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  main_chunk.code[jump].a = static_cast<std::int64_t>(add(Op::LoadLocal, 0, 1));
+  add(Op::BinaryApply, binary(lang::BinaryOp::Sub));
+  add(Op::Print);
+  // 3. Into `Load y; PushInt 5; BinaryApply <; JumpIfFalse` at its
+  //    BinaryApply, with 9 and 7 on the stack: 9 < 7 is false, prints 0,
+  //    where y < 5 would print 1.
+  add(Op::PushInt, 9);
+  add(Op::PushInt, 7);
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 1);
+  add(Op::PushInt, 5);
+  main_chunk.code[jump].a =
+      static_cast<std::int64_t>(add(Op::BinaryApply, binary(lang::BinaryOp::Lt)));
+  const std::size_t branch = add(Op::JumpIfFalse);
+  add(Op::PushInt, 1);
+  add(Op::Print);
+  const std::size_t skip = add(Op::Jump);
+  main_chunk.code[branch].a = static_cast<std::int64_t>(add(Op::PushInt, 0));
+  add(Op::Print);
+  main_chunk.code[skip].a = static_cast<std::int64_t>(main_chunk.code.size());
+  // 4. Into `Check x; PushInt 5; Compound += x` at its PushInt: x += 5 runs
+  //    without the check; prints 5.
+  jump = add(Op::Jump);
+  add(Op::CheckLocal, 0, 0);
+  main_chunk.code[jump].a = static_cast<std::int64_t>(add(Op::PushInt, 5));
+  add(Op::CompoundLocal, binary(lang::BinaryOp::Add), 0);
+  add(Op::LoadLocal, 0, 0);
+  add(Op::Print);
+  // 5. `Check y; PushInt 3; Compound < y`: a compound op whose int result is
+  //    a Bool falls back to the Runtime, which stores 4 < 3 into the Int y
+  //    as 0; prints 0.
+  add(Op::CheckLocal, 0, 1);
+  add(Op::PushInt, 3);
+  add(Op::CompoundLocal, binary(lang::BinaryOp::Lt), 1);
+  add(Op::LoadLocal, 0, 1);
+  add(Op::Print);
+  // 6. Into `BinaryApply *; AssignLocal x` at its Assign, with 42 on the
+  //    stack: x = 42; prints 42.
+  add(Op::CheckLocal, 0, 0);
+  add(Op::PushInt, 42);
+  jump = add(Op::Jump);
+  add(Op::BinaryApply, binary(lang::BinaryOp::Mul));
+  main_chunk.code[jump].a = static_cast<std::int64_t>(add(Op::AssignLocal, 0, 0));
+  add(Op::LoadLocal, 0, 0);
+  add(Op::Print);
+  bc.chunks.push_back(std::move(main_chunk));
+  ASSERT_NO_THROW(bc.validate());
+
+  lang::Vm vm(bc, {.seed = 7});
+  vm.run();
+  EXPECT_EQ(vm.runtime().captured_output(), "13\n96\n0\n5\n0\n42\n");
 }
 
 TEST(VmParity, QuantumProgramsMatchBitForBit) {
