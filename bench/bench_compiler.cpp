@@ -102,8 +102,7 @@ void print_pipeline_summary(const std::string& quantum_source,
   std::printf("--- compile + pipeline presets (16-qubit arithmetic) ---\n");
   std::printf("%10s | %10s %10s | %14s %14s\n", "preset", "compile_us",
               "passes_us", "depth", "gates");
-  for (const Preset preset :
-       {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+  for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
     const PassManager pipeline = qutes::circ::make_pipeline(preset);
     qutes::RunConfig options;
     options.pipeline.manager = &pipeline;

@@ -64,8 +64,7 @@ void print_preset_table() {
       {"qft", 8, algo::make_qft(8)},
   };
   for (const auto& w : workloads) {
-    for (const Preset preset :
-         {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+    for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
       const PassManager pm = make_pipeline(preset);
       PropertySet props;
       const QuantumCircuit lowered = pm.run(w.circuit, props);

@@ -148,6 +148,27 @@ void emit_mcx_vchain(QuantumCircuit& out, std::span<const std::size_t> controls,
   out.ccx(controls[0], controls[1], ancillas[0]);
 }
 
+/// MCX/MCZ/MCP with one control are CX/CZ/CP, and MCX with two controls is
+/// CCX: the same operands under the name the stabilizer and `--backend auto`
+/// recognise. Only the type changes, so conditions and symbolic angles stay.
+void rename_few_controls(Instruction& in) {
+  const std::size_t controls = in.qubits.size() - 1;
+  switch (in.type) {
+    case GateType::MCX:
+      if (controls == 1) in.type = GateType::CX;
+      if (controls == 2) in.type = GateType::CCX;
+      break;
+    case GateType::MCZ:
+      if (controls == 1) in.type = GateType::CZ;
+      break;
+    case GateType::MCP:
+      if (controls == 1) in.type = GateType::CP;
+      break;
+    default:
+      break;
+  }
+}
+
 void emit_lowered_mc(QuantumCircuit& out, const Instruction& in,
                      std::span<const std::size_t> ancillas) {
   const std::size_t target = in.target();
@@ -166,10 +187,6 @@ void emit_lowered_mc(QuantumCircuit& out, const Instruction& in,
     case GateType::MCP: {
       // angle_of keeps a symbolic lambda symbolic through the lowering.
       const Angle lambda = angle_of(in, 0);
-      if (controls.size() == 1) {
-        out.cp(lambda, controls[0], target);
-        return;
-      }
       // Fold all but one control into an ancilla AND, then CP from it.
       // and_anc = AND(controls); CP(lambda, and_anc, target); uncompute.
       const std::size_t and_anc = ancillas[0];
@@ -201,24 +218,12 @@ QuantumCircuit lower_multicontrolled(const QuantumCircuit& circuit) {
     const auto& anc = out.add_register("anc", needed);
     for (std::size_t i = 0; i < needed; ++i) ancillas.push_back(anc[i]);
   }
-  for (const Instruction& in : circuit.instructions()) {
+  for (Instruction in : circuit.instructions()) {
+    rename_few_controls(in);
     const std::size_t first = out.size();
     switch (in.type) {
       case GateType::MCX:
-        if (in.qubits.size() - 1 <= 2) {
-          if (in.qubits.size() == 2) out.cx(in.qubits[0], in.qubits[1]);
-          else out.ccx(in.qubits[0], in.qubits[1], in.qubits[2]);
-        } else {
-          emit_lowered_mc(out, in, ancillas);
-        }
-        break;
       case GateType::MCZ:
-        if (in.qubits.size() == 2) {
-          out.cz(in.qubits[0], in.qubits[1]);
-        } else {
-          emit_lowered_mc(out, in, ancillas);
-        }
-        break;
       case GateType::MCP:
         emit_lowered_mc(out, in, ancillas);
         break;
@@ -230,7 +235,7 @@ QuantumCircuit lower_multicontrolled(const QuantumCircuit& circuit) {
         break;
       }
       default:
-        out.append(in);
+        out.append(std::move(in));
         continue;  // append keeps the condition itself
     }
     propagate_condition(out, first, in.condition);
@@ -553,6 +558,7 @@ std::string Optimize::name() const { return "optimize"; }
 void Optimize::run(QuantumCircuit& circuit, PropertySet&) {
   std::vector<Instruction> instrs(circuit.instructions().begin(),
                                   circuit.instructions().end());
+  for (Instruction& in : instrs) rename_few_controls(in);
   for (int pass = 0; pass < max_passes_; ++pass) {
     if (!peephole_once(instrs)) break;
   }
@@ -709,7 +715,6 @@ void Route::run(QuantumCircuit& circuit, PropertySet& properties) {
 
 const char* preset_name(Preset preset) noexcept {
   switch (preset) {
-    case Preset::O0: return "O0";
     case Preset::O1: return "O1";
     case Preset::Basis: return "basis";
     case Preset::Hardware: return "hardware";
@@ -720,7 +725,6 @@ const char* preset_name(Preset preset) noexcept {
 std::optional<Preset> parse_preset(std::string_view text) noexcept {
   std::string lower(text);
   for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (lower == "o0") return Preset::O0;
   if (lower == "o1") return Preset::O1;
   if (lower == "basis") return Preset::Basis;
   if (lower == "hardware") return Preset::Hardware;
@@ -730,13 +734,12 @@ std::optional<Preset> parse_preset(std::string_view text) noexcept {
 PassManager make_pipeline(Preset preset, CouplingMap coupling) {
   PassManager pm;
   switch (preset) {
-    case Preset::O0:
-      pm.emplace<DecomposeMulticontrolled>();
-      break;
     case Preset::O1:
-      pm.emplace<DecomposeMulticontrolled>();
-      // Reorder before the peephole so newly adjacent pairs can cancel, and
-      // before any fusion planning so the planner sees clustered layers.
+      // Multi-controlled gates stay native: every simulator backend applies
+      // them (the MPS lowers them itself), and the lowering's V-chain would
+      // add ancilla wires. Reorder before the peephole so newly adjacent
+      // pairs can cancel, and before any fusion planning so the planner sees
+      // clustered layers.
       pm.emplace<ReorderCommuting>();
       pm.emplace<Optimize>();
       break;

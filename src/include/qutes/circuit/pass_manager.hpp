@@ -139,7 +139,8 @@ public:
 /// Peephole optimizer run to fixpoint (bounded by max_passes): cancels
 /// adjacent self-inverse pairs, fuses consecutive phase rotations, drops
 /// identity rotations. Never reorders or cancels across barriers or
-/// classically-conditioned instructions.
+/// classically-conditioned instructions. First renames MCX/MCZ/MCP with one
+/// control to CX/CZ/CP and MCX with two controls to CCX.
 class Optimize final : public Pass {
 public:
   explicit Optimize(int max_passes = 8) : max_passes_(max_passes) {}
@@ -193,16 +194,16 @@ private:
 // ---- pipeline presets ------------------------------------------------------
 
 /// Named pipelines mirroring qiskit.transpile(optimization_level=...):
-///  * O0       — multi-controlled lowering only (execution-legal, unoptimized);
-///  * O1       — O0 + commutation-aware reordering + peephole fixpoint;
+///  * O1       — commutation-aware reordering + peephole fixpoint; keeps
+///               multi-controlled gates native, so it adds no wire;
 ///  * Basis    — {u, cx} lowering + 1q-run fusion + peephole;
 ///  * Hardware — Basis, then routing to the coupling map, then re-lowering
 ///               the inserted SWAPs and a final peephole.
-enum class Preset { O0, O1, Basis, Hardware };
+enum class Preset { O1, Basis, Hardware };
 
 [[nodiscard]] const char* preset_name(Preset preset) noexcept;
 
-/// Parse a CLI spelling ("O0", "o1", "basis", "hardware"); nullopt if unknown.
+/// Parse a CLI spelling ("o1", "basis", "hardware"); nullopt if unknown.
 [[nodiscard]] std::optional<Preset> parse_preset(std::string_view text) noexcept;
 
 /// Build the pass pipeline for a preset. `coupling` is used by Hardware

@@ -2,8 +2,9 @@
 //
 // Runs one input circuit through every production execution path —
 // gate-at-a-time statevector, density matrix, the runtime fused executor,
-// all four PassManager presets, the QASM round trip, and the MPS simulator
-// (truncation disabled) — and diffs each against the reference backend
+// the multi-controlled lowering, the three PassManager presets, the QASM
+// round trip, and the MPS simulator (truncation disabled) — and diffs each
+// against the reference backend
 // (reference_backend.hpp), up to global phase.
 // On a divergence the harness delta-debugs the circuit down to a minimal
 // failing instruction subset and reports it with the seed and a QASM dump,
@@ -14,8 +15,9 @@
 // Dynamic circuits (mid-circuit measurement, c_if, reset) are diffed at the
 // distribution level instead: exact reference distribution vs sampled counts
 // (total variation distance), plus bit-identical counts across fused vs
-// unfused execution, O0 lowering, and the QASM round trip (same executor
-// seed, so any mismatch is a semantics change, not sampling noise).
+// unfused execution, the multi-controlled lowering, and the QASM round trip
+// (same executor seed, so any mismatch is a semantics change, not sampling
+// noise).
 #pragma once
 
 #include <cstddef>
@@ -102,7 +104,8 @@ enum class Backend {
   DensityMatrix,   ///< circ::evolve_density (the density backend's gate
                    ///< dispatcher), fidelity vs reference
   FusedExecutor,   ///< runtime gate-fusion plan replayed over a statevector
-  PresetO0,        ///< make_pipeline(Preset::O0) then statevector
+  DecomposeMulticontrolled,  ///< circ::decompose_multicontrolled (V-chain
+                             ///< over ancillas) then statevector
   PresetO1,        ///< make_pipeline(Preset::O1) then statevector
   PresetBasis,     ///< make_pipeline(Preset::Basis) then statevector
   PresetHardware,  ///< make_pipeline(Preset::Hardware) then statevector
@@ -184,7 +187,8 @@ struct DiffReport {
 
 /// Diff a dynamic circuit (measurements/conditions/resets) at the counts
 /// level: exact-distribution TVD for the fused executor, and bit-identical
-/// counts for fused-vs-unfused, O0 lowering, and the QASM round trip.
+/// counts for fused-vs-unfused, the multi-controlled lowering, and the QASM
+/// round trip.
 [[nodiscard]] DiffReport diff_dynamic_backends(const circ::QuantumCircuit& circuit,
                                                std::uint64_t seed,
                                                const DiffOptions& options = {});

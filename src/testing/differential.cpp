@@ -10,6 +10,7 @@
 #include "qutes/circuit/fusion.hpp"
 #include "qutes/circuit/pass_manager.hpp"
 #include "qutes/circuit/qasm.hpp"
+#include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/error.hpp"
 #include "qutes/sim/density_matrix.hpp"
 
@@ -22,9 +23,11 @@ using circ::Instruction;
 using circ::QuantumCircuit;
 
 constexpr Backend kAllBackends[] = {
-    Backend::Statevector,  Backend::DensityMatrix, Backend::FusedExecutor,
-    Backend::PresetO0,     Backend::PresetO1,      Backend::PresetBasis,
-    Backend::PresetHardware, Backend::QasmRoundTrip, Backend::Mps,
+    Backend::Statevector,     Backend::DensityMatrix,
+    Backend::FusedExecutor,   Backend::DecomposeMulticontrolled,
+    Backend::PresetO1,        Backend::PresetBasis,
+    Backend::PresetHardware,  Backend::QasmRoundTrip,
+    Backend::Mps,
 };
 
 circ::Executor single_shot_executor() {
@@ -64,7 +67,6 @@ std::vector<cplx> fused_state_of(const QuantumCircuit& circuit) {
 
 circ::Preset preset_of(Backend backend) {
   switch (backend) {
-    case Backend::PresetO0: return circ::Preset::O0;
     case Backend::PresetO1: return circ::Preset::O1;
     case Backend::PresetBasis: return circ::Preset::Basis;
     default: return circ::Preset::Hardware;
@@ -173,7 +175,7 @@ const char* backend_name(Backend backend) noexcept {
     case Backend::Statevector: return "statevector";
     case Backend::DensityMatrix: return "density-matrix";
     case Backend::FusedExecutor: return "fused-executor";
-    case Backend::PresetO0: return "preset-O0";
+    case Backend::DecomposeMulticontrolled: return "decompose-multicontrolled";
     case Backend::PresetO1: return "preset-O1";
     case Backend::PresetBasis: return "preset-basis";
     case Backend::PresetHardware: return "preset-hardware";
@@ -193,7 +195,8 @@ std::vector<cplx> backend_statevector(const QuantumCircuit& circuit,
       return state_of(circuit);
     case Backend::FusedExecutor:
       return fused_state_of(circuit);
-    case Backend::PresetO0:
+    case Backend::DecomposeMulticontrolled:
+      return state_of(circ::decompose_multicontrolled(circuit));
     case Backend::PresetO1:
     case Backend::PresetBasis:
     case Backend::PresetHardware:
@@ -417,12 +420,11 @@ DiffReport diff_dynamic_backends(const QuantumCircuit& circuit, std::uint64_t se
     }
 
     ++report.comparisons;
-    const QuantumCircuit o0 =
-        circ::make_pipeline(circ::Preset::O0).run(circuit);
-    const sim::Counts lowered = circ::Executor(exec).run(o0).counts;
+    const sim::Counts lowered =
+        circ::Executor(exec).run(circ::decompose_multicontrolled(circuit)).counts;
     if (lowered != fused) {
-      fail("fused-vs-O0", 1.0,
-           "O0-lowered counts differ at identical seed: " +
+      fail("fused-vs-decompose-multicontrolled", 1.0,
+           "multi-controlled-lowered counts differ at identical seed: " +
                first_diff(fused, lowered));
     }
 

@@ -17,6 +17,7 @@
 #include <omp.h>
 #endif
 
+#include "qutes/algorithms/grover.hpp"
 #include "qutes/circuit/backend.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/common/error.hpp"
@@ -219,6 +220,29 @@ TEST(BackendCapabilities, WideClassicalRegisterRunsOnStaticPaths) {
     EXPECT_EQ(circ::Executor(options).run(c).counts, (sim::Counts{{only_69, 16}}))
         << name;
   }
+}
+
+TEST(BackendCapabilities, DensityRunsANineQubitGroverThroughO1) {
+  // O1 keeps the oracle's eight-control MCZ native. Lowering it to the
+  // V-chain would add six ancillas: 15 qubits, past density's ceiling of 13.
+  const std::uint64_t marked[] = {0x15a};
+  const circ::QuantumCircuit grover = qutes::algo::build_grover_circuit(9, marked, 3);
+  const circ::PassManager pipeline = circ::make_pipeline(circ::Preset::O1);
+  qutes::RunConfig options;
+  options.backend.name = "density";
+  options.shots = 256;
+  options.seed = 5;
+  options.pipeline.manager = &pipeline;
+  const circ::ExecutionResult result = circ::Executor(options).run(grover);
+  EXPECT_EQ(result.backend, "density");
+  EXPECT_EQ(result.pass_stats.size(), pipeline.size());
+  EXPECT_EQ(total_shots(result.counts), 256u);
+  // Three rounds lift the marked entry to P ~ 0.09 against ~0.002 for each
+  // other entry, so it is the most frequent outcome.
+  const auto top = std::max_element(
+      result.counts.begin(), result.counts.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  EXPECT_EQ(top->first, "101011010");
 }
 
 TEST(BackendCapabilities, DensityRefusesDynamicCircuits) {
@@ -793,6 +817,37 @@ TEST(BackendAuto, ResolvesAgainstThePipelineOutput) {
   // H lowers to u(...) under the basis preset; the dense method must run it.
   EXPECT_EQ(result.backend, "statevector");
   EXPECT_EQ(total_shots(result.counts), 16u);
+}
+
+TEST(BackendAuto, O1KeepsOneControlGatesOnTheStabilizer) {
+  // O1 renames a one-control MCX/MCZ to CX/CZ, which are Clifford gates: auto
+  // picks the tableau and the stabilizer runs the circuit.
+  circ::QuantumCircuit c(2, 2);
+  const std::size_t control[] = {0};
+  c.h(0).mcx(control, 1).mcz(control, 1);
+  c.measure_all();
+  const circ::PassManager pipeline = circ::make_pipeline(circ::Preset::O1);
+  qutes::RunConfig options;
+  options.shots = 64;
+  options.pipeline.manager = &pipeline;
+  for (const char* backend : {"auto", "stabilizer"}) {
+    options.backend.name = backend;
+    const circ::ExecutionResult result = circ::Executor(options).run(c);
+    EXPECT_EQ(result.backend, "stabilizer") << backend;
+    EXPECT_EQ(total_shots(result.counts), 64u);
+    for (const auto& [bits, n] : result.counts) {
+      EXPECT_TRUE(bits == "00" || bits == "11") << bits;
+    }
+  }
+  // The language's mcz with one control takes the same path through a replay.
+  qutes::RunConfig program;
+  program.backend.name = "auto";
+  program.replay_shots = 16;
+  program.pipeline.manager = &pipeline;
+  const qutes::lang::RunResult run = qutes::lang::run_source(
+      "qubit a = |+>; qubit b = |+>; mcz(a, b); print a;", program);
+  ASSERT_TRUE(run.replay.has_value());
+  EXPECT_EQ(run.replay->backend, "stabilizer");
 }
 
 TEST(BackendAuto, ValidateAcceptsAutoWithoutRegistryEntry) {

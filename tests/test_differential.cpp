@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/pass_manager.hpp"
 #include "qutes/circuit/qasm.hpp"
+#include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/rng.hpp"
 #include "qutes/lang/compiler.hpp"
 #include "qutes/sim/statevector.hpp"
@@ -205,7 +207,8 @@ TEST(Differential, AncillaLoweringOfMultiControlledGates) {
 TEST(Differential, DynamicCircuitsMatchReferenceDistribution) {
   // Mid-circuit measurement, reset, c_if: exact trajectory-enumeration
   // distribution vs sampled counts (TVD), plus bit-identical counts across
-  // fused / unfused / O0 / QASM round trip at one executor seed.
+  // fused / unfused / multi-controlled lowering / QASM round trip at one
+  // executor seed.
   const std::size_t seeds = sweep(120, 10);
   qt::DiffOptions options;
   options.shots = 4096;
@@ -374,27 +377,36 @@ TEST(Differential, ReorderCommutingComposesWithEveryPresetPinnedSeeds) {
   // dangerous interactions are with the other passes. Running it before a
   // preset changes what the lowering and peephole stages see; running it
   // after one must respect the ancilla wires and SWAP chains they introduced.
-  // Sandwich the pass around every preset on pinned seeds and check the
-  // evolved state against the dense reference of the untouched circuit, up
-  // to global phase (ancilla weight shows up as residual and fails).
+  // Sandwich the pass around every preset, and around the multi-controlled
+  // lowering on its own, on pinned seeds and check the evolved state against
+  // the dense reference of the untouched circuit, up to global phase (ancilla
+  // weight shows up as residual and fails).
   const std::uint64_t pinned[] = {3, 17, 42, 88, 123, 2024};
-  const circ::Preset presets[] = {circ::Preset::O0, circ::Preset::O1,
-                                  circ::Preset::Basis, circ::Preset::Hardware};
+  const auto preset = [](circ::Preset p) {
+    return [p](const circ::QuantumCircuit& c) { return circ::make_pipeline(p).run(c); };
+  };
+  const struct {
+    const char* name;
+    std::function<circ::QuantumCircuit(const circ::QuantumCircuit&)> run;
+  } stages[] = {
+      {"decompose-multicontrolled", circ::decompose_multicontrolled},
+      {"O1", preset(circ::Preset::O1)},
+      {"basis", preset(circ::Preset::Basis)},
+      {"hardware", preset(circ::Preset::Hardware)},
+  };
   circ::PassManager reorder;
   reorder.emplace<circ::ReorderCommuting>();
   for (const std::uint64_t seed : pinned) {
     const circ::QuantumCircuit c = qt::random_circuit(seed, unitary_options(seed));
     const std::vector<cplx> reference = qt::reference_statevector(c);
-    for (const circ::Preset preset : presets) {
+    for (const auto& stage : stages) {
       for (const bool reorder_first : {true, false}) {
-        circ::PropertySet properties;
-        circ::QuantumCircuit lowered = circ::make_pipeline(preset).run(
-            reorder_first ? reorder.run(c) : c, properties);
+        circ::QuantumCircuit lowered = stage.run(reorder_first ? reorder.run(c) : c);
         if (!reorder_first) lowered = reorder.run(lowered);
         const auto cmp = qt::compare_states_up_to_global_phase(
             reference, evolve_statevector(lowered));
         EXPECT_TRUE(cmp.equivalent)
-            << "seed=" << seed << " preset=" << circ::preset_name(preset)
+            << "seed=" << seed << " stage=" << stage.name
             << (reorder_first ? " reorder-first: " : " reorder-last: ")
             << cmp.detail;
       }
@@ -515,7 +527,8 @@ TEST(Harness, BackendNamesAreStable) {
   EXPECT_STREQ(qt::backend_name(Backend::Statevector), "statevector");
   EXPECT_STREQ(qt::backend_name(Backend::DensityMatrix), "density-matrix");
   EXPECT_STREQ(qt::backend_name(Backend::FusedExecutor), "fused-executor");
-  EXPECT_STREQ(qt::backend_name(Backend::PresetO0), "preset-O0");
+  EXPECT_STREQ(qt::backend_name(Backend::DecomposeMulticontrolled),
+               "decompose-multicontrolled");
   EXPECT_STREQ(qt::backend_name(Backend::PresetO1), "preset-O1");
   EXPECT_STREQ(qt::backend_name(Backend::PresetBasis), "preset-basis");
   EXPECT_STREQ(qt::backend_name(Backend::PresetHardware), "preset-hardware");

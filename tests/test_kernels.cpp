@@ -23,7 +23,7 @@
 #include "qutes/algorithms/qft.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/fusion.hpp"
-#include "qutes/circuit/pass_manager.hpp"
+#include "qutes/circuit/transpiler.hpp"
 #include "qutes/common/bitops.hpp"
 #include "qutes/common/rng.hpp"
 #include "qutes/sim/kernels.hpp"
@@ -510,13 +510,14 @@ TEST(Kernels, PlansEvolveBitIdenticallyToDenseAndGroupLoop) {
   qft_mirror.barrier();
   qft_mirror.compose(qutes::algo::make_qft(12).inverse(), wires);
   const std::uint64_t marked[] = {0x15a};
-  const circ::QuantumCircuit grover = circ::make_pipeline(circ::Preset::O1).run(
+  // The V-chain lowering of Grover: CCX ladders over six ancilla wires.
+  const circ::QuantumCircuit grover = circ::decompose_multicontrolled(
       qutes::algo::build_grover_circuit(9, marked, 3));
   const struct {
     const char* name;
     circ::QuantumCircuit circuit;
   } cases[] = {{"qft12_mirror", qft_mirror},
-               {"grover9_o1", grover},
+               {"grover9_vchain", grover},
                {"brickwork10", qutes::testing::brickwork_circuit(10, 8, 52)}};
   for (const auto& c : cases) {
     // The QFT mirror exercises all three kinds; the check is vacuous if the

@@ -20,6 +20,7 @@
 #include "qutes/circuit/circuit.hpp"
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/fusion.hpp"
+#include "qutes/circuit/pass_manager.hpp"
 #include "qutes/common/error.hpp"
 #include "qutes/obs/obs.hpp"
 #include "qutes/run_config.hpp"
@@ -357,6 +358,32 @@ TEST_F(MetricsTest, GateCounterMatchesInstructionCount) {
   EXPECT_EQ(snap.counters.at("executor.shots"), 32u);
   // One statevector of 2^4 amplitudes at 16 bytes each.
   EXPECT_EQ(snap.gauges.at("sv.peak_bytes"), 16.0 * 16.0);
+}
+
+TEST_F(MetricsTest, PipelineCountersMatchWhatThePassesDid) {
+  // h(0); cx(0,1) twice (a cancellable pair); cx(0,2) (not adjacent on a
+  // line). The hardware preset runs six passes:
+  //   decompose-to-basis   h -> u                       4 -> 4 gates
+  //   fuse-1q              one u stays one u            4 -> 4
+  //   optimize             the cx(0,1) pair cancels     4 -> 2   (2 removed)
+  //   route-line           swap(0,1) brings q0 next to q2, and one more
+  //                        swap restores the layout     2 -> 4   (2 swaps)
+  //   decompose-to-basis   each swap -> three cx        4 -> 8
+  //   optimize             nothing cancels              8 -> 8
+  obs::set_metrics_enabled(true);
+  circ::QuantumCircuit c(3);
+  c.h(0).cx(0, 1).cx(0, 1).cx(0, 2);
+  circ::PropertySet properties;
+  const circ::QuantumCircuit lowered =
+      circ::make_pipeline(circ::Preset::Hardware).run(c, properties);
+  EXPECT_EQ(lowered.gate_count(), 8u);
+  const auto snap = obs::metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("pipeline.passes_run"), 6u);
+  EXPECT_EQ(snap.histograms.at("pipeline.pass_ms").count, 6u);
+  EXPECT_EQ(snap.counters.at("pipeline.gates_removed"), 2u);
+  EXPECT_EQ(snap.counters.at("pipeline.swaps_inserted"), 2u);
+  EXPECT_EQ(properties.stats.size(), 6u);
+  EXPECT_EQ(properties.swaps_inserted, 2u);
 }
 
 /// Fused blocks of width >= 2 in `c`'s default fusion plan, by kernel kind.

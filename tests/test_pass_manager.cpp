@@ -1,15 +1,21 @@
 // PassManager pipeline tests: presets must preserve semantics,
 // instrumentation must describe what actually ran, analysis state (final
-// layout) must thread through the PropertySet, and fixed regressions must
-// stay fixed (no peephole cancellation across classical conditions,
-// measurement clbit remapping under a non-restored routing layout).
+// layout) must thread through the PropertySet, O1 must keep multi-controlled
+// gates native (no ancilla wire), and fixed regressions must stay fixed (no
+// peephole cancellation across classical conditions, measurement clbit
+// remapping under a non-restored routing layout).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "qutes/circuit/executor.hpp"
 #include "qutes/circuit/pass_manager.hpp"
+#include "qutes/circuit/transpiler.hpp"
+#include "qutes/testing/reference_backend.hpp"
 
 namespace {
 
@@ -76,8 +82,7 @@ TEST(PassManager, InstrumentsEveryPass) {
 }
 
 TEST(PassManager, PresetParsingRoundTrips) {
-  for (const Preset preset :
-       {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+  for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
     const auto parsed = parse_preset(preset_name(preset));
     ASSERT_TRUE(parsed.has_value()) << preset_name(preset);
     EXPECT_EQ(*parsed, preset);
@@ -85,13 +90,14 @@ TEST(PassManager, PresetParsingRoundTrips) {
   EXPECT_EQ(parse_preset("o1"), Preset::O1);
   EXPECT_EQ(parse_preset("HARDWARE"), Preset::Hardware);
   EXPECT_FALSE(parse_preset("O3").has_value());
+  EXPECT_FALSE(parse_preset("O0").has_value());
   EXPECT_FALSE(parse_preset("").has_value());
 }
 
 TEST(PassManager, O1PresetSubsumesLegacyTranspile) {
-  // O1 = multicontrolled lowering + peephole (the old default pipeline) plus
-  // commutation-aware reordering, so it must stay equivalent and can only
-  // expose more peephole cancellations, never fewer.
+  // The old default pipeline was multi-controlled lowering + peephole. O1
+  // keeps the multi-controlled gates native and adds commutation-aware
+  // reordering, so it must stay equivalent and can only be smaller.
   const QuantumCircuit base = mixed_workload();
   PassManager legacy_pm;
   legacy_pm.emplace<DecomposeMulticontrolled>();
@@ -104,11 +110,112 @@ TEST(PassManager, O1PresetSubsumesLegacyTranspile) {
 
 TEST(PassManager, EveryPresetPreservesSemantics) {
   const QuantumCircuit base = mixed_workload();
-  for (const Preset preset :
-       {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+  for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
     const QuantumCircuit lowered = make_pipeline(preset).run(base);
     EXPECT_NEAR(circuit_fidelity(base, lowered), 1.0, 1e-9)
         << "preset " << preset_name(preset);
+  }
+}
+
+/// Every gate the multi-controlled lowering rewrites, at widths where it
+/// needs ancillas: MCX and MCZ with three and four controls, MCP with two
+/// and three, and CSWAP. With `conditioned`, each of them is conditioned on
+/// a clbit that a mid-circuit measure of a superposed qubit writes, and
+/// every qubit is measured at the end.
+QuantumCircuit wide_gate_workload(bool conditioned) {
+  QuantumCircuit c(6, conditioned ? 6 : 0);
+  for (std::size_t q = 0; q < 6; ++q) c.ry(0.4 + 0.37 * static_cast<double>(q), q);
+  if (conditioned) c.measure(5, 5);
+  const auto cond = [&] {
+    if (conditioned) c.c_if(5, 1);
+  };
+  const std::size_t c2[] = {1, 3}, c3[] = {0, 1, 2}, c4[] = {0, 1, 2, 3};
+  c.mcx(c3, 4);
+  cond();
+  c.mcz(c4, 5);
+  cond();
+  c.mcp(0.8, c2, 0);
+  cond();
+  c.mcp(1.3, c3, 5);
+  cond();
+  c.cswap(2, 0, 4);
+  cond();
+  c.mcx(c4, 5);
+  cond();
+  c.mcz(c3, 4);
+  cond();
+  if (conditioned) c.measure_all();
+  return c;
+}
+
+TEST(PassManager, O1KeepsWideMulticontrolledGatesNative) {
+  // Every simulator backend applies these gates itself, so O1 must neither
+  // lower them nor add the V-chain's ancilla wires.
+  for (const bool conditioned : {false, true}) {
+    SCOPED_TRACE(conditioned ? "with c_if" : "without c_if");
+    const QuantumCircuit base = wide_gate_workload(conditioned);
+    const QuantumCircuit o1 = make_pipeline(Preset::O1).run(base);
+    EXPECT_EQ(o1.num_qubits(), base.num_qubits());
+    EXPECT_EQ(o1.num_clbits(), base.num_clbits());
+    const auto before = base.count_ops();
+    const auto after = o1.count_ops();
+    for (const char* gate : {"mcx", "mcz", "mcp", "cswap"}) {
+      EXPECT_EQ(after.count(gate) ? after.at(gate) : 0, before.at(gate)) << gate;
+    }
+    EXPECT_EQ(after.count("ccx"), 0u) << "a wide gate was lowered";
+    if (!conditioned) {
+      EXPECT_NEAR(circuit_fidelity(base, o1), 1.0, 1e-9);
+      continue;
+    }
+    std::size_t conditions = 0;
+    for (const Instruction& in : o1.instructions()) conditions += in.condition ? 1 : 0;
+    EXPECT_EQ(conditions, 7u);
+    // The exact outcome distributions agree, branch by branch.
+    const auto expected = qutes::testing::reference_distribution(base);
+    const auto actual = qutes::testing::reference_distribution(o1);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (const auto& [bits, p] : expected) {
+      ASSERT_TRUE(actual.count(bits)) << bits;
+      EXPECT_NEAR(actual.at(bits), p, 1e-9) << bits;
+    }
+  }
+}
+
+TEST(PassManager, O1RenamesOneAndTwoControlGates) {
+  // MCX/MCZ/MCP with one control become CX/CZ/CP and MCX with two controls
+  // becomes CCX, keeping their conditions and symbolic angles; the stabilizer
+  // and `--backend auto` read the CX/CZ spelling. Wider gates keep theirs.
+  QuantumCircuit c(3, 1);
+  const Param theta = c.parameter("theta");
+  c.h(0).h(1);
+  c.measure(1, 0);
+  const std::size_t one[] = {0}, two[] = {0, 1};
+  c.mcx(one, 2).c_if(0, 1);
+  c.mcz(one, 1);
+  c.mcp(theta, one, 2);
+  c.mcx(two, 2);
+  c.mcz(two, 2);
+  c.mcp(0.4, two, 2);
+  const QuantumCircuit o1 = make_pipeline(Preset::O1).run(c);
+  EXPECT_EQ(o1.num_qubits(), 3u);
+  const std::map<std::string, std::size_t> expected = {
+      {"h", 2}, {"measure", 1}, {"cx", 1}, {"cz", 1},
+      {"cp", 1}, {"ccx", 1},    {"mcz", 1}, {"mcp", 1}};
+  EXPECT_EQ(o1.count_ops(), expected);
+  for (const Instruction& in : o1.instructions()) {
+    if (in.type == GateType::CX) {
+      ASSERT_TRUE(in.condition.has_value());
+      EXPECT_EQ(in.condition->clbit, 0u);
+      EXPECT_EQ(in.condition->value, 1);
+      EXPECT_EQ(in.qubits, (std::vector<std::size_t>{0, 2}));
+    }
+    if (in.type == GateType::CP) {
+      EXPECT_EQ(in.param_ref(0), static_cast<int>(theta.index));
+      EXPECT_EQ(in.qubits, (std::vector<std::size_t>{0, 2}));
+    }
+    if (in.type == GateType::CCX) {
+      EXPECT_EQ(in.qubits, (std::vector<std::size_t>{0, 1, 2}));
+    }
   }
 }
 
@@ -220,7 +327,7 @@ TEST(PassManager, DecomposePropagatesConditions) {
   c.cswap(0, 1, 2).c_if(0, 1);
   c.measure(1, 0);
 
-  const QuantumCircuit lowered = make_pipeline(Preset::O0).run(c);
+  const QuantumCircuit lowered = decompose_multicontrolled(c);
   std::size_t conditioned = 0;
   for (const Instruction& in : lowered.instructions()) {
     if (in.condition.has_value()) {

@@ -5,7 +5,7 @@
 //  * QASM round trip: export -> import preserves semantics, including
 //    classically-conditioned gates and circuits carrying GlobalPhase
 //    instructions (dropped by QASM2, unobservable in fidelity);
-//  * preset equivalence: every PassManager preset (O0/O1/basis/hardware)
+//  * preset equivalence: every PassManager preset (O1/basis/hardware)
 //    preserves the statevector of random 2..8-qubit circuits.
 //
 // Circuits come from the shared qutes::testing generators; comparison uses
@@ -99,8 +99,7 @@ TEST(RoundTripProperty, EveryPresetPreservesRandomCircuits) {
     const std::size_t n = 2 + seed % 7;  // 2..8 qubits
     const QuantumCircuit base =
         random_unitary_circuit(seed * 271828, n, 20, /*allow_wide=*/true);
-    for (const Preset preset :
-         {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+    for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
       const QuantumCircuit lowered = make_pipeline(preset).run(base);
       expect_equiv(base, lowered,
                    "seed " + std::to_string(seed) + ", " + std::to_string(n) +
@@ -114,8 +113,7 @@ TEST(RoundTripProperty, PresetsComposeWithQasmExport) {
   // trip (this is what `qutes ... --pipeline X --qasm out.qasm` emits).
   const QuantumCircuit base =
       random_unitary_circuit(42, 4, 18, /*allow_wide=*/true);
-  for (const Preset preset :
-       {Preset::O0, Preset::O1, Preset::Basis, Preset::Hardware}) {
+  for (const Preset preset : {Preset::O1, Preset::Basis, Preset::Hardware}) {
     const QuantumCircuit lowered = make_pipeline(preset).run(base);
     const QuantumCircuit reimported =
         qasm::import_circuit(qasm::export_circuit(lowered));

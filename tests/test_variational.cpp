@@ -171,10 +171,8 @@ TEST(BindBeforeRun, BitIdenticalToPreBoundAcrossBackendsAndPresets) {
   };
   const ConfigCase cases[] = {
       {"statevector", std::nullopt},
-      {"statevector", circ::Preset::O0},
       {"statevector", circ::Preset::O1},
       {"mps", std::nullopt},
-      {"mps", circ::Preset::O0},
       {"mps", circ::Preset::O1},
   };
   for (std::uint64_t seed : {3ULL, 17ULL, 101ULL}) {

@@ -59,7 +59,8 @@ void usage(std::ostream& out) {
       << "                     the front end via the daemon's compile cache.\n"
       << "                     Prints the counts histogram (--replay N sets the\n"
       << "                     shot count; cache hit/miss goes to stderr).\n"
-      << "  --pipeline PRESET  compile through a PassManager preset: O0, O1, basis,\n"
+      << "  --pipeline PRESET  compile through a PassManager preset: O1 (reorder +\n"
+      << "                     peephole; multi-controlled gates stay native), basis,\n"
       << "                     hardware (linear coupling). With run/eval the lowered\n"
       << "                     circuit is what --qasm/--qiskit/--draw/--replay see.\n"
       << "  --dump-passes      print the per-pass instrumentation table (name,\n"
@@ -150,7 +151,7 @@ bool parse_pipeline_flag(const std::string& value, std::optional<qutes::circ::Pr
   const auto preset = qutes::circ::parse_preset(value);
   if (!preset) {
     std::cerr << "unknown pipeline preset: " << value
-              << " (expected O0, O1, basis, or hardware)\n";
+              << " (expected O1, basis, or hardware)\n";
     return false;
   }
   out = *preset;
