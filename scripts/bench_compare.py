@@ -27,6 +27,12 @@ verdict against the metric's bound:
               a gain;
   within      none of the above.
 
+Under the metric table, each side's median of every `detail.family_ms_per_op`
+class (qutesd_mix's hit/miss/bind/trace, static_sim's families) shows which
+request class moved. These are CPU ms as measured, not scaled by host speed
+as the end-to-end metrics are, so each side's median `detail.host_speed.scale`
+heads the table: a host that ran faster for one side moves all its classes.
+
 It also checks that both sides print the same `digest` (and, where present,
 `digest_other_team` and `known_defects`) on every seed. With --out, every
 run's result and detail lines are appended to a JSON-lines file.
@@ -128,6 +134,35 @@ def verdict(spec, parent, change):
     return "within", wins
 
 
+def family_table(parent_details, change_details):
+    """One line per detail.family_ms_per_op class: each side's median over
+    its runs, and the change's difference from the parent."""
+    def medians(details):
+        per_class = {}
+        for detail in details:
+            for name, ms in detail.get("family_ms_per_op", {}).items():
+                per_class.setdefault(name, []).append(ms)
+        return {name: statistics.median(values) for name, values in per_class.items()}
+
+    def show(ms):
+        return "-" if ms is None else f"{ms:.4g}"
+
+    def scale(details):
+        scales = [d["host_speed"]["scale"] for d in details if "host_speed" in d]
+        return statistics.median(scales) if scales else None
+
+    parent, change = medians(parent_details), medians(change_details)
+    lines = []
+    if parent or change:
+        lines.append(f"  host speed scale, median: parent {show(scale(parent_details))}"
+                     f"  change {show(scale(change_details))}")
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name), change.get(name)
+        delta = f"{(c - p) / p * 100:+.1f}%" if p and c is not None else "n/a"
+        lines.append(f"  {name:14s} parent {show(p)} ms/op  change {show(c)} ms/op  {delta}")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_REF")
@@ -187,6 +222,10 @@ def main():
                   f"better in {wins} of {args.pairs}  bound {metric['bound']}  {outcome}")
             if outcome in ("regression", "unresolved"):
                 verdicts.append(f"{workload} {name}: {outcome}")
+        families = family_table([d for d, _ in runs["parent"]], [d for d, _ in runs["change"]])
+        if families:
+            print("  family ms per op, median:")
+            print("\n".join(families))
     print("verdict: " + ("; ".join(verdicts) if verdicts else "no metric worse than its bound"))
     sys.exit(1 if any("regression" in v or "differs" in v for v in verdicts) else 0)
 

@@ -121,7 +121,7 @@ mkdir -p "$OBS_DIR"
   --trace "$OBS_DIR/trace.json" --metrics-json "$OBS_DIR/metrics.json" >/dev/null 2>&1
 python3 scripts/check_trace.py "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" \
   --require lang.parse --require pipeline.run --require executor.run \
-  --require backend.execute
+  --require backend.prepare --require backend.sample
 echo "check.sh: observability trace/metrics smoke passed."
 
 # Trajectory-path smoke: cyclic_shift prints (measures) its register

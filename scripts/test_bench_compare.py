@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit checks of scripts/bench_compare.py's verdict rule.
+"""Unit checks of scripts/bench_compare.py's verdict rule and family table.
 
     python3 scripts/test_bench_compare.py
 """
@@ -8,7 +8,7 @@ import unittest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_compare import verdict  # noqa: E402
+from bench_compare import family_table, verdict  # noqa: E402
 
 HIGHER = {"better": "higher", "bound": 0.24}
 LOWER = {"better": "lower", "bound": 0.24}
@@ -54,6 +54,29 @@ class Verdict(unittest.TestCase):
         parent = [60, 140, 60, 140, 60, 140, 60, 140, 60, 140]
         change = [100] * 10
         self.assertEqual(verdict(HIGHER, parent, change), ("unresolved", 5))
+
+
+class FamilyTable(unittest.TestCase):
+    def test_each_class_reads_each_sides_median(self):
+        parent = [{"family_ms_per_op": {"hit": 0.5, "miss": 3.0, "trace": 2.0},
+                   "host_speed": {"scale": 0.8}},
+                  {"family_ms_per_op": {"hit": 0.7, "miss": 3.4, "trace": 2.2},
+                   "host_speed": {"scale": 0.6}},
+                  {"family_ms_per_op": {"hit": 0.6, "miss": 3.2, "trace": 2.1},
+                   "host_speed": {"scale": 0.7}}]
+        change = [{"family_ms_per_op": {"hit": 0.1, "miss": 3.1, "trace": 2.1}},
+                  {"family_ms_per_op": {"hit": 0.09, "miss": 3.3, "bind": 1.0}},
+                  {"family_ms_per_op": {"hit": 0.11, "miss": 3.2, "trace": 2.1}}]
+        self.assertEqual(family_table(parent, change), [
+            "  host speed scale, median: parent 0.7  change -",
+            "  bind           parent - ms/op  change 1 ms/op  n/a",
+            "  hit            parent 0.6 ms/op  change 0.1 ms/op  -83.3%",
+            "  miss           parent 3.2 ms/op  change 3.2 ms/op  +0.0%",
+            "  trace          parent 2.1 ms/op  change 2.1 ms/op  +0.0%",
+        ])
+
+    def test_runs_without_families_print_nothing(self):
+        self.assertEqual(family_table([{}, {}], [{}, {}]), [])
 
 
 if __name__ == "__main__":

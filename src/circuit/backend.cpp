@@ -6,7 +6,9 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "qutes/circuit/fusion.hpp"
@@ -44,12 +46,6 @@ bool gate_acquires_noise(const Instruction& in, const sim::NoiseModel& noise) {
   return noise.depolarizing_2q > 0.0;
 }
 
-void record_fusion_stats(ExecutionResult& result, const FusionPlan& plan) {
-  result.fused_gates = plan.fused_gates;
-  result.fused_blocks = plan.fused_blocks();
-  result.fused_width_histogram = plan.width_histogram;
-}
-
 /// Plan runtime gate fusion for `circ` under the backend's capability caps.
 FusionPlan plan_fusion(const QuantumCircuit& circ, const RunConfig& config,
                        const BackendCapabilities& caps,
@@ -69,23 +65,33 @@ FusionPlan plan_fusion(const QuantumCircuit& circ, const RunConfig& config,
   return build_fusion_plan(circ.instructions(), fusion_options);
 }
 
-/// The circuit an MPS can run: `circuit` itself when no unitary spans more
-/// than two qubits, else its {u, cx} lowering, held in `lowered` (which may
-/// append ancilla wires for gates with >= 3 controls).
-const QuantumCircuit& lower_for_mps(const QuantumCircuit& circuit,
-                                    QuantumCircuit& lowered) {
+/// The {u, cx} lowering an MPS runs instead of `circuit` when some unitary
+/// spans more than two qubits (it may append ancilla wires for gates with
+/// >= 3 controls); nullopt when the MPS can run `circuit` itself.
+std::optional<QuantumCircuit> lower_for_mps(const QuantumCircuit& circuit) {
   const auto& instrs = circuit.instructions();
   if (std::none_of(instrs.begin(), instrs.end(), [](const Instruction& in) {
         return is_unitary_gate(in.type) && in.type != GateType::GlobalPhase &&
                in.qubits.size() > 2;
       })) {
-    return circuit;
+    return std::nullopt;
   }
   obs::Span span("mps.lower");
   PassManager lowerer;
   lowerer.emplace<DecomposeToBasis>();
-  lowered = lowerer.run(circuit);
-  return lowered;
+  return lowerer.run(circuit);
+}
+
+/// Bytes a fusion plan holds: its ops, and each fused block's matrix and
+/// wires.
+std::size_t plan_bytes(const FusionPlan& plan) {
+  std::size_t bytes = plan.ops.size() * sizeof(FusedOp);
+  for (const FusedOp& op : plan.ops) {
+    if (!op.fused) continue;
+    bytes += op.matrix.dim() * op.matrix.dim() * sizeof(sim::cplx) +
+             op.qubits.size() * sizeof(std::size_t);
+  }
+  return bytes;
 }
 
 /// Apply one gate, barrier or global phase to an MPS. The MPS analog of
@@ -376,20 +382,20 @@ template <class Hooks>
 class ShotGroupEngine {
 public:
   ShotGroupEngine(const Hooks& hooks, const QuantumCircuit& circ,
-                  const FusionPlan& plan, const RunConfig& config,
+                  const FusionPlan& plan, const ShotBatchItem& item,
                   obs::Counter& gates_metric, const char* group_span,
                   ExecutionResult& result)
-      : hooks_(hooks), circ_(circ), plan_(plan), config_(config),
+      : hooks_(hooks), circ_(circ), plan_(plan), item_(item),
         gates_metric_(gates_metric), group_span_(group_span), result_(result) {}
 
   void run() {
-    result_.trajectories = config_.shots;
+    result_.trajectories = item_.shots;
     result_.fast_path = false;
-    if (config_.record_memory) result_.memory.assign(config_.shots, {});
-    if (config_.shots == 0) return;
-    std::vector<std::size_t> all(config_.shots);
+    if (item_.record_memory) result_.memory.assign(item_.shots, {});
+    if (item_.shots == 0) return;
+    std::vector<std::size_t> all(item_.shots);
     std::iota(all.begin(), all.end(), std::size_t{0});
-#pragma omp parallel if (config_.shots > 1)
+#pragma omp parallel if (item_.shots > 1)
 #pragma omp single
     run_group(std::move(all));
     if (error_) std::rethrow_exception(error_);
@@ -417,7 +423,7 @@ private:
 
   std::vector<std::vector<std::size_t>> evolve(std::vector<std::size_t> shots) {
     obs::Span span(group_span_);
-    ShotGroup group(std::move(shots), config_.seed);
+    ShotGroup group(std::move(shots), item_.seed);
     typename Hooks::State state = hooks_.fresh();
     std::vector<std::uint8_t> clbits(circ_.num_clbits(), 0);
     std::size_t applied = 0;
@@ -446,7 +452,7 @@ private:
       }
     }
     const std::string key = key_from_bits(clbits);
-    if (config_.record_memory) {
+    if (item_.record_memory) {
       for (const std::size_t s : group.shots()) result_.memory[s] = key;
     }
 #pragma omp critical(qutes_shot_group_merge)
@@ -462,7 +468,7 @@ private:
   const Hooks& hooks_;
   const QuantumCircuit& circ_;
   const FusionPlan& plan_;
-  const RunConfig& config_;
+  const ShotBatchItem& item_;
   obs::Counter& gates_metric_;
   const char* group_span_;
   ExecutionResult& result_;
@@ -476,7 +482,7 @@ private:
 struct StatevectorHooks {
   using State = sim::StateVector;
   std::size_t num_qubits;
-  const sim::NoiseModel& noise;
+  sim::NoiseModel noise;
 
   [[nodiscard]] State fresh() const { return State(num_qubits); }
 
@@ -523,6 +529,8 @@ struct MpsHooks {
   std::size_t num_qubits;
   sim::MpsOptions options;
   obs::Counter& truncations;
+  obs::Gauge& bond_gauge;
+  obs::Gauge& trunc_gauge;
 
   [[nodiscard]] State fresh() const { return State(num_qubits, options); }
 
@@ -543,6 +551,8 @@ struct MpsHooks {
     result.max_bond_dim_reached =
         std::max(result.max_bond_dim_reached, mps.max_bond_dim_reached());
     truncations.add(mps.svd_truncations());
+    bond_gauge.set_max(static_cast<double>(mps.max_bond_dim_reached()));
+    trunc_gauge.set_max(mps.truncation_error());
   }
 };
 
@@ -581,11 +591,11 @@ struct StabilizerHooks {
 // ---- static path ------------------------------------------------------------
 //
 // A static circuit never touches a measured qubit again, so every backend
-// evolves its measure-free prefix once and then samples the shots. One walker
-// evolves any state through its fusion plan and returns the wiring. The
-// statevector and density sample a CDF over basis states from one Rng(seed)
-// stream; the MPS and the tableau give shot s its own Rng(seed, s) and run
-// the shots across the OpenMP team.
+// evolves its measure-free prefix once, in prepare, and then samples the
+// shots. One walker evolves any state through its fusion plan and returns the
+// wiring. The statevector and density sample a CDF over basis states from one
+// Rng(seed) stream; the MPS and the tableau give shot s its own Rng(seed, s)
+// and run the shots across the OpenMP team.
 
 /// The (qubit, clbit) pair of every measure of a static circuit, in program
 /// order.
@@ -668,10 +678,11 @@ std::vector<double> cumulative(const Values& values, Weight weight) {
 /// from `cdf` by binary search, all from one Rng(seed) stream. With a readout
 /// error every clbit that a measure writes then draws its flip from that
 /// stream, in clbit order; an unwritten clbit reads 0.
-void sample_cdf(const std::vector<double>& cdf, const Wiring& wiring,
-                std::size_t num_clbits, const ShotBatchItem& item,
-                double readout_error, ExecutionResult& result) {
-  const auto wire = wire_by_clbit(wiring, num_clbits);
+void sample_cdf(const std::vector<double>& cdf,
+                const std::vector<std::optional<std::size_t>>& wire,
+                const ShotBatchItem& item, double readout_error,
+                ExecutionResult& result) {
+  const std::size_t num_clbits = wire.size();
   Rng rng(item.seed);
   const double total = cdf.empty() ? 0.0 : cdf.back();
   for (std::size_t s = 0; s < item.shots; ++s) {
@@ -731,11 +742,143 @@ ShotBatchItem item_of(const RunConfig& config) {
   return {config.seed, config.shots, config.record_memory};
 }
 
-/// One evolution served every shot.
-void mark_static(ExecutionResult& result) {
-  result.trajectories = 1;
-  result.evolutions = 1;
-  result.fast_path = true;
+/// What every built-in form shares: the counters of the fusion plan prepare
+/// built, reported once, by the form's first sample. A form sampled k times
+/// (a batch, or a qutesd entry's kept form) so counts one plan, as it counts
+/// one static evolution.
+class PlannedForm : public PreparedCircuit {
+protected:
+  explicit PlannedForm(const FusionPlan& plan)
+      : fused_gates_(plan.fused_gates),
+        fused_blocks_(plan.fused_blocks()),
+        width_histogram_(plan.width_histogram) {}
+
+  /// True on the form's first sample only, which gets the plan's counters.
+  bool first_sample(ExecutionResult& result) const {
+    if (sampled_.exchange(true)) return false;
+    result.fused_gates = fused_gates_;
+    result.fused_blocks = fused_blocks_;
+    result.fused_width_histogram = width_histogram_;
+    return true;
+  }
+
+private:
+  std::size_t fused_gates_;
+  std::size_t fused_blocks_;
+  std::map<std::size_t, std::size_t> width_histogram_;
+  mutable std::atomic<bool> sampled_{false};
+};
+
+/// A static form: what the one evolution left, drawn from per item by
+/// `Draw(item, result)`. Of the fusion plan only its counters stay: the block
+/// matrices are released once the state is evolved.
+template <class Draw>
+class StaticForm final : public PlannedForm {
+public:
+  /// `payload_bytes` is what `draw` holds.
+  StaticForm(const FusionPlan& plan, const char* span, std::size_t payload_bytes,
+             Draw draw)
+      : PlannedForm(plan),
+        span_(span),
+        payload_bytes_(payload_bytes),
+        draw_(std::move(draw)) {}
+
+  void sample(const ShotBatchItem& item, ExecutionResult& result) const override {
+    // The one evolution, in prepare, served every shot; the first sample
+    // reports it.
+    if (first_sample(result)) result.evolutions = 1;
+    obs::Span span(span_);
+    draw_(item, result);
+    result.trajectories = 1;
+    result.fast_path = true;
+  }
+
+  std::size_t bytes() const noexcept override { return sizeof(*this) + payload_bytes_; }
+
+private:
+  const char* span_;
+  std::size_t payload_bytes_;
+  Draw draw_;
+};
+
+template <class Draw>
+std::unique_ptr<const PreparedCircuit> make_static_form(const FusionPlan& plan,
+                                                        const char* span,
+                                                        std::size_t payload_bytes,
+                                                        Draw draw) {
+  return std::make_unique<StaticForm<Draw>>(plan, span, payload_bytes, std::move(draw));
+}
+
+/// The CDF form of the statevector and density: the outcome distribution
+/// over basis states and the clbit wiring. Each item samples it from one
+/// Rng(seed) stream, drawing a flip for every written clbit when
+/// `readout_error` (the density's) is set.
+std::unique_ptr<const PreparedCircuit> make_cdf_form(const FusionPlan& plan,
+                                                     const char* span,
+                                                     std::vector<double> cdf,
+                                                     const Wiring& wiring,
+                                                     std::size_t num_clbits,
+                                                     double readout_error) {
+  auto wire = wire_by_clbit(wiring, num_clbits);
+  const std::size_t bytes =
+      cdf.size() * sizeof(double) + wire.size() * sizeof(wire.front());
+  return make_static_form(
+      plan, span, bytes,
+      [cdf = std::move(cdf), wire = std::move(wire), readout_error](
+          const ShotBatchItem& item, ExecutionResult& result) {
+        sample_cdf(cdf, wire, item, readout_error, result);
+      });
+}
+
+/// The trajectory form of the statevector, MPS and stabilizer: the fusion
+/// plan that every shot group replays through `Hooks`, over the circuit
+/// prepare saw or, when the backend lowered it first, the lowering it owns.
+template <class Hooks>
+class TrajectoryForm final : public PlannedForm {
+public:
+  TrajectoryForm(Hooks hooks, const QuantumCircuit& circ,
+                 std::optional<QuantumCircuit> lowered, FusionPlan plan,
+                 obs::Counter& gates_metric, const char* shots_span,
+                 const char* group_span)
+      : PlannedForm(plan),
+        hooks_(std::move(hooks)),
+        lowered_(std::move(lowered)),
+        circ_(lowered_ ? *lowered_ : circ),
+        plan_(std::move(plan)),
+        gates_metric_(gates_metric),
+        shots_span_(shots_span),
+        group_span_(group_span) {}
+
+  void sample(const ShotBatchItem& item, ExecutionResult& result) const override {
+    first_sample(result);
+    obs::Span span(shots_span_);
+    ShotGroupEngine(hooks_, circ_, plan_, item, gates_metric_, group_span_, result).run();
+  }
+
+  std::size_t bytes() const noexcept override {
+    std::size_t bytes = sizeof(*this) + plan_bytes(plan_);
+    if (lowered_) bytes += lowered_->instructions().size() * sizeof(Instruction);
+    return bytes;
+  }
+
+private:
+  Hooks hooks_;
+  std::optional<QuantumCircuit> lowered_;
+  const QuantumCircuit& circ_;
+  FusionPlan plan_;
+  obs::Counter& gates_metric_;
+  const char* shots_span_;
+  const char* group_span_;
+};
+
+template <class Hooks>
+std::unique_ptr<const PreparedCircuit> make_trajectory_form(
+    Hooks hooks, const QuantumCircuit& circ, std::optional<QuantumCircuit> lowered,
+    FusionPlan plan, obs::Counter& gates_metric, const char* shots_span,
+    const char* group_span) {
+  return std::make_unique<TrajectoryForm<Hooks>>(std::move(hooks), circ,
+                                                 std::move(lowered), std::move(plan),
+                                                 gates_metric, shots_span, group_span);
 }
 
 // ---- statevector ------------------------------------------------------------
@@ -754,71 +897,25 @@ public:
     return caps;
   }
 
-  void execute(const QuantumCircuit& circ, const RunConfig& config,
-               ExecutionResult& result) const override {
-    if (takes_static_path(circ, config)) {
-      const ShotBatchItem item = item_of(config);
-      run_static(circ, config, {&item, 1}, {&result, 1});
-      return;
-    }
+  std::unique_ptr<const PreparedCircuit> prepare(const QuantumCircuit& circ,
+                                                 const RunConfig& config) const override {
     static obs::Counter& gates_metric =
         obs::metrics().counter(obs::names::kSvGatesApplied);
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/true);
-    record_fusion_stats(result, plan);
-    record_peak_bytes(circ);
-    obs::Span shots_span("sv.shots");
-    ShotGroupEngine(StatevectorHooks{circ.num_qubits(), config.backend.noise}, circ,
-                    plan, config, gates_metric, "sv.group", result)
-        .run();
-  }
-
-  void execute_batch(const QuantumCircuit& circ, const RunConfig& config,
-                     std::span<const ShotBatchItem> items,
-                     std::vector<ExecutionResult>& results) const override {
-    if (takes_static_path(circ, config)) {
-      run_static(circ, config, items, results);
-      return;
-    }
-    // On the trajectory path every draw, and so every shot group, depends
-    // on the item's seed: there is no seed-independent work to share, so
-    // each item runs the shot-group engine on its own. The base loop is
-    // already bit-identical to sequential execution.
-    Backend::execute_batch(circ, config, items, results);
-  }
-
-private:
-  static bool takes_static_path(const QuantumCircuit& circ, const RunConfig& config) {
-    return !config.backend.noise.enabled() && Executor::is_static(circ);
-  }
-
-  static void record_peak_bytes(const QuantumCircuit& circ) {
     static obs::Gauge& peak_bytes = obs::metrics().gauge(obs::names::kSvPeakBytes);
     peak_bytes.set_max(16.0 * std::pow(2.0, static_cast<double>(circ.num_qubits())));
-  }
-
-  /// The static path of `execute` (one item) and `execute_batch`: one
-  /// evolution serves the whole batch, and each item samples the shared CDF
-  /// from its own Rng(seed), the stream a lone run uses, since the evolution
-  /// draws nothing.
-  void run_static(const QuantumCircuit& circ, const RunConfig& config,
-                  std::span<const ShotBatchItem> items,
-                  std::span<ExecutionResult> results) const {
-    static obs::Counter& gates_metric =
-        obs::metrics().counter(obs::names::kSvGatesApplied);
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
-    record_peak_bytes(circ);
+    if (config.backend.noise.enabled() || !Executor::is_static(circ)) {
+      return make_trajectory_form(
+          StatevectorHooks{circ.num_qubits(), config.backend.noise}, circ, std::nullopt,
+          plan_fusion(circ, config, capabilities(), /*pin_noise=*/true), gates_metric,
+          "sv.shots", "sv.group");
+    }
+    FusionPlan plan = plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     sim::StateVector sv(circ.num_qubits());
     const Wiring wiring = walk_static(sv, circ, plan, gates_metric, "sv.evolve");
-    const std::vector<double> cdf =
-        cumulative(sv.amplitudes(), [](const auto& amp) { return std::norm(amp); });
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      record_fusion_stats(results[i], plan);
-      obs::Span span("sv.sample");
-      sample_cdf(cdf, wiring, circ.num_clbits(), items[i], 0.0, results[i]);
-      mark_static(results[i]);
-    }
+    return make_cdf_form(
+        plan, "sv.sample",
+        cumulative(sv.amplitudes(), [](const auto& amp) { return std::norm(amp); }),
+        wiring, circ.num_clbits(), /*readout_error=*/0.0);
   }
 };
 
@@ -826,8 +923,9 @@ private:
 
 /// Exact mixed-state simulation: rho evolves once with noise applied as
 /// closed-form channels at the same insertion points the trajectory path
-/// uses, then shots sample the diagonal. Static circuits only — rho has no
-/// per-shot branch to condition a c_if on.
+/// uses, then shots sample the diagonal, each written clbit drawing its
+/// readout flip. Static circuits only — rho has no per-shot branch to
+/// condition a c_if on.
 class DensityBackend final : public Backend {
 public:
   std::string name() const override { return "density"; }
@@ -840,28 +938,24 @@ public:
     return caps;
   }
 
-  void execute(const QuantumCircuit& circ, const RunConfig& config,
-               ExecutionResult& result) const override {
+  std::unique_ptr<const PreparedCircuit> prepare(const QuantumCircuit& circ,
+                                                 const RunConfig& config) const override {
     static obs::Counter& gates_metric =
         obs::metrics().counter(obs::names::kDensityGatesApplied);
     static obs::Gauge& peak_bytes =
         obs::metrics().gauge(obs::names::kDensityPeakBytes);
     peak_bytes.set_max(16.0 * std::pow(4.0, static_cast<double>(circ.num_qubits())));
     // Width 1: the plan replays the circuit verbatim.
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
-    record_fusion_stats(result, plan);
+    FusionPlan plan = plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
     const sim::NoiseModel& noise = config.backend.noise;
     sim::DensityMatrix rho(circ.num_qubits());
     const Wiring wiring =
         walk_static(rho, circ, plan, gates_metric, "density.evolve",
                     [&](const Instruction& in) { apply_noise(rho, in, noise); });
-
     // The diagonal is the exact outcome distribution.
-    obs::Span span("density.sample");
-    sample_cdf(cumulative(rho.probabilities(), [](double p) { return p; }), wiring,
-               circ.num_clbits(), item_of(config), noise.readout_error, result);
-    mark_static(result);
+    return make_cdf_form(plan, "density.sample",
+                         cumulative(rho.probabilities(), [](double p) { return p; }),
+                         wiring, circ.num_clbits(), noise.readout_error);
   }
 
 private:
@@ -901,8 +995,8 @@ public:
     return caps;
   }
 
-  void execute(const QuantumCircuit& circuit, const RunConfig& config,
-               ExecutionResult& result) const override {
+  std::unique_ptr<const PreparedCircuit> prepare(const QuantumCircuit& circuit,
+                                                 const RunConfig& config) const override {
     static obs::Counter& gates_metric =
         obs::metrics().counter(obs::names::kMpsGatesApplied);
     static obs::Counter& truncations_metric =
@@ -911,40 +1005,42 @@ public:
         obs::metrics().gauge(obs::names::kMpsMaxBondDim);
     static obs::Gauge& trunc_gauge =
         obs::metrics().gauge(obs::names::kMpsTruncationError);
-    QuantumCircuit lowered;
-    const QuantumCircuit& circ = lower_for_mps(circuit, lowered);
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
-    record_fusion_stats(result, plan);
+    std::optional<QuantumCircuit> lowered = lower_for_mps(circuit);
+    const QuantumCircuit& circ = lowered ? *lowered : circuit;
+    FusionPlan plan = plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
 
     sim::MpsOptions mps_options;
     mps_options.max_bond_dim = config.backend.max_bond_dim;
     mps_options.truncation_threshold = config.backend.truncation_threshold;
 
-    if (Executor::is_static(circ)) {
-      // Evolve one MPS, then sample every shot from a shared read-only
-      // Sampler — per-shot cost is O(n chi^3), independent of shot history.
-      sim::Mps mps(circ.num_qubits(), mps_options);
-      const auto wire = wire_by_clbit(
-          walk_static(mps, circ, plan, gates_metric, "mps.evolve"), circ.num_clbits());
-      result.truncation_error = mps.truncation_error();
-      result.max_bond_dim_reached = mps.max_bond_dim_reached();
-      truncations_metric.add(mps.svd_truncations());
-
-      obs::Span sample_span("mps.sample");
-      const sim::Mps::Sampler sampler = mps.make_sampler();
-      sample_per_shot(item_of(config), result, [&](Rng& rng) {
-        return key_from_basis(mps.sample(sampler, rng), wire);
-      });
-      mark_static(result);
-    } else {
-      obs::Span shots_span("mps.shots");
-      ShotGroupEngine(MpsHooks{circ.num_qubits(), mps_options, truncations_metric},
-                      circ, plan, config, gates_metric, "mps.group", result)
-          .run();
+    if (!Executor::is_static(circ)) {
+      return make_trajectory_form(
+          MpsHooks{circ.num_qubits(), mps_options, truncations_metric, bond_gauge,
+                   trunc_gauge},
+          circuit, std::move(lowered), std::move(plan), gates_metric, "mps.shots",
+          "mps.group");
     }
-    bond_gauge.set_max(static_cast<double>(result.max_bond_dim_reached));
-    trunc_gauge.set_max(result.truncation_error);
+    // Evolve one MPS; every shot then samples it through a shared read-only
+    // Sampler — per-shot cost is O(n chi^3), independent of shot history.
+    sim::Mps mps(circ.num_qubits(), mps_options);
+    auto wire = wire_by_clbit(walk_static(mps, circ, plan, gates_metric, "mps.evolve"),
+                              circ.num_clbits());
+    truncations_metric.add(mps.svd_truncations());
+    bond_gauge.set_max(static_cast<double>(mps.max_bond_dim_reached()));
+    trunc_gauge.set_max(mps.truncation_error());
+    sim::Mps::Sampler sampler = mps.make_sampler();
+    std::size_t bytes = mps.memory_bytes() + wire.size() * sizeof(wire.front());
+    for (const auto& env : sampler.right) bytes += env.size() * sizeof(sim::cplx);
+    return make_static_form(
+        plan, "mps.sample", bytes,
+        [mps = std::move(mps), sampler = std::move(sampler), wire = std::move(wire)](
+            const ShotBatchItem& item, ExecutionResult& result) {
+          result.truncation_error = mps.truncation_error();
+          result.max_bond_dim_reached = mps.max_bond_dim_reached();
+          sample_per_shot(item, result, [&](Rng& rng) {
+            return key_from_basis(mps.sample(sampler, rng), wire);
+          });
+        });
   }
 };
 
@@ -972,8 +1068,8 @@ public:
     return caps;
   }
 
-  void execute(const QuantumCircuit& circ, const RunConfig& config,
-               ExecutionResult& result) const override {
+  std::unique_ptr<const PreparedCircuit> prepare(const QuantumCircuit& circ,
+                                                 const RunConfig& config) const override {
     static obs::Counter& gates_metric =
         obs::metrics().counter(obs::names::kStabGatesApplied);
     static obs::Counter& measurements_metric =
@@ -986,38 +1082,37 @@ public:
     // Fusion is capability-clamped to width 1, so the plan is always
     // gate-at-a-time; run it anyway so fusion stats land in the result the
     // same way they do for every other backend.
-    const FusionPlan plan =
-        plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
-    record_fusion_stats(result, plan);
+    FusionPlan plan = plan_fusion(circ, config, capabilities(), /*pin_noise=*/false);
 
-    if (Executor::is_static(circ)) {
-      // Each shot copies the evolved tableau and measures it in program
-      // order — a copy is O(n^2 / 64) bytes, far cheaper than replaying the
-      // gates.
-      sim::Stabilizer evolved(circ.num_qubits());
-      const Wiring wiring = walk_static(evolved, circ, plan, gates_metric, "stab.evolve");
-      peak_bytes.set_max(static_cast<double>(evolved.memory_bytes()));
-
-      obs::Span sample_span("stab.sample");
-      sample_per_shot(item_of(config), result, [&](Rng& rng) {
-        sim::Stabilizer tab = evolved;
-        std::vector<std::uint8_t> clbits(circ.num_clbits(), 0);
-        for (const auto& [qubit, clbit] : wiring) {
-          clbits[clbit] = static_cast<std::uint8_t>(tab.measure(qubit, rng));
-        }
-        measurements_metric.add(tab.measurements());
-        random_metric.add(tab.random_outcomes());
-        return key_from_bits(clbits);
-      });
-      mark_static(result);
-      return;
+    if (!Executor::is_static(circ)) {
+      return make_trajectory_form(
+          StabilizerHooks{circ.num_qubits(), measurements_metric, random_metric,
+                          peak_bytes},
+          circ, std::nullopt, std::move(plan), gates_metric, "stab.shots", "stab.group");
     }
-
-    obs::Span shots_span("stab.shots");
-    ShotGroupEngine(StabilizerHooks{circ.num_qubits(), measurements_metric,
-                                    random_metric, peak_bytes},
-                    circ, plan, config, gates_metric, "stab.group", result)
-        .run();
+    // Each shot copies the evolved tableau and measures it in program order
+    // — a copy is O(n^2 / 64) bytes, far cheaper than replaying the gates.
+    sim::Stabilizer evolved(circ.num_qubits());
+    Wiring wiring = walk_static(evolved, circ, plan, gates_metric, "stab.evolve");
+    peak_bytes.set_max(static_cast<double>(evolved.memory_bytes()));
+    const std::size_t bytes =
+        evolved.memory_bytes() + wiring.size() * sizeof(Wiring::value_type);
+    return make_static_form(
+        plan, "stab.sample", bytes,
+        [evolved = std::move(evolved), wiring = std::move(wiring),
+         num_clbits = circ.num_clbits()](const ShotBatchItem& item,
+                                         ExecutionResult& result) {
+          sample_per_shot(item, result, [&](Rng& rng) {
+            sim::Stabilizer tab = evolved;
+            std::vector<std::uint8_t> clbits(num_clbits, 0);
+            for (const auto& [qubit, clbit] : wiring) {
+              clbits[clbit] = static_cast<std::uint8_t>(tab.measure(qubit, rng));
+            }
+            measurements_metric.add(tab.measurements());
+            random_metric.add(tab.random_outcomes());
+            return key_from_bits(clbits);
+          });
+        });
   }
 };
 
@@ -1039,20 +1134,10 @@ std::map<std::string, BackendFactory>& registry() {
 
 }  // namespace
 
-void Backend::execute_batch(const QuantumCircuit& circuit,
-                            const RunConfig& config,
-                            std::span<const ShotBatchItem> items,
-                            std::vector<ExecutionResult>& results) const {
-  // Reference implementation: per-item execute() with the item's own
-  // seed/shots/record_memory. Bit-identity to sequential runs is trivial;
-  // backends override this only when they can share seed-independent work.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    RunConfig item_config = config;
-    item_config.seed = items[i].seed;
-    item_config.shots = items[i].shots;
-    item_config.record_memory = items[i].record_memory;
-    execute(circuit, item_config, results[i]);
-  }
+void Backend::execute(const QuantumCircuit& circuit, const RunConfig& config,
+                      ExecutionResult& result) const {
+  const std::unique_ptr<const PreparedCircuit> form = prepare(circuit, config);
+  form->sample(item_of(config), result);
 }
 
 void register_backend(const std::string& name, BackendFactory factory) {
@@ -1087,8 +1172,8 @@ std::unique_ptr<Backend> make_backend(const std::string& name) {
 }
 
 sim::Mps evolve_mps(const QuantumCircuit& circuit, sim::MpsOptions options) {
-  QuantumCircuit lowered;
-  const QuantumCircuit& circ = lower_for_mps(circuit, lowered);
+  const std::optional<QuantumCircuit> lowered = lower_for_mps(circuit);
+  const QuantumCircuit& circ = lowered ? *lowered : circuit;
   sim::Mps mps(circ.num_qubits(), options);
   for (const Instruction& in : circ.instructions()) {
     require_unitary(in, "evolve_mps", "mps");

@@ -127,16 +127,6 @@ bool Executor::is_static(const QuantumCircuit& circuit) {
 
 namespace {
 
-/// The shared pre-execution stages of run() and run_batch(): the caller's
-/// compilation pipeline, backend resolution (after the pipeline, so
-/// "--backend auto" sees the prepared circuit), and capability checks.
-struct PreparedRun {
-  QuantumCircuit lowered;              ///< pipeline output (when one ran)
-  const QuantumCircuit* circ = nullptr; ///< the circuit to execute
-  std::unique_ptr<Backend> backend;
-  std::vector<PassStats> pass_stats;
-};
-
 /// Sampling executors require fully bound circuits: an unbound symbolic
 /// angle would silently evolve under its 0.0 placeholder. Callers with
 /// parameterized circuits go through bind() or run_bound_batch().
@@ -150,79 +140,6 @@ void reject_unbound(const QuantumCircuit& circuit, const char* method) {
   throw CircuitError(std::string("Executor::") + method +
                      ": circuit has unbound parameter(s) [" + names +
                      "]; call bind() first or use run_bound_batch()");
-}
-
-PreparedRun prepare_run(const QuantumCircuit& circuit, const RunConfig& config) {
-  PreparedRun prep;
-
-  // Stage 1: the caller's compilation pipeline (lowering, optimization,
-  // routing, ...) runs over the circuit first; we execute its output.
-  prep.circ = &circuit;
-  if (config.pipeline.manager) {
-    PropertySet pipeline_properties;
-    prep.lowered = config.pipeline.manager->run(circuit, pipeline_properties);
-    prep.pass_stats = std::move(pipeline_properties.stats);
-    prep.circ = &prep.lowered;
-  }
-  const QuantumCircuit& circ = *prep.circ;
-
-  // Backend resolution happens after the pipeline so "--backend auto" can
-  // inspect the prepared circuit (lowering may introduce — or eliminate —
-  // non-Clifford gates).
-  prep.backend =
-      make_backend(resolve_backend_name(config.backend.name, circ, config));
-
-  // Stage 2: capability checks, on the prepared circuit (the pipeline may
-  // have added ancilla wires). The backend publishes what it can run; the
-  // executor enforces it here so every method fails the same way.
-  const BackendCapabilities caps = prep.backend->capabilities();
-  if (caps.max_qubits != 0 && circ.num_qubits() > caps.max_qubits) {
-    std::string message = "circuit has " + std::to_string(circ.num_qubits()) +
-                          " qubits but the " + prep.backend->name() +
-                          " backend supports at most " +
-                          std::to_string(caps.max_qubits);
-    if (prep.backend->name() != "mps") {
-      message += "; the mps backend scales with entanglement instead of qubit "
-                 "count — try --backend mps";
-      if (!config.backend.noise.enabled() && is_clifford_circuit(circ)) {
-        message += ", or, since this circuit is all-Clifford, the stabilizer "
-                   "backend runs it at any width — try --backend stabilizer";
-      }
-    }
-    throw CircuitError(message);
-  }
-  if (!caps.supports_noise && config.backend.noise.enabled()) {
-    throw CircuitError("the " + prep.backend->name() +
-                       " backend does not support noise models; use the "
-                       "statevector (trajectory) or density (exact channel) "
-                       "backend");
-  }
-  if (!caps.supports_dynamic && !Executor::is_static(circ)) {
-    throw CircuitError("the " + prep.backend->name() +
-                       " backend only runs static circuits (no reset, no "
-                       "conditions, no mid-circuit measurement feeding gates)");
-  }
-  if (!caps.supported_gates.empty()) {
-    for (const Instruction& in : circ.instructions()) {
-      if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) {
-        continue;  // structural instructions are governed by supports_dynamic
-      }
-      const std::string mnemonic = gate_name(in.type);
-      if (std::find(caps.supported_gates.begin(), caps.supported_gates.end(),
-                    mnemonic) == caps.supported_gates.end()) {
-        std::string supported;
-        for (const std::string& g : caps.supported_gates) {
-          if (!supported.empty()) supported += ", ";
-          supported += g;
-        }
-        throw CircuitError(
-            "the " + prep.backend->name() + " backend does not implement gate " +
-            mnemonic + " (supported gates: " + supported +
-            "); transpile to the Clifford set or pick --backend statevector");
-      }
-    }
-  }
-  return prep;
 }
 
 /// The counters every run entry point records, summed over its results:
@@ -257,30 +174,132 @@ void record_run_metrics(std::span<const ExecutionResult> results,
   fused_gates_metric.add(fused_gates);
 }
 
+/// The checks every entry point runs before any work: a valid config and a
+/// circuit with qubits.
+void check_runnable(const RunConfig& config, const QuantumCircuit& circuit) {
+  config.validate();
+  if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
+}
+
 }  // namespace
+
+PreparedRun::PreparedRun() = default;
+PreparedRun::~PreparedRun() = default;
+
+std::size_t PreparedRun::bytes() const noexcept { return form_->bytes(); }
+
+std::vector<ExecutionResult> PreparedRun::sample(
+    std::span<const ShotBatchItem> items) const {
+  obs::Span span("backend.sample");
+  std::vector<ExecutionResult> results(items.size());
+  std::size_t shots = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ExecutionResult& result = results[i];
+    result.pass_stats = pass_stats_;
+    result.backend = backend_name_;
+    form_->sample(items[i], result);
+    shots += items[i].shots;
+  }
+  record_run_metrics(results, shots);
+  return results;
+}
+
+void Executor::stage(const QuantumCircuit& circuit, PreparedRun& run) const {
+  // Stage 1: the caller's compilation pipeline (lowering, optimization,
+  // routing, ...) runs over the circuit first; we execute its output.
+  run.circ_ = &circuit;
+  if (config_.pipeline.manager) {
+    PropertySet pipeline_properties;
+    run.lowered_ = config_.pipeline.manager->run(circuit, pipeline_properties);
+    run.pass_stats_ = std::move(pipeline_properties.stats);
+    run.circ_ = &run.lowered_;
+  }
+  const QuantumCircuit& circ = *run.circ_;
+
+  // Backend resolution happens after the pipeline so "--backend auto" can
+  // inspect the prepared circuit (lowering may introduce — or eliminate —
+  // non-Clifford gates).
+  run.backend_ =
+      make_backend(resolve_backend_name(config_.backend.name, circ, config_));
+  run.backend_name_ = run.backend_->name();
+  const std::string& backend = run.backend_name_;
+
+  // Stage 2: capability checks, on the prepared circuit (the pipeline may
+  // have added ancilla wires). The backend publishes what it can run; the
+  // executor enforces it here so every method fails the same way.
+  const BackendCapabilities caps = run.backend_->capabilities();
+  if (caps.max_qubits != 0 && circ.num_qubits() > caps.max_qubits) {
+    std::string message = "circuit has " + std::to_string(circ.num_qubits()) +
+                          " qubits but the " + backend +
+                          " backend supports at most " +
+                          std::to_string(caps.max_qubits);
+    if (backend != "mps") {
+      message += "; the mps backend scales with entanglement instead of qubit "
+                 "count — try --backend mps";
+      if (!config_.backend.noise.enabled() && is_clifford_circuit(circ)) {
+        message += ", or, since this circuit is all-Clifford, the stabilizer "
+                   "backend runs it at any width — try --backend stabilizer";
+      }
+    }
+    throw CircuitError(message);
+  }
+  if (!caps.supports_noise && config_.backend.noise.enabled()) {
+    throw CircuitError("the " + backend +
+                       " backend does not support noise models; use the "
+                       "statevector (trajectory) or density (exact channel) "
+                       "backend");
+  }
+  if (!caps.supports_dynamic && !Executor::is_static(circ)) {
+    throw CircuitError("the " + backend +
+                       " backend only runs static circuits (no reset, no "
+                       "conditions, no mid-circuit measurement feeding gates)");
+  }
+  if (!caps.supported_gates.empty()) {
+    for (const Instruction& in : circ.instructions()) {
+      if (!is_unitary_gate(in.type) || in.type == GateType::GlobalPhase) {
+        continue;  // structural instructions are governed by supports_dynamic
+      }
+      const std::string mnemonic = gate_name(in.type);
+      if (std::find(caps.supported_gates.begin(), caps.supported_gates.end(),
+                    mnemonic) == caps.supported_gates.end()) {
+        std::string supported;
+        for (const std::string& g : caps.supported_gates) {
+          if (!supported.empty()) supported += ", ";
+          supported += g;
+        }
+        throw CircuitError(
+            "the " + backend + " backend does not implement gate " + mnemonic +
+            " (supported gates: " + supported +
+            "); transpile to the Clifford set or pick --backend statevector");
+      }
+    }
+  }
+}
+
+std::shared_ptr<const PreparedRun> Executor::prepare(const QuantumCircuit& circuit) const {
+  return prepare(circuit, "prepare");
+}
+
+std::shared_ptr<const PreparedRun> Executor::prepare(const QuantumCircuit& circuit,
+                                                     const char* method) const {
+  check_runnable(config_, circuit);
+  reject_unbound(circuit, method);
+  std::shared_ptr<PreparedRun> run(new PreparedRun);
+  stage(circuit, *run);
+  // Stage 3: the backend's seed-independent work — fusion planning, clamped
+  // to its capability caps, and on a static path the evolution.
+  obs::Span span("backend.prepare");
+  run->form_ = run->backend_->prepare(*run->circ_, config_);
+  return run;
+}
 
 ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
   obs::Span run_span("executor.run");
   static obs::Gauge& shots_per_sec =
       obs::metrics().gauge(obs::names::kShotsPerSec);
-
-  config_.validate();
-  if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
-  reject_unbound(circuit, "run");
-  ExecutionResult result;
-
-  PreparedRun prep = prepare_run(circuit, config_);
-  result.pass_stats = std::move(prep.pass_stats);
-  result.backend = prep.backend->name();
-
-  // Stage 3: the backend evolves the state and samples. Fusion planning
-  // happens inside, clamped to the backend's capability caps.
-  {
-    obs::Span backend_span("backend.execute");
-    prep.backend->execute(*prep.circ, config_, result);
-  }
-
-  record_run_metrics({&result, 1}, config_.shots);
+  const ShotBatchItem item{config_.seed, config_.shots, config_.record_memory};
+  ExecutionResult result =
+      std::move(prepare(circuit, "run")->sample({&item, 1}).front());
   const double elapsed_ms = run_span.elapsed_ms();
   if (obs::metrics_enabled() && elapsed_ms > 0.0) {
     shots_per_sec.set(static_cast<double>(config_.shots) * 1e3 / elapsed_ms);
@@ -291,28 +310,12 @@ ExecutionResult Executor::run(const QuantumCircuit& circuit) const {
 std::vector<ExecutionResult> Executor::run_batch(
     const QuantumCircuit& circuit, std::span<const ShotBatchItem> items) const {
   obs::Span run_span("executor.run_batch");
-  config_.validate();
-  if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
-  reject_unbound(circuit, "run_batch");
-  if (items.empty()) return {};
-
-  // Pipeline + resolution + capability checks run once for the whole batch;
-  // only seed/shots vary per item, and none of those stages read either.
-  PreparedRun prep = prepare_run(circuit, config_);
-  std::vector<ExecutionResult> results(items.size());
-  for (ExecutionResult& result : results) {
-    result.pass_stats = prep.pass_stats;
-    result.backend = prep.backend->name();
+  if (items.empty()) {
+    check_runnable(config_, circuit);
+    reject_unbound(circuit, "run_batch");
+    return {};
   }
-  {
-    obs::Span backend_span("backend.execute_batch");
-    prep.backend->execute_batch(*prep.circ, config_, items, results);
-  }
-
-  std::size_t total_shots = 0;
-  for (const ShotBatchItem& item : items) total_shots += item.shots;
-  record_run_metrics(results, total_shots);
-  return results;
+  return prepare(circuit, "run_batch")->sample(items);
 }
 
 std::vector<ExecutionResult> Executor::run_bound_batch(
@@ -323,33 +326,33 @@ std::vector<ExecutionResult> Executor::run_bound_batch(
   static obs::Counter& batches_metric =
       obs::metrics().counter(obs::names::kExecutorBoundBatches);
 
-  config_.validate();
-  if (circuit.num_qubits() == 0) throw CircuitError("executing an empty circuit");
+  check_runnable(config_, circuit);
   if (items.empty()) return {};
 
   // The whole point of bind-before-run: the pipeline, backend resolution,
   // and capability checks run ONCE on the unbound circuit (every pass relays
   // symbolic angles untouched). Each binding then only substitutes concrete
-  // values into the prepared instruction list before execution — fusion
-  // plans are built per bound circuit inside the backend, so the arithmetic
-  // matches the pre-bound path bit for bit.
-  PreparedRun prep = prepare_run(circuit, config_);
+  // values into the prepared instruction list, and the backend prepares and
+  // samples the bound circuit — its fusion plan is built per bound circuit,
+  // so the arithmetic matches the pre-bound path bit for bit.
+  PreparedRun staged;
+  stage(circuit, staged);
   batches_metric.add(1);
 
   std::vector<ExecutionResult> results(items.size());
   std::size_t total_shots = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const QuantumCircuit bound = prep.circ->bind(items[i].params);
+    const QuantumCircuit bound = staged.circ_->bind(items[i].params);
     RunConfig item_config = config_;
     item_config.seed = items[i].seed;
     item_config.shots = items[i].shots;
     item_config.record_memory = items[i].record_memory;
     ExecutionResult& result = results[i];
-    result.pass_stats = prep.pass_stats;
-    result.backend = prep.backend->name();
+    result.pass_stats = staged.pass_stats_;
+    result.backend = staged.backend_name_;
     {
       obs::Span backend_span("backend.execute");
-      prep.backend->execute(bound, item_config, result);
+      staged.backend_->execute(bound, item_config, result);
     }
     total_shots += items[i].shots;
   }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <sstream>
 
@@ -729,6 +730,16 @@ std::optional<Preset> parse_preset(std::string_view text) noexcept {
   if (lower == "basis") return Preset::Basis;
   if (lower == "hardware") return Preset::Hardware;
   return std::nullopt;
+}
+
+std::string preset_choices() {
+  constexpr Preset kPresets[] = {Preset::O1, Preset::Basis, Preset::Hardware};
+  std::string choices;
+  for (std::size_t i = 0; i < std::size(kPresets); ++i) {
+    if (i > 0) choices += i + 1 == std::size(kPresets) ? ", or " : ", ";
+    choices += preset_name(kPresets[i]);
+  }
+  return choices;
 }
 
 PassManager make_pipeline(Preset preset, CouplingMap coupling) {

@@ -61,8 +61,35 @@ struct BackendCapabilities {
   std::vector<std::string> supported_gates;
 };
 
-/// One simulation method. Stateless across runs: `execute` gets the prepared
-/// (post-pipeline) circuit and fills in counts/memory/diagnostics.
+/// A backend's seed-independent work on one circuit under one config
+/// (Backend::prepare). A static circuit's form holds what its one evolution
+/// left: the outcome CDF (statevector, density), the evolved MPS and its
+/// sampler, or the evolved tableau, with the measure wiring. A trajectory
+/// form holds the fusion plan its shot groups replay. Preparing draws
+/// nothing, so one form serves any number of (seed, shots) items, each
+/// bit-identical to a lone run under that item's seed. Immutable but for
+/// the flag its first sample sets: any number of threads may sample one
+/// form at once. A trajectory form replays the circuit it was prepared
+/// from, which must outlive it.
+class PreparedCircuit {
+public:
+  PreparedCircuit() = default;
+  PreparedCircuit(const PreparedCircuit&) = delete;
+  PreparedCircuit& operator=(const PreparedCircuit&) = delete;
+  virtual ~PreparedCircuit() = default;
+
+  /// Draw `item`'s shots, writing counts, memory, trajectories, evolutions,
+  /// fusion diagnostics and backend-specific fields into `result`. What
+  /// prepare did is reported once, by the form's first sample: the fusion
+  /// plan's counters and, on a static path, its one evolution.
+  virtual void sample(const ShotBatchItem& item, ExecutionResult& result) const = 0;
+
+  /// Bytes the form holds (qutesd counts them against its cache budget).
+  [[nodiscard]] virtual std::size_t bytes() const noexcept = 0;
+};
+
+/// One simulation method. Stateless across runs: `prepare` gets the prepared
+/// (post-pipeline) circuit and returns the form its samples draw from.
 class Backend {
 public:
   virtual ~Backend() = default;
@@ -70,25 +97,19 @@ public:
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual BackendCapabilities capabilities() const = 0;
 
-  /// Run `circuit` under `config` (already validated by the Executor),
-  /// writing counts, memory, trajectories, evolutions, fusion diagnostics, and
-  /// backend-specific fields into `result` (whose pipeline-level fields the
-  /// Executor has already filled).
-  virtual void execute(const QuantumCircuit& circuit, const RunConfig& config,
-                       ExecutionResult& result) const = 0;
+  /// The seed-independent part of running `circuit` under `config` (already
+  /// validated by the Executor): fusion planning and, on a static path, the
+  /// evolution. Reads no seed, shot count or memory flag.
+  [[nodiscard]] virtual std::unique_ptr<const PreparedCircuit> prepare(
+      const QuantumCircuit& circuit, const RunConfig& config) const = 0;
+  /// A trajectory form keeps a reference to its circuit.
+  std::unique_ptr<const PreparedCircuit> prepare(QuantumCircuit&&,
+                                                 const RunConfig&) const = delete;
 
-  /// Run one circuit for several (seed, shots) requests
-  /// (Executor::run_batch). `results` arrives pre-sized to `items.size()`
-  /// with the pipeline-level fields filled. The contract is bit-identity:
-  /// results[i] must equal what execute() would produce under items[i]'s
-  /// seed/shots/record_memory. The base implementation just loops execute()
-  /// per item (trivially identical); backends override it to share
-  /// seed-independent work — the statevector method evolves static noiseless
-  /// circuits once and re-samples per item from its own Rng(seed) stream.
-  virtual void execute_batch(const QuantumCircuit& circuit,
-                             const RunConfig& config,
-                             std::span<const ShotBatchItem> items,
-                             std::vector<ExecutionResult>& results) const;
+  /// One run: prepare, then sample under `config`'s seed, shots and memory
+  /// flag.
+  void execute(const QuantumCircuit& circuit, const RunConfig& config,
+               ExecutionResult& result) const;
 };
 
 // ---- registry ---------------------------------------------------------------

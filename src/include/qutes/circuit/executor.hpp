@@ -17,6 +17,12 @@
 //    and shots that draw the same outcomes share one evolution (the
 //    shot-group engine in backend.cpp), so counts and per-shot memory are
 //    bit-identical for a fixed seed regardless of thread count.
+// A run is two stages. Executor::prepare runs everything that reads no seed
+// (the pipeline, backend resolution, capability checks, fusion planning and,
+// on the static path, the evolution) and returns a PreparedRun; its sample()
+// then draws each (seed, shots) item. run() and run_batch() are prepare plus
+// sample, and qutesd keeps a hot entry's PreparedRun so that a warm request
+// only samples.
 // Runtime gate fusion (fusion.hpp) is planned inside each backend, which
 // calls build_fusion_plan directly with the block width (and, for
 // chain-layout backends, wire contiguity) clamped to its published
@@ -31,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,15 +58,19 @@ struct ExecutionResult {
   /// Shots simulated as trajectories: `shots` on the trajectory path, 1 on
   /// a static fast path (whose one evolution serves every shot).
   std::size_t trajectories = 0;
-  /// State evolutions actually run: 1 on a static fast path, the number of
-  /// shot groups on the trajectory path, where shots that draw the same
-  /// mid-circuit outcomes share one evolution.
+  /// State evolutions this result ran. On a static fast path the one
+  /// evolution happens in Executor::prepare and is reported by the first
+  /// result sampled from it: a batch reports 1 on its first item and 0 on
+  /// the rest, and a qutesd hit served from a kept PreparedRun reports 0. On
+  /// the trajectory path, the number of shot groups, where shots that draw
+  /// the same mid-circuit outcomes share one evolution.
   std::size_t evolutions = 0;
   /// Whether the static fast path was taken.
   bool fast_path = false;
   /// Gate-fusion diagnostics: source gates absorbed into fused blocks, the
   /// number of blocks, and blocks per width (empty when fusion is off or
-  /// found nothing to merge).
+  /// found nothing to merge). Like a static evolution, the plan is reported
+  /// by the first result sampled from the form that built it.
   std::size_t fused_gates = 0;
   std::size_t fused_blocks = 0;
   std::map<std::size_t, std::size_t> fused_width_histogram;
@@ -94,6 +105,46 @@ struct BindBatchItem {
   bool record_memory = false;
 };
 
+class Backend;
+class PreparedCircuit;
+
+/// A circuit prepared for sampling (Executor::prepare): the pipeline's
+/// output, the backend it resolved to, and that backend's seed-independent
+/// form (backend.hpp). Immutable, so any number of threads may sample one
+/// PreparedRun at once; a trajectory form replays the circuit passed to
+/// prepare, which must outlive the PreparedRun.
+class PreparedRun {
+public:
+  ~PreparedRun();
+  PreparedRun(const PreparedRun&) = delete;
+  PreparedRun& operator=(const PreparedRun&) = delete;
+
+  /// Draw each item: results[i] has counts and memory bit-identical to
+  /// `Executor(config with items[i]'s seed/shots/memory).run(circuit)`,
+  /// because preparing draws nothing and every per-item draw comes from
+  /// that item's own Rng(seed, ...) streams. What prepare did is reported
+  /// once, by the first result of the first call (ExecutionResult::evolutions
+  /// and the fused_* fields).
+  [[nodiscard]] std::vector<ExecutionResult> sample(
+      std::span<const ShotBatchItem> items) const;
+
+  /// Bytes of the backend's form (PreparedCircuit::bytes).
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
+private:
+  friend class Executor;
+  PreparedRun();
+
+  QuantumCircuit lowered_;  ///< pipeline output (when one ran)
+  /// The circuit the backend runs: `lowered_`, or the circuit passed to
+  /// prepare.
+  const QuantumCircuit* circ_ = nullptr;
+  std::unique_ptr<const Backend> backend_;
+  std::string backend_name_;
+  std::vector<PassStats> pass_stats_;
+  std::unique_ptr<const PreparedCircuit> form_;
+};
+
 class Executor {
 public:
   explicit Executor(RunConfig config = {}) : config_(std::move(config)) {}
@@ -104,21 +155,29 @@ public:
   [[nodiscard]] ExecutionResult run(const QuantumCircuit& circuit) const;
 
   /// Run one circuit for several (seed, shots) requests at once — the qutesd
-  /// batched executor's entry point. The pipeline, backend resolution, and
-  /// capability checks run once; backends that can share work across items do
-  /// (the statevector method evolves the state once for static noiseless
-  /// circuits and only re-samples per item). Guarantee: results[i] has
-  /// bit-identical counts/memory to
-  /// `Executor(config with items[i].seed/shots).run(circuit)`, because every
-  /// per-item draw comes from that item's own Rng(seed, ...) streams — the
-  /// same invariant that makes the shot loops thread-count-invariant.
+  /// batched executor's entry point: one prepare, then one sample per item,
+  /// so a static circuit evolves once on every backend. Guarantee: results[i]
+  /// has bit-identical counts/memory to
+  /// `Executor(config with items[i].seed/shots).run(circuit)` (see
+  /// PreparedRun::sample) — the same invariant that makes the shot loops
+  /// thread-count-invariant.
   [[nodiscard]] std::vector<ExecutionResult> run_batch(
       const QuantumCircuit& circuit, std::span<const ShotBatchItem> items) const;
+
+  /// The seed-independent part of run(): validation, the pipeline, backend
+  /// resolution (after the pipeline, so "auto" sees the prepared circuit),
+  /// the capability checks, then the backend's own prepare. Reads no seed,
+  /// shot count or memory flag of the config.
+  [[nodiscard]] std::shared_ptr<const PreparedRun> prepare(
+      const QuantumCircuit& circuit) const;
+  /// The PreparedRun may replay the circuit, so it cannot be a temporary.
+  std::shared_ptr<const PreparedRun> prepare(QuantumCircuit&&) const = delete;
 
   /// The variational inner loop: run one *parameterized* circuit under many
   /// parameter bindings. The pipeline, backend resolution, and capability
   /// checks run once on the unbound circuit (symbolic angles survive every
-  /// pass); each item then binds the prepared circuit and executes it.
+  /// pass); each item then binds the prepared circuit and prepares and
+  /// samples the bound one.
   /// Guarantee: results[i] is bit-identical to running
   /// `pipeline(circuit).bind(items[i].params)` through `run` without a
   /// pipeline — fusion plans are built per bound circuit, so concrete-angle
@@ -141,6 +200,13 @@ public:
   [[nodiscard]] static bool is_static(const QuantumCircuit& circuit);
 
 private:
+  /// prepare() on behalf of the entry point `method` (named in errors).
+  [[nodiscard]] std::shared_ptr<const PreparedRun> prepare(
+      const QuantumCircuit& circuit, const char* method) const;
+  /// The pipeline, backend resolution and capability checks into `run`: the
+  /// first stage of prepare and run_bound_batch.
+  void stage(const QuantumCircuit& circuit, PreparedRun& run) const;
+
   RunConfig config_;
 };
 

@@ -206,6 +206,10 @@ enum class Preset { O1, Basis, Hardware };
 /// Parse a CLI spelling ("o1", "basis", "hardware"); nullopt if unknown.
 [[nodiscard]] std::optional<Preset> parse_preset(std::string_view text) noexcept;
 
+/// The presets parse_preset accepts, as the CLI and qutesd list them when it
+/// fails: "O1, basis, or hardware".
+[[nodiscard]] std::string preset_choices();
+
 /// Build the pass pipeline for a preset. `coupling` is used by Hardware
 /// (ignored by the others); Full coupling makes the Route stage a no-op.
 [[nodiscard]] PassManager make_pipeline(Preset preset,

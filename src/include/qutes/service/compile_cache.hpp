@@ -19,7 +19,9 @@
 //     thrash forever).
 //   * Immutable entries: published CompiledPrograms are shared_ptr-to-const,
 //     so readers never take the cache lock while executing and eviction
-//     cannot pull an entry out from under a running request.
+//     cannot pull an entry out from under a running request. An entry only
+//     grows by being replaced whole (replace): qutesd swaps in a copy that
+//     also holds the circuit's prepared form.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <unordered_map>
 
 #include "qutes/circuit/circuit.hpp"
+#include "qutes/circuit/executor.hpp"
 #include "qutes/lang/bytecode.hpp"
 #include "qutes/run_config.hpp"
 
@@ -63,7 +66,14 @@ struct CompiledProgram {
   /// Program print output at the canonical seed. Returned for run requests
   /// only when the program logged no qubits (then it is deterministic).
   std::string canonical_output;
-  /// Byte estimate for cache accounting (source + circuit + bytecode).
+  /// `lowered` prepared for sampling under exec_config (Executor::prepare),
+  /// so that a warm request only samples. Kept from the entry's first warm
+  /// hit, when the entry with it fits the cache budget; null until then, and
+  /// for a program requested once. Prepared from this entry's own `lowered`,
+  /// which a trajectory form replays.
+  std::shared_ptr<const circ::PreparedRun> prepared;
+  /// Byte estimate for cache accounting (source + circuit + bytecode, plus
+  /// the prepared form's bytes when one is kept).
   std::size_t bytes = 0;
 };
 
@@ -85,6 +95,14 @@ public:
   /// for a compile) but never runs `compile` itself.
   [[nodiscard]] GetResult get_or_compile(std::uint64_t key,
                                          const Compiler& compile);
+
+  /// Swap the resident entry `current` for `next`, the same entry grown by
+  /// what it keeps (qutesd's prepared form), and make it the most recently
+  /// used. Does nothing, and returns false, when `current` is no longer the
+  /// resident entry for its key or when `next` alone exceeds the budget;
+  /// otherwise evicts LRU entries until the cache fits again.
+  bool replace(const std::shared_ptr<const CompiledProgram>& current,
+               std::shared_ptr<const CompiledProgram> next);
 
   /// Test hook: current entry for `key` (null if absent). Does not count as
   /// a hit and does not touch LRU order.

@@ -8,13 +8,18 @@
 //     flight on a miss), execute, return the response.
 //   * submit(request, callback) — asynchronous: enqueue, return immediately;
 //     a worker-pool thread executes and invokes the callback. Workers drain
-//     same-key "run" requests from the queue into ONE batch and execute them
-//     through Executor::run_batch, which shares the seed-independent work
-//     (pipeline, backend resolution, and — on the statevector fast path —
-//     the full state evolution) across the batch. Batching never changes
-//     results: run_batch guarantees per-item counts bit-identical to a
-//     sequential Executor::run under that item's seed, because every
-//     per-item draw comes from the item's own counter-derived RNG streams.
+//     same-key "run" requests from the queue into ONE batch and sample them
+//     all from one PreparedRun (Executor::prepare), which holds the
+//     seed-independent work: the fusion plan and, for a static circuit, the
+//     evolved state's distribution. Batching never changes results: each
+//     sample is bit-identical to a sequential Executor::run under that
+//     item's seed, because every per-item draw comes from the item's own
+//     counter-derived RNG streams.
+//
+// Kept forms: a cache entry keeps its PreparedRun from its first warm hit
+// (not at compile, since most cold programs are never requested again), when
+// the entry with the form's bytes fits the cache budget. Every later warm
+// request of the key then only samples.
 //
 // Compile-once semantics: a cached artifact is the program compiled under
 // the CANONICAL seed (RunConfig's default), so it is a pure function of the
@@ -102,6 +107,12 @@ private:
   [[nodiscard]] std::string rerun_output(const CompiledProgram& entry,
                                          const Request& request) const;
   [[nodiscard]] CompileCache::GetResult entry_for(const Request& request);
+  /// The entry's PreparedRun: its kept one; on a miss a fresh one, kept
+  /// nowhere; on the first warm hit a fresh one, kept with a copy of the
+  /// entry when that fits the budget (CompileCache::replace). Sample it while
+  /// `got` is held: a trajectory form replays the entry's circuit.
+  [[nodiscard]] std::shared_ptr<const circ::PreparedRun> prepared_for(
+      const CompileCache::GetResult& got);
   [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_entry(
       const Request& request, std::uint64_t key) const;
   void process_batch(std::vector<Pending> batch);

@@ -158,6 +158,9 @@ public:
   /// (discarded singular values)^2 / (total)^2. 0 in the exact regime.
   [[nodiscard]] double truncation_error() const noexcept { return truncation_error_; }
 
+  /// Bytes the site tensors hold.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
   /// Number of lossy SVD splits so far (splits that actually discarded
   /// weight; 0 in the exact regime). Feeds the mps.svd_truncations metric.
   [[nodiscard]] std::size_t svd_truncations() const noexcept {

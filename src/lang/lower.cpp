@@ -287,7 +287,11 @@ private:
   /// Subtrees whose evaluation throws (division by zero, type errors) are
   /// left unfolded so the error surfaces at runtime, exactly where the
   /// reference raises it.
-  std::optional<ValuePtr> fold(Expr& expr, std::size_t depth) const {
+  /// An operator that declined is remembered with its depth (a subtree that
+  /// declines at one depth declines at every deeper one), so lower_expr's
+  /// fold of each child along a chain that does not fold is O(1), not a
+  /// re-walk of the child's whole subtree.
+  std::optional<ValuePtr> fold(Expr& expr, std::size_t depth) {
     if (depth >= kMaxEvalDepth) return std::nullopt;
     switch (kind_of(expr)) {
       case ExprKind::IntLit:
@@ -299,15 +303,23 @@ private:
       case ExprKind::StringLit:
         return Value::make_string(static_cast<StringLitExpr&>(expr).value);
       case ExprKind::Unary:
-        return fold_unary(static_cast<UnaryExpr&>(expr), depth);
       case ExprKind::Binary:
-        return fold_binary(static_cast<BinaryExpr&>(expr), depth);
+        break;
       default:
         return std::nullopt;
     }
+    const auto declined = declined_at_.find(&expr);
+    if (declined != declined_at_.end() && depth >= declined->second) {
+      return std::nullopt;
+    }
+    auto v = kind_of(expr) == ExprKind::Unary
+                 ? fold_unary(static_cast<UnaryExpr&>(expr), depth)
+                 : fold_binary(static_cast<BinaryExpr&>(expr), depth);
+    if (!v) declined_at_[&expr] = depth;
+    return v;
   }
 
-  std::optional<ValuePtr> fold_unary(UnaryExpr& un, std::size_t depth) const {
+  std::optional<ValuePtr> fold_unary(UnaryExpr& un, std::size_t depth) {
     const auto v = fold(*un.operand, depth + 1);
     if (!v) return std::nullopt;
     switch (un.op) {
@@ -330,7 +342,7 @@ private:
     return std::nullopt;
   }
 
-  std::optional<ValuePtr> fold_binary(BinaryExpr& bin, std::size_t depth) const {
+  std::optional<ValuePtr> fold_binary(BinaryExpr& bin, std::size_t depth) {
     if (bin.op == BinaryOp::And || bin.op == BinaryOp::Or) {
       const auto lhs = fold(*bin.lhs, depth + 1);
       if (!lhs) return std::nullopt;
@@ -761,6 +773,8 @@ private:
   bool in_function_ = false;
   std::size_t depth_ = 0;
   std::size_t stmt_depth_ = 0;
+  /// Operator nodes fold declined, with the least depth it declined at.
+  std::unordered_map<const Expr*, std::size_t> declined_at_;
 };
 
 /// The stdlib image's lowered state when `functions` holds the image's own

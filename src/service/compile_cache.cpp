@@ -94,6 +94,24 @@ CompileCache::GetResult CompileCache::get_or_compile(std::uint64_t key,
   return {program, /*hit=*/false};
 }
 
+bool CompileCache::replace(const std::shared_ptr<const CompiledProgram>& current,
+                           std::shared_ptr<const CompiledProgram> next) {
+  static obs::Gauge& bytes_metric =
+      obs::metrics().gauge(obs::names::kServiceCacheBytes);
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(current->key);
+  if (it == entries_.end() || it->second.program != current ||
+      next->bytes > max_bytes_) {
+    return false;
+  }
+  stats_.bytes = stats_.bytes - current->bytes + next->bytes;
+  it->second.program = std::move(next);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  evict_locked();
+  bytes_metric.set(static_cast<double>(stats_.bytes));
+  return true;
+}
+
 std::shared_ptr<const CompiledProgram> CompileCache::peek(
     std::uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -35,7 +35,8 @@ Request parse_request(const std::string& line) {
   if (doc.has("backend")) req.backend = doc.get("backend").as_string();
   req.pipeline = doc.get("pipeline").as_string();
   if (!req.pipeline.empty() && !circ::parse_preset(req.pipeline)) {
-    throw ServiceError("unknown pipeline preset \"" + req.pipeline + "\"");
+    throw ServiceError("unknown pipeline preset \"" + req.pipeline +
+                       "\" (expected " + circ::preset_choices() + ")");
   }
   if (doc.has("exec")) req.exec = doc.get("exec").as_string();
   if (req.exec != "vm" && req.exec != "ast") {

@@ -100,6 +100,26 @@ std::shared_ptr<const CompiledProgram> Service::compile_entry(
   return program;
 }
 
+std::shared_ptr<const circ::PreparedRun> Service::prepared_for(
+    const CompileCache::GetResult& got) {
+  const std::shared_ptr<const CompiledProgram>& entry = got.program;
+  if (entry->prepared) {
+    return std::shared_ptr<const circ::PreparedRun>(entry, entry->prepared.get());
+  }
+  if (!got.hit) {
+    // A miss keeps nothing: most programs that miss are never requested
+    // again, and their forms would crowd hot entries out of the budget.
+    return circ::Executor(entry->exec_config).prepare(entry->lowered);
+  }
+  // The entry's first warm hit: prepare a copy of the entry, which owns the
+  // circuit the form may replay, and keep that copy when it fits the budget.
+  auto next = std::make_shared<CompiledProgram>(*entry);
+  next->prepared = circ::Executor(next->exec_config).prepare(next->lowered);
+  next->bytes += next->prepared->bytes();
+  cache_.replace(entry, next);
+  return std::shared_ptr<const circ::PreparedRun>(next, next->prepared.get());
+}
+
 CompileCache::GetResult Service::entry_for(const Request& request) {
   const RunConfig config = request_config(request);
   config.validate();
@@ -166,10 +186,6 @@ Response Service::run_request(const Request& request) {
     resp.output = entry.canonical_output;
     return resp;
   }
-  RunConfig config = entry.exec_config;
-  config.seed = request.seed;
-  config.shots = request.shots;
-  config.record_memory = request.record_memory;
   if (entry.lowered.is_parameterized() || !request.params.empty()) {
     // Bind the cached symbolic artifact against this request's params. A
     // wrong-length vector throws from bind(), naming the expected count —
@@ -180,14 +196,15 @@ Response Service::run_request(const Request& request) {
     item.shots = request.shots;
     item.record_memory = request.record_memory;
     std::vector<circ::ExecutionResult> results =
-        circ::Executor(config).run_bound_batch(entry.lowered, {&item, 1});
+        circ::Executor(entry.exec_config).run_bound_batch(entry.lowered, {&item, 1});
     resp.counts = std::move(results[0].counts);
     resp.memory = std::move(results[0].memory);
     return resp;
   }
-  circ::ExecutionResult result = circ::Executor(config).run(entry.lowered);
-  resp.counts = std::move(result.counts);
-  resp.memory = std::move(result.memory);
+  const circ::ShotBatchItem item{request.seed, request.shots, request.record_memory};
+  std::vector<circ::ExecutionResult> results = prepared_for(got)->sample({&item, 1});
+  resp.counts = std::move(results[0].counts);
+  resp.memory = std::move(results[0].memory);
   return resp;
 }
 
@@ -437,9 +454,7 @@ void Service::process_batch(std::vector<Pending> batch) {
         items[i].record_memory = batch[i].request.record_memory;
         total_shots += batch[i].request.shots;
       }
-      const circ::Executor executor(entry.exec_config);
-      std::vector<circ::ExecutionResult> results =
-          executor.run_batch(entry.lowered, items);
+      std::vector<circ::ExecutionResult> results = prepared_for(got)->sample(items);
       batched_requests_metric.add(batch.size());
       batched_shots_metric.add(total_shots);
       for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -595,6 +595,12 @@ void Mps::reset_qubit(std::size_t qubit, Rng& rng) {
   if (measure(qubit, rng) == 1) apply_1q(gates::X(), qubit);
 }
 
+std::size_t Mps::memory_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (const std::vector<cplx>& t : sites_) bytes += t.size() * sizeof(cplx);
+  return bytes;
+}
+
 Mps::Sampler Mps::make_sampler() const {
   Sampler sampler;
   sampler.right.resize(num_qubits_ + 1);

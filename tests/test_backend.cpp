@@ -98,11 +98,20 @@ public:
   [[nodiscard]] circ::BackendCapabilities capabilities() const override {
     return {};
   }
-  void execute(const circ::QuantumCircuit&, const qutes::RunConfig& options,
-               circ::ExecutionResult& result) const override {
-    result.counts["fixed"] = options.shots;
-    result.trajectories = 1;
+  [[nodiscard]] std::unique_ptr<const circ::PreparedCircuit> prepare(
+      const circ::QuantumCircuit&, const qutes::RunConfig&) const override {
+    return std::make_unique<Form>();
   }
+
+private:
+  struct Form final : circ::PreparedCircuit {
+    void sample(const circ::ShotBatchItem& item,
+                circ::ExecutionResult& result) const override {
+      result.counts["fixed"] = item.shots;
+      result.trajectories = 1;
+    }
+    std::size_t bytes() const noexcept override { return sizeof(*this); }
+  };
 };
 
 }  // namespace
@@ -713,6 +722,107 @@ TEST(StaticPath, RunBatchEqualsSequentialRuns) {
       EXPECT_EQ(batch[i].memory, lone.memory) << backend << " item " << i;
       EXPECT_EQ(batch[i].fast_path, lone.fast_path) << backend << " item " << i;
     }
+  }
+}
+
+// ---- one prepare, many samples ---------------------------------------------
+
+TEST(PreparedForm, RunBatchEqualsPerItemRunsOnEveryPath) {
+  // run_batch prepares once and samples every item from the one form: each
+  // item must equal a lone run under its seed, memory included, on every
+  // path a form serves, at OpenMP team 1 and 4. A static batch evolves once
+  // (its first item reports the evolution); a trajectory batch evolves per
+  // item, as a lone run does.
+  sim::NoiseModel noise;
+  noise.depolarizing_1q = 0.05;
+  noise.depolarizing_2q = 0.1;
+  noise.readout_error = 0.08;
+  struct Case {
+    const char* name;
+    const char* backend;
+    circ::QuantumCircuit circuit;
+    sim::NoiseModel noise;
+    bool fast_path;
+  };
+  const std::vector<Case> cases = {
+      {"depolarized rotations", "density", rotations_with_toffoli(), noise, true},
+      {"static rotations", "mps", rotations_with_toffoli(), {}, true},
+      {"static Clifford", "stabilizer", scrambled_wiring(), {}, true},
+      {"noisy feed-forward", "statevector", noisy_feedforward(), noise, false},
+      {"coin feed-forward", "mps", coin_feedforward(6), {}, false},
+      {"teleport chain", "stabilizer", teleport_chain(7), {}, false},
+  };
+  std::vector<circ::ShotBatchItem> items;
+  for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL, 12345ULL}) {
+    items.push_back({seed, 48, true});
+  }
+  for (const Case& c : cases) {
+    qutes::RunConfig config;
+    config.backend.name = c.backend;
+    config.backend.noise = c.noise;
+    const auto teams = qt::at_teams_1_and_4([&] {
+      std::vector<circ::ExecutionResult> batch =
+          circ::Executor(config).run_batch(c.circuit, items);
+      std::vector<circ::ExecutionResult> lone;
+      for (const circ::ShotBatchItem& item : items) {
+        qutes::RunConfig one = config;
+        one.seed = item.seed;
+        one.shots = item.shots;
+        one.record_memory = true;
+        lone.push_back(circ::Executor(one).run(c.circuit));
+      }
+      return std::make_pair(std::move(batch), std::move(lone));
+    });
+    for (const auto* team : {&teams.first, &teams.second}) {
+      const auto& [batch, lone] = *team;
+      ASSERT_EQ(batch.size(), items.size()) << c.name;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::string where = std::string(c.name) + " on " + c.backend +
+                                  ", seed " + std::to_string(items[i].seed);
+        EXPECT_EQ(batch[i].memory, lone[i].memory) << where;
+        EXPECT_EQ(batch[i].counts, lone[i].counts) << where;
+        EXPECT_EQ(batch[i].fast_path, c.fast_path) << where;
+        EXPECT_EQ(lone[i].fast_path, c.fast_path) << where;
+        if (c.fast_path) {
+          EXPECT_EQ(lone[i].evolutions, 1u) << where;
+          EXPECT_EQ(batch[i].evolutions, i == 0 ? 1u : 0u) << where;
+        } else {
+          EXPECT_EQ(batch[i].evolutions, lone[i].evolutions) << where;
+        }
+      }
+    }
+    EXPECT_EQ(teams.first.first[0].counts, teams.second.first[0].counts) << c.name;
+  }
+}
+
+TEST(PreparedForm, ReportsItsBytesAndDrawsNothing) {
+  // Preparing reads no seed: one form samples any seed as a lone run does,
+  // and reports what it holds (a 10-qubit statevector form keeps its
+  // 2^10-entry CDF, not the state or the plan's block matrices). Its first
+  // sample reports the evolution and the fusion plan; later ones neither.
+  circ::QuantumCircuit c(10, 10);
+  for (std::size_t q = 0; q < 10; ++q) c.h(q).t(q);
+  for (std::size_t q = 0; q + 1 < 10; ++q) c.cx(q, q + 1);
+  c.measure_all();
+  qutes::RunConfig config;
+  const std::unique_ptr<circ::Backend> backend = circ::make_backend("statevector");
+  const std::unique_ptr<const circ::PreparedCircuit> form = backend->prepare(c, config);
+  EXPECT_GE(form->bytes(), 1024 * sizeof(double));
+  EXPECT_LT(form->bytes(), 2 * 1024 * sizeof(double));
+  for (const std::uint64_t seed : {3ULL, 4ULL}) {
+    config.seed = seed;
+    config.shots = 100;
+    circ::ExecutionResult sampled;
+    form->sample({seed, 100, false}, sampled);
+    EXPECT_TRUE(sampled.fast_path);
+    circ::ExecutionResult executed;
+    backend->execute(c, config, executed);
+    EXPECT_EQ(executed.evolutions, 1u);
+    EXPECT_GT(executed.fused_blocks, 0u);
+    EXPECT_EQ(sampled.counts, executed.counts) << "seed " << seed;
+    const bool first = seed == 3;
+    EXPECT_EQ(sampled.evolutions, first ? 1u : 0u) << "seed " << seed;
+    EXPECT_EQ(sampled.fused_blocks, first ? executed.fused_blocks : 0u) << "seed " << seed;
   }
 }
 

@@ -1,8 +1,8 @@
 // Observability tests: span recording and nesting (including the OpenMP
 // shot loop), disabled-mode inertness, Chrome-trace / metrics JSON schema,
 // counter determinism across identical runs, counters matching actual
-// instruction counts and fused blocks on every run entry point, and
-// RunConfig validation.
+// instruction counts, evolutions and fused blocks on every run entry point
+// (qutesd's kept prepared forms included), and RunConfig validation.
 
 #include <gtest/gtest.h>
 
@@ -24,11 +24,13 @@
 #include "qutes/common/error.hpp"
 #include "qutes/obs/obs.hpp"
 #include "qutes/run_config.hpp"
+#include "qutes/service/service.hpp"
 #include "qutes/sim/kernels.hpp"
 #include "qutes/testing/generators.hpp"
 
 namespace circ = qutes::circ;
 namespace obs = qutes::obs;
+namespace service = qutes::service;
 namespace sim = qutes::sim;
 using qutes::CircuitError;
 
@@ -314,7 +316,8 @@ TEST_F(MetricsTest, ExecutorCountersAreDeterministicAcrossRuns) {
 
 TEST_F(MetricsTest, FusionCountersCoverBatchedAndBoundRuns) {
   // qutesd sends batched requests through run_batch and bound ones through
-  // run_bound_batch: both count fused blocks and gates as run does.
+  // run_bound_batch: both count fused blocks and gates as run does, once per
+  // plan built — run_batch plans once, run_bound_batch each bound circuit.
   obs::set_metrics_enabled(true);
   circ::QuantumCircuit ansatz(6, 6);
   const circ::Param theta = ansatz.parameter("theta");
@@ -336,11 +339,64 @@ TEST_F(MetricsTest, FusionCountersCoverBatchedAndBoundRuns) {
     obs::reset_metrics();
   };
   const std::vector<circ::ShotBatchItem> shot_items = {{5, 16, false}, {9, 8, false}};
-  expect_fusion_counted(
-      circ::Executor().run_batch(ansatz.bind(std::vector<double>{0.3}), shot_items));
+  const auto batch =
+      circ::Executor().run_batch(ansatz.bind(std::vector<double>{0.3}), shot_items);
+  EXPECT_EQ(batch[1].fused_blocks, 0u);
+  expect_fusion_counted(batch);
   const std::vector<circ::BindBatchItem> bind_items = {{{0.3}, 5, 16, false},
                                                        {{1.1}, 9, 8, false}};
-  expect_fusion_counted(circ::Executor().run_bound_batch(ansatz, bind_items));
+  const auto bound = circ::Executor().run_bound_batch(ansatz, bind_items);
+  EXPECT_GT(bound[1].fused_blocks, 0u);
+  expect_fusion_counted(bound);
+}
+
+TEST_F(MetricsTest, EvolutionsCountOnlyTheEvolutionsThatRan) {
+  obs::set_metrics_enabled(true);
+  const auto evolutions = [] {
+    return obs::metrics().counter(obs::names::kEvolutions).value();
+  };
+
+  // A static batch of four evolves once: its first item reports it.
+  const std::vector<circ::ShotBatchItem> items = {
+      {1, 16, false}, {2, 16, false}, {3, 16, false}, {4, 16, false}};
+  const circ::QuantumCircuit circuit = ghz(5);
+  const auto batch = circ::Executor().run_batch(circuit, items);
+  ASSERT_EQ(batch.size(), 4u);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(batch[i].fast_path);
+    EXPECT_EQ(batch[i].evolutions, i == 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(evolutions(), 1u);
+
+  // Sampling a prepared run again evolves nothing and stays on the fast path.
+  const auto prepared = circ::Executor().prepare(circuit);
+  EXPECT_EQ(prepared->sample({&items[0], 1}).front().evolutions, 1u);
+  const circ::ExecutionResult again = prepared->sample({&items[1], 1}).front();
+  EXPECT_EQ(again.evolutions, 0u);
+  EXPECT_TRUE(again.fast_path);
+  EXPECT_EQ(evolutions(), 2u);
+
+  // The trajectory path is unchanged: one evolution per shot group.
+  const auto dynamic = circ::Executor().run_batch(dynamic_circuit(), {&items[0], 1});
+  EXPECT_EQ(dynamic.front().evolutions, 2u);
+  EXPECT_EQ(evolutions(), 4u);
+
+  // qutesd: the first warm request keeps the entry's prepared form, so the
+  // third request of the key only samples.
+  service::Service svc;
+  service::Request request;
+  request.op = "run";
+  request.source = "qubit a = |+>; qubit b = |+>; print a; print b;";
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    request.seed = seed;
+    ASSERT_TRUE(svc.handle(request).ok);
+  }
+  EXPECT_EQ(evolutions(), 6u);
+  request.seed = 3;
+  const service::Response third = svc.handle(request);
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(third.cache, "hit");
+  EXPECT_EQ(evolutions(), 6u);
 }
 
 TEST_F(MetricsTest, GateCounterMatchesInstructionCount) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -339,6 +340,18 @@ TEST(Protocol, MalformedRequestsThrow) {
   EXPECT_NO_THROW((void)service::parse_request(R"({"op":"ping"})"));
 }
 
+TEST(Protocol, UnknownPresetErrorNamesThePresets) {
+  // The same list as the CLI's error (tests/CMakeLists.txt
+  // cli_pipeline_unknown): a preset change must update both.
+  try {
+    (void)service::parse_request(R"({"op":"run","source":"print 1;","pipeline":"O0"})");
+    FAIL() << "pipeline O0 accepted";
+  } catch (const service::ServiceError& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown pipeline preset \"O0\" (expected O1, basis, or hardware)");
+  }
+}
+
 TEST(Json, ParsesEscapesAndRejectsGarbage) {
   const service::Json doc =
       service::Json::parse(R"({"s":"a\nbA","n":-2.5,"b":true,"a":[1,2]})");
@@ -579,6 +592,210 @@ TEST(Service, EvictionUnderSmallByteBudgetStillAnswersCorrectly) {
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.compiles, 3u);
   EXPECT_EQ(stats.entries, 1u);
+}
+
+// ---- kept prepared forms ----------------------------------------------------
+
+std::uint64_t key_of(const service::Request& request) {
+  return qutes::cache_key(request.source, service::request_config(request),
+                          request.pipeline);
+}
+
+/// What a lone Executor::run of the cached circuit gives at `seed`, memory
+/// included.
+circ::ExecutionResult lone_run(const service::CompiledProgram& entry,
+                               std::uint64_t seed, std::size_t shots) {
+  RunConfig config = entry.exec_config;
+  config.seed = seed;
+  config.shots = shots;
+  config.record_memory = true;
+  return circ::Executor(config).run(entry.lowered);
+}
+
+constexpr const char* kRotationsSource =
+    "quint<4> x = 0q; hadamard x; qubit t = |+>; print x; print t;";
+/// Prints (measures) q, then touches it again: the trajectory path.
+constexpr const char* kDynamicSource =
+    "qubit q = |+>; print q; hadamard q; print q;";
+
+TEST(KeptForm, WarmRequestsAndBatchesEqualExecutorRun) {
+  // The first warm hit prepares and keeps the form; the 2nd and 3rd only
+  // sample it, and so does a same-key batch. Every response equals a lone
+  // Executor::run at its seed, on the static path and on the trajectory
+  // path (whose kept form replays the entry's own circuit).
+  for (const char* source : {kRotationsSource, kDynamicSource}) {
+    service::Service svc;
+    service::Request request = run_request(source, 1, 96);
+    request.record_memory = true;
+    ASSERT_TRUE(svc.handle(request).ok);
+    const std::uint64_t key = key_of(request);
+    EXPECT_EQ(svc.cache().peek(key)->prepared, nullptr) << source;
+    for (const std::uint64_t seed : {7ULL, 8ULL, 9ULL}) {
+      request.seed = seed;
+      const service::Response warm = svc.handle(request);
+      ASSERT_TRUE(warm.ok) << warm.error;
+      EXPECT_EQ(warm.cache, "hit");
+      const auto entry = svc.cache().peek(key);
+      ASSERT_NE(entry->prepared, nullptr) << source;
+      const circ::ExecutionResult expected = lone_run(*entry, seed, 96);
+      EXPECT_EQ(warm.counts, expected.counts) << source << " seed " << seed;
+      EXPECT_EQ(warm.memory, expected.memory) << source << " seed " << seed;
+    }
+    EXPECT_EQ(circ::Executor::is_static(svc.cache().peek(key)->lowered),
+              source == kRotationsSource);
+
+    std::mutex mu;
+    const std::vector<std::uint64_t> seeds = {7, 8, 9, 12345};
+    std::vector<service::Response> responses(seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      request.seed = seeds[i];
+      svc.submit(request, [&, i](service::Response resp) {
+        std::lock_guard<std::mutex> lock(mu);
+        responses[i] = std::move(resp);
+      });
+    }
+    svc.start();
+    svc.stop();
+    const auto entry = svc.cache().peek(key);
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      ASSERT_TRUE(responses[i].ok) << responses[i].error;
+      const circ::ExecutionResult expected = lone_run(*entry, seeds[i], 96);
+      EXPECT_EQ(responses[i].counts, expected.counts) << source << " batch " << i;
+      EXPECT_EQ(responses[i].memory, expected.memory) << source << " batch " << i;
+    }
+  }
+}
+
+TEST(KeptForm, FirstHitOfABatchKeepsTheForm) {
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::Service svc(options);
+  const service::Request cold = run_request(kRotationsSource, 1);
+  ASSERT_TRUE(svc.handle(cold).ok);
+  std::vector<service::Response> responses(3);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    svc.submit(run_request(kRotationsSource, seed),
+               [&, seed](service::Response resp) { responses[seed - 1] = std::move(resp); });
+  }
+  svc.start();
+  svc.stop();
+  const auto entry = svc.cache().peek(key_of(cold));
+  ASSERT_NE(entry->prepared, nullptr);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(responses[seed - 1].counts, lone_run(*entry, seed, 64).counts);
+  }
+}
+
+TEST(KeptForm, ConcurrentFirstHitsKeepOneFormAndAnswerExactly) {
+  // Threads racing on a key's first warm hits each prepare a form; one is
+  // kept, and every answer still equals a lone run at its seed.
+  service::Service svc;
+  ASSERT_TRUE(svc.handle(run_request(kDynamicSource, 1)).ok);
+  constexpr std::size_t kThreads = 4, kPerThread = 5;
+  std::vector<service::Response> responses(kThreads * kPerThread);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::size_t slot = t * kPerThread + i;
+        responses[slot] = svc.handle(run_request(kDynamicSource, 100 + slot));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const auto entry = svc.cache().peek(key_of(run_request(kDynamicSource, 1)));
+  ASSERT_NE(entry->prepared, nullptr);
+  EXPECT_EQ(svc.cache().stats().compiles, 1u);
+  EXPECT_EQ(svc.cache().stats().bytes, entry->bytes);
+  for (std::size_t slot = 0; slot < responses.size(); ++slot) {
+    ASSERT_TRUE(responses[slot].ok) << responses[slot].error;
+    EXPECT_EQ(responses[slot].counts, lone_run(*entry, 100 + slot, 64).counts) << slot;
+  }
+}
+
+TEST(KeptForm, ProgramRequestedOnceKeepsNone) {
+  service::Service svc;
+  const service::Request request = run_request(kRotationsSource, 5);
+  ASSERT_TRUE(svc.handle(request).ok);
+  const auto entry = svc.cache().peek(key_of(request));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->prepared, nullptr);
+  EXPECT_EQ(svc.cache().stats().bytes, entry->bytes);
+}
+
+TEST(KeptForm, FormBeyondTheBudgetIsNotKeptAndStillAnswers) {
+  // 13 qubits: a 64 KiB CDF, against a 48 KiB budget that holds the entry.
+  service::ServiceOptions options;
+  options.cache_bytes = 48u << 10;
+  service::Service svc(options);
+  service::Request request = run_request("quint<13> x = 0q; hadamard x; print x;", 1);
+  ASSERT_TRUE(svc.handle(request).ok);
+  const std::uint64_t key = key_of(request);
+  const std::size_t entry_bytes = svc.cache().peek(key)->bytes;
+  for (const std::uint64_t seed : {2ULL, 3ULL, 4ULL}) {
+    request.seed = seed;
+    const service::Response warm = svc.handle(request);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_EQ(warm.cache, "hit");
+    const auto entry = svc.cache().peek(key);
+    EXPECT_EQ(entry->prepared, nullptr);
+    EXPECT_EQ(warm.counts, lone_run(*entry, seed, 64).counts);
+  }
+  EXPECT_EQ(svc.cache().stats().bytes, entry_bytes);
+  EXPECT_EQ(svc.cache().stats().evictions, 0u);
+}
+
+TEST(KeptForm, CacheBytesCountTheFormAndEvictionReleasesIt) {
+  // Two 13-qubit programs, each 64 KiB with its form, under a 100 KiB
+  // budget: keeping b's form evicts a, the least recently used.
+  service::ServiceOptions options;
+  options.cache_bytes = 100u << 10;
+  service::Service svc(options);
+  const service::Request a = run_request("quint<13> x = 0q; hadamard x; print x;", 1);
+  const service::Request b = run_request("quint<13> y = 1q; hadamard y; print y;", 1);
+  ASSERT_TRUE(svc.handle(a).ok);
+  const std::size_t a_bytes = svc.cache().stats().bytes;
+  ASSERT_TRUE(svc.handle(a).ok);
+  const auto a_entry = svc.cache().peek(key_of(a));
+  ASSERT_NE(a_entry->prepared, nullptr);
+  EXPECT_GE(a_entry->prepared->bytes(), (8192u * sizeof(double)));
+  EXPECT_EQ(a_entry->bytes, a_bytes + a_entry->prepared->bytes());
+  EXPECT_EQ(svc.cache().stats().bytes, a_entry->bytes);
+
+  ASSERT_TRUE(svc.handle(b).ok);
+  EXPECT_EQ(svc.cache().stats().evictions, 0u);
+  ASSERT_TRUE(svc.handle(b).ok);
+  const auto stats = svc.cache().stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(svc.cache().peek(key_of(a)), nullptr);
+  const auto b_entry = svc.cache().peek(key_of(b));
+  ASSERT_NE(b_entry->prepared, nullptr);
+  EXPECT_EQ(stats.bytes, b_entry->bytes);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(KeptForm, HitServedFromTheFormAppliesNoGates) {
+  // Neither evolves nor plans: the program fuses, yet the third request
+  // adds no gates and no fused blocks.
+  constexpr const char* kFusedSource =
+      "quint<3> x = 5q; hadamard x; pauliz x; hadamard x; print x;";
+  obs::set_metrics_enabled(true);
+  obs::reset_metrics();
+  service::Service svc;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    ASSERT_TRUE(svc.handle(run_request(kFusedSource, seed)).ok);
+  }
+  const std::uint64_t gates = obs::metrics().counter(obs::names::kSvGatesApplied).value();
+  const std::uint64_t blocks = obs::metrics().counter(obs::names::kFusedBlocks).value();
+  EXPECT_GT(gates, 0u);
+  EXPECT_GT(blocks, 0u);
+  const service::Response third = svc.handle(run_request(kFusedSource, 3));
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(third.cache, "hit");
+  EXPECT_EQ(obs::metrics().counter(obs::names::kSvGatesApplied).value(), gates);
+  EXPECT_EQ(obs::metrics().counter(obs::names::kFusedBlocks).value(), blocks);
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
 }
 
 // ---- socket server ----------------------------------------------------------

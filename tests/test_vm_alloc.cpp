@@ -5,8 +5,10 @@
 // vector, and a foreach refills its snapshot in place, so a classical loop
 // allocates nothing per trip: a run's allocation count does not grow with
 // its trip count (beyond a builtin's own result cell).
-// This binary replaces the global operator new with a counting one; it
-// lives apart from test_bytecode so no other suite runs under it.
+// Lowering a chain of operators that does not fold allocates in proportion
+// to its length. This binary replaces the global operator new with a
+// counting one; it lives apart from test_bytecode so no other suite runs
+// under it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -195,6 +197,37 @@ TEST(VmAllocations, NestedForeachAllocatesNothingPerEntry) {
 TEST(VmAllocations, UserCallsAllocateNothingPerCall) {
   expect_flat_allocations(&call_loop, 100, 1000, "calls", "int");
   expect_flat_allocations(&void_call_loop, 100, 1000, "calls", "void");
+}
+
+/// Allocations made by lowering `print` of a `terms`-term left-nested sum,
+/// whose variable term `x` sits at `x_at` (0 = first) among literal 1s.
+std::size_t allocations_of_lowering_sum(int terms, int x_at) {
+  std::string source = "int x = 1;\nprint ";
+  for (int i = 0; i < terms; ++i) {
+    if (i > 0) source += " + ";
+    source += i == x_at ? "x" : "1";
+  }
+  source += ";\n";
+  const std::size_t before = g_allocations.load();
+  (void)lang::lower_source(source, /*include_stdlib=*/false);
+  return g_allocations.load() - before;
+}
+
+TEST(LowerAllocations, OperatorChainThatDoesNotFoldLowersInLinearWork) {
+  // Each operator of a chain that does not fold tries its fold once: the
+  // children's folds recall that their subtree declined. With `x` mid-chain
+  // every retry would fold the literals left of it again, so four times the
+  // terms would allocate ~16 times as much; with `x` first a retry walks the
+  // chain without allocating, and both must stay linear.
+  for (const bool x_first : {true, false}) {
+    const std::size_t few = allocations_of_lowering_sum(200, x_first ? 0 : 100);
+    const std::size_t many = allocations_of_lowering_sum(800, x_first ? 0 : 400);
+    const std::string label = x_first ? "x_first" : "x_mid";
+    ::testing::Test::RecordProperty(label + "_allocations_200_terms", std::to_string(few));
+    ::testing::Test::RecordProperty(label + "_allocations_800_terms", std::to_string(many));
+    EXPECT_GT(few, 0u) << "the operator new counter is not installed";
+    EXPECT_LE(many, 5 * few) << label << ": 200 terms " << few << ", 800 terms " << many;
+  }
 }
 
 }  // namespace

@@ -150,8 +150,8 @@ bool parse_backend_flag(const std::string& value, std::string& out) {
 bool parse_pipeline_flag(const std::string& value, std::optional<qutes::circ::Preset>& out) {
   const auto preset = qutes::circ::parse_preset(value);
   if (!preset) {
-    std::cerr << "unknown pipeline preset: " << value
-              << " (expected O1, basis, or hardware)\n";
+    std::cerr << "unknown pipeline preset: " << value << " (expected "
+              << qutes::circ::preset_choices() << ")\n";
     return false;
   }
   out = *preset;
