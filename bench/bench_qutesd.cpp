@@ -232,12 +232,6 @@ void print_batch_json() {
   Workload wide{"uniform20", "quint<20> x = 0q; hadamard x; print x;", 64};
   if (quick_mode())
     wide = {"uniform14", "quint<14> x = 0q; hadamard x; print x;", 64};
-  service::Service svc({.workers = 1});
-  service::Service sequential_svc({.workers = 1});
-  for (service::Service* s : {&svc, &sequential_svc}) {
-    if (service::Response r = s->handle(run_request(wide, 1)); !r.ok)
-      die("batch warmup", r);
-  }
 
   std::mutex mu;
   std::condition_variable cv;
@@ -262,23 +256,38 @@ void print_batch_json() {
     cv.wait(lock, [&] { return pending == 0; });
   };
 
-  t0 = clock_type::now();
-  submit(svc, 0, n_items);
-  svc.start();
-  wait_all();
-  const double service_batch_ms = ms_since(t0);
+  // Each stream is dominated by one evolution and its first-touch pages, so
+  // one timing swings run to run: every repetition builds both services
+  // afresh, and the row reports each stream's minimum.
+  constexpr int kQueueReps = 5;
+  double service_batch_ms = 1e300;
+  double service_seq_ms = 1e300;
+  for (int rep = 0; rep < kQueueReps; ++rep) {
+    service::Service svc({.workers = 1});
+    service::Service sequential_svc({.workers = 1});
+    for (service::Service* s : {&svc, &sequential_svc}) {
+      if (service::Response r = s->handle(run_request(wide, 1)); !r.ok)
+        die("batch warmup", r);
+    }
 
-  sequential_svc.start();
-  t0 = clock_type::now();
-  for (std::size_t i = 0; i < n_items; ++i) {
-    submit(sequential_svc, i, i + 1);
+    t0 = clock_type::now();
+    submit(svc, 0, n_items);
+    svc.start();
     wait_all();
-  }
-  const double service_seq_ms = ms_since(t0);
+    service_batch_ms = std::min(service_batch_ms, ms_since(t0));
 
-  std::printf("service queue (%s, %zu warm requests): sequential %.1f ms, "
-              "batched %.1f ms (%.1fx)\n",
-              wide.name, n_items, service_seq_ms, service_batch_ms,
+    sequential_svc.start();
+    t0 = clock_type::now();
+    for (std::size_t i = 0; i < n_items; ++i) {
+      submit(sequential_svc, i, i + 1);
+      wait_all();
+    }
+    service_seq_ms = std::min(service_seq_ms, ms_since(t0));
+  }
+
+  std::printf("service queue (%s, %zu warm requests, min of %d): sequential "
+              "%.1f ms, batched %.1f ms (%.1fx)\n",
+              wide.name, n_items, kQueueReps, service_seq_ms, service_batch_ms,
               service_seq_ms / service_batch_ms);
   std::printf("BENCH_JSON_QUTESD {\"bench\":\"qutesd\",\"mode\":\"batch\","
               "\"workload\":\"%s\",\"items\":%zu,\"shots\":%zu,"

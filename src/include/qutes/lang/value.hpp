@@ -69,7 +69,7 @@ public:
   [[nodiscard]] ArrayValue& as_array();
   [[nodiscard]] const ArrayValue& as_array() const;
   /// The int a classical Int holds, or nullptr for any other kind: the
-  /// unchecked inline read behind the VM's fused int sequences.
+  /// unchecked inline read behind the VM's int runs.
   [[nodiscard]] const std::int64_t* if_int() const noexcept {
     return type_.kind == TypeKind::Int ? std::get_if<std::int64_t>(&data_) : nullptr;
   }
@@ -94,11 +94,21 @@ public:
   [[nodiscard]] std::string to_display_string() const;
 
 private:
-  void set_scalar(TypeKind kind, Data data) {
-    type_ = QType::scalar(kind);
-    data_ = std::move(data);
+  template <typename T>
+  void set_scalar(TypeKind kind, T v) {
     param_index_ = -1;
+    // A cell that already holds a plain scalar of this kind takes only the
+    // payload; any other type is rewritten (a measured quint's Int may
+    // carry a width).
+    if (type_.kind == kind && type_.element == TypeKind::Void && type_.quint_width == 0) {
+      if (T* held = std::get_if<T>(&data_)) {
+        *held = v;
+        return;
+      }
+    }
+    retype_scalar(kind, v);
   }
+  void retype_scalar(TypeKind kind, Data data);
 
   QType type_ = QType::scalar(TypeKind::Void);
   Data data_;

@@ -70,6 +70,11 @@ double Value::as_float() const {
   kind_error("float", type_);
 }
 
+void Value::retype_scalar(TypeKind kind, Data data) {
+  type_ = QType::scalar(kind);
+  data_ = std::move(data);
+}
+
 const std::string& Value::as_string() const {
   if (const auto* s = std::get_if<std::string>(&data_)) return *s;
   kind_error("string", type_);

@@ -1,8 +1,8 @@
 #include "qutes/lang/vm.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "qutes/obs/obs.hpp"
@@ -18,108 +18,176 @@ Vm::Vm(const Bytecode& bytecode, VmOptions options)
                            options.allow_unbound_params);
 }
 
-std::vector<Vm::Kind> Vm::decode(const Chunk& chunk) {
+namespace {
+
+BinaryOp binary_op(const Instr& in) { return static_cast<BinaryOp>(in.a); }
+
+/// Ops whose int result is a Bool: a run ends with its first one.
+bool yields_bool(BinaryOp op) { return op >= BinaryOp::Eq; }
+
+bool is_load(Op op) { return op == Op::LoadLocal || op == Op::LoadGlobal; }
+
+/// A string comparison, the ops Runtime::classical_binary compares strings by.
+bool is_comparison(BinaryOp op) { return op >= BinaryOp::Eq && op <= BinaryOp::Ge; }
+
+}  // namespace
+
+bool Vm::decode_run(const std::vector<Instr>& code, std::size_t head,
+                    RunTable& out) {
+  // The run's operand stack, as value indices: an input k (< kRunInputs)
+  // or the result of op m (kRunInputs + m).
+  std::array<std::uint8_t, 8> stack{};
+  std::size_t depth = 0;
+  Run run;
+  run.first_input = static_cast<std::uint32_t>(out.inputs.size());
+  run.first_op = static_cast<std::uint32_t>(out.ops.size());
+  const auto input = [&](RunInput in) {
+    for (std::uint8_t k = 0; k < run.inputs; ++k) {
+      const RunInput& seen = out.inputs[run.first_input + k];
+      if (seen.source == in.source && seen.slot == in.slot && seen.value == in.value) {
+        return k;
+      }
+    }
+    out.inputs.push_back(in);
+    return run.inputs++;
+  };
+  const auto slot_input = [&](const Instr& in, Op global_op) {
+    return input({in.op == global_op ? RunInput::Global : RunInput::Local, in.b, 0});
+  };
+  // The longest prefix that leaves one result, for a run that ends in a push.
+  Run pushed = run;
+  std::size_t pc = head;
+  if (code[pc].op == Op::CheckLocal || code[pc].op == Op::CheckGlobal) ++pc;
+  for (; pc < code.size() && !run.bool_result; ++pc) {
+    const Instr& in = code[pc];
+    if (is_load(in.op) || in.op == Op::PushInt) {
+      if (depth == stack.size() || run.inputs + std::size_t{2} >= kRunInputs) break;
+      stack[depth++] = in.op == Op::PushInt ? input({RunInput::Const, 0, in.a})
+                                            : slot_input(in, Op::LoadGlobal);
+      continue;
+    }
+    const BinaryOp op = binary_op(in);
+    if (in.op != Op::BinaryApply || op > BinaryOp::Or || run.ops == kRunOps ||
+        depth == 0 || (depth == 1 && run.reads_top)) {
+      break;
+    }
+    const std::uint8_t rhs = stack[--depth];
+    std::uint8_t lhs = 0;
+    if (depth > 0) {
+      lhs = stack[--depth];
+    } else {
+      lhs = input({RunInput::Top, 0, 0});
+      run.reads_top = true;
+    }
+    out.ops.push_back({op, lhs, rhs, static_cast<std::uint8_t>(pc - head + 1), in.loc});
+    stack[depth++] = static_cast<std::uint8_t>(kRunInputs + run.ops++);
+    run.bool_result = yields_bool(op);
+    if (depth == 1) {
+      pushed = run;
+      pushed.length = static_cast<std::uint8_t>(pc + 1 - head);
+    }
+  }
+  const Op last = pc < code.size() ? code[pc].op : Op::Pop;
+  const auto ends = [&](Run::End end) {
+    run.end = end;
+    run.length = static_cast<std::uint8_t>(pc + 1 - head);
+  };
+  if (depth == 1 && run.ops > 0 && last == Op::JumpIfFalse) {
+    ends(Run::End::Branch);
+  } else if (depth == 1 && run.ops > 0 &&
+             (last == Op::AssignLocal || last == Op::AssignGlobal)) {
+    ends(Run::End::Assign);
+  } else if (depth == 1 && !run.bool_result && run.ops < kRunOps &&
+             (last == Op::CompoundLocal || last == Op::CompoundGlobal) &&
+             binary_op(code[pc]) <= BinaryOp::Shr) {
+    // `slot op= result`: the slot is read as one more input.
+    const std::uint8_t target = slot_input(code[pc], Op::CompoundGlobal);
+    out.ops.push_back({binary_op(code[pc]), target, stack[0],
+                       static_cast<std::uint8_t>(pc + 1 - head), code[pc].loc});
+    ++run.ops;
+    ends(Run::End::Compound);
+  } else {
+    run = pushed;  // length 0 when no prefix leaves one result
+  }
+  out.inputs.resize(run.first_input + run.inputs);
+  out.ops.resize(run.first_op + run.ops);
+  if (run.length == 0) return false;
+  // Slots first, then the top of the stack, then constants, so the run
+  // reads each source in a loop of its own.
+  RunInput* in = out.inputs.data() + run.first_input;
+  std::array<RunInput, kRunInputs> sorted{};
+  std::array<std::uint8_t, kRunInputs> to{};
+  std::uint8_t next = 0;
+  for (const RunInput::Source source : {RunInput::Local, RunInput::Top, RunInput::Const}) {
+    for (std::uint8_t k = 0; k < run.inputs; ++k) {
+      const RunInput::Source own = in[k].source == RunInput::Global ? RunInput::Local : in[k].source;
+      if (own != source) continue;
+      if (source == RunInput::Local) ++run.slots;
+      sorted[next] = in[k];
+      to[k] = next++;
+    }
+  }
+  std::copy(sorted.begin(), sorted.begin() + run.inputs, in);
+  for (std::uint8_t m = 0; m < run.ops; ++m) {
+    RunOp& op = out.ops[run.first_op + m];
+    if (op.lhs < kRunInputs) op.lhs = to[op.lhs];
+    if (op.rhs < kRunInputs) op.rhs = to[op.rhs];
+  }
+  out.runs.push_back(run);
+  return true;
+}
+
+std::vector<Vm::Entry> Vm::decode(const Chunk& chunk, RunTable& table) {
   const std::vector<Instr>& code = chunk.code;
   const std::size_t n = code.size();
   const auto is = [&](std::size_t pc, Op op) {
     return pc < n && code[pc].op == op;
   };
-  // How a run whose BinaryApply sits at `bin` ends: 0 with the BinaryApply,
-  // 1 with a JumpIfFalse, 2 with an Assign.
-  const auto ending = [&](std::size_t bin) -> std::uint8_t {
-    if (is(bin + 1, Op::JumpIfFalse)) return 1;
-    if (is(bin + 1, Op::AssignLocal) || is(bin + 1, Op::AssignGlobal)) return 2;
-    return 0;
+  const auto compares = [&](std::size_t pc) {
+    return is(pc, Op::BinaryApply) && is_comparison(binary_op(code[pc]));
   };
-  // The kinds of each run come in that order.
-  const auto with_ending = [&](Kind first, std::size_t bin) {
-    return static_cast<Kind>(static_cast<std::uint8_t>(first) + ending(bin));
+  const auto pushes_one = [&](std::size_t pc) {
+    return pc < n && (is_load(code[pc].op) || code[pc].op == Op::PushInt ||
+                      code[pc].op == Op::PushFloat || code[pc].op == Op::PushBool ||
+                      code[pc].op == Op::PushString);
   };
-
-  // Value loads are found by following the operand stack through a window
-  // of pushes, loads and BinaryApply: `window` holds, for each entry pushed
-  // since the window opened, the pc of the load that pushed it, or n for
-  // any other push. A BinaryApply marks the loads among the two entries it
-  // pops. Any other instruction closes the window, because it may assign a
-  // variable, jump, or pop a load's value for something else; so does a
-  // window deeper than the array, which only leaves loads unmarked.
-  std::array<std::size_t, 16> window{};
-  std::size_t depth = 0;
-  const auto push = [&](std::size_t entry) {
-    if (depth == window.size()) depth = 0;
-    window[depth++] = entry;
-  };
-
-  std::vector<Kind> kinds(n);
+  std::vector<Entry> entries(n);
   for (std::size_t pc = 0; pc < n; ++pc) {
-    const Instr& in = code[pc];
-    Kind kind = static_cast<Kind>(in.op);
-    switch (in.op) {
+    Kind kind = static_cast<Kind>(code[pc].op);
+    switch (code[pc].op) {
       case Op::LoadLocal:
       case Op::LoadGlobal:
-        // A Load that heads a run is a value load too: the run's
-        // BinaryApply pops it.
-        if (is(pc + 2, Op::BinaryApply) &&
-            (is(pc + 1, Op::PushInt) || is(pc + 1, Op::LoadLocal) ||
-             is(pc + 1, Op::LoadGlobal))) {
-          kind = with_ending(Kind::LoadBinary, pc + 2);
-        }
-        push(pc);
-        break;
       case Op::PushInt:
-        if (is(pc + 1, Op::BinaryApply)) {
-          kind = with_ending(Kind::PushBinary, pc + 1);
-        }
-        push(n);
-        break;
-      case Op::PushFloat:
-      case Op::PushBool:
-        push(n);
-        break;
-      case Op::BinaryApply:
-        if (const std::uint8_t end = ending(pc); end != 0) {
-          kind = end == 1 ? Kind::BinaryBranch : Kind::BinaryAssign;
-        }
-        for (int popped = 0; popped < 2 && depth > 0; ++popped) {
-          const std::size_t load = window[--depth];
-          if (load != n && kinds[load] == static_cast<Kind>(code[load].op)) {
-            kinds[load] = Kind::LoadValue;
-          }
-        }
-        push(n);
-        break;
       case Op::CheckLocal:
-      case Op::CheckGlobal: {
-        const Op update =
-            in.op == Op::CheckGlobal ? Op::CompoundGlobal : Op::CompoundLocal;
-        if (is(pc + 1, Op::PushInt) && is(pc + 2, update) &&
-            code[pc + 2].b == in.b) {
-          kind = Kind::CheckPushCompound;
-        }
-        depth = 0;
+      case Op::CheckGlobal:
+        if (decode_run(code, pc, table)) kind = Kind::Run;
         break;
-      }
       case Op::LoopBump:
         if (is(pc + 1, Op::Jump)) kind = Kind::BumpJump;
-        depth = 0;
+        break;
+      case Op::PushString:
+        // The comparison pops the literal: it is its rhs, or its lhs with
+        // one push in between, which no jump or exception can skip.
+        if (compares(pc + 1) || (pushes_one(pc + 1) && compares(pc + 2))) {
+          kind = Kind::PooledString;
+        }
         break;
       default:
-        depth = 0;
         break;
     }
-    kinds[pc] = kind;
+    entries[pc] = {kind, static_cast<std::uint32_t>(table.runs.size() - 1)};
   }
-  return kinds;
+  return entries;
 }
 
 Vm::Frame& Vm::push_frame(std::uint32_t index, std::uint32_t call_loc) {
   const Chunk& chunk = bc_.chunks[index];
-  std::vector<Kind>& kinds = decoded_[index];
-  if (kinds.size() != chunk.code.size()) kinds = decode(chunk);
+  std::vector<Entry>& entries = decoded_[index];
+  if (entries.size() != chunk.code.size()) entries = decode(chunk, runs_);
   if (depth_ == frames_.size()) frames_.emplace_back();
   Frame& frame = frames_[depth_++];
   frame.chunk = &chunk;
-  frame.kinds = kinds.data();
+  frame.entries = entries.data();
   frame.pc = 0;
   frame.slots.resize(chunk.num_slots);  // all null: a return clears them
   frame.declared.assign(chunk.num_slots, 0);
@@ -159,6 +227,7 @@ ValuePtr Vm::box(Operand v) {
   if (v.cell) return std::move(v.cell);
   switch (v.kind) {
     case TypeKind::Void: return Value::make_void();
+    case TypeKind::String: return Value::make_string(*v.s);
     case TypeKind::Bool: return Value::make_bool(v.b);
     case TypeKind::Float: return Value::make_float(v.f);
     default: return Value::make_int(v.i);
@@ -187,6 +256,7 @@ inline bool Vm::truthy(const Operand& v, std::uint32_t loc_idx) {
   if (v.cell) return runtime_.casting().condition_bool(*v.cell, loc_of(loc_idx));
   switch (v.kind) {
     case TypeKind::Void:  // a void call's result: the Runtime's diagnostic
+    case TypeKind::String:
       return runtime_.casting().condition_bool(*box(v), loc_of(loc_idx));
     case TypeKind::Bool: return v.b;
     case TypeKind::Float: return v.f != 0.0;
@@ -235,48 +305,47 @@ void Vm::compound(const std::string& name, const ValuePtr& slot, BinaryOp op,
                            loc_of(loc_idx));
 }
 
-inline bool Vm::int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
-                           std::uint32_t loc_idx, Operand& out) const {
+__attribute__((always_inline)) inline std::int64_t Vm::int_value(
+    BinaryOp op, std::int64_t a, std::int64_t b, std::uint32_t loc_idx) const {
   // Mirrors the int branch of Runtime::classical_binary exactly — wraparound
   // two's-complement arithmetic through uint64_t and identical error strings
   // — so taking this path is observationally indistinguishable from the
   // Runtime call it skips.
   const auto ua = static_cast<std::uint64_t>(a);
   const auto ub = static_cast<std::uint64_t>(b);
-  const auto wrap = [](std::uint64_t u) {
-    return Operand(static_cast<std::int64_t>(u));
-  };
   switch (op) {
-    case BinaryOp::Add: out = wrap(ua + ub); return true;
-    case BinaryOp::Sub: out = wrap(ua - ub); return true;
-    case BinaryOp::Mul: out = wrap(ua * ub); return true;
+    case BinaryOp::Add: return static_cast<std::int64_t>(ua + ub);
+    case BinaryOp::Sub: return static_cast<std::int64_t>(ua - ub);
+    case BinaryOp::Mul: return static_cast<std::int64_t>(ua * ub);
     case BinaryOp::Div:
       if (b == 0) fail("division by zero", loc_idx);
-      out = b == -1 ? wrap(std::uint64_t{0} - ua) : Operand(a / b);
-      return true;
+      return b == -1 ? static_cast<std::int64_t>(std::uint64_t{0} - ua) : a / b;
     case BinaryOp::Mod:
       if (b == 0) fail("modulo by zero", loc_idx);
-      out = Operand(b == -1 ? std::int64_t{0} : a % b);
-      return true;
+      return b == -1 ? 0 : a % b;
     case BinaryOp::Shl:
       if (b < 0 || b > 62) fail("bad shift amount", loc_idx);
-      out = Operand(a << b);
-      return true;
+      return a << b;
     case BinaryOp::Shr:
       if (b < 0 || b > 62) fail("bad shift amount", loc_idx);
-      out = Operand(a >> b);
-      return true;
-    case BinaryOp::Eq: out = Operand(a == b); return true;
-    case BinaryOp::Ne: out = Operand(a != b); return true;
-    case BinaryOp::Lt: out = Operand(a < b); return true;
-    case BinaryOp::Le: out = Operand(a <= b); return true;
-    case BinaryOp::Gt: out = Operand(a > b); return true;
-    case BinaryOp::Ge: out = Operand(a >= b); return true;
-    case BinaryOp::And: out = Operand(a != 0 && b != 0); return true;
-    case BinaryOp::Or: out = Operand(a != 0 || b != 0); return true;
-    default:
-      return false;  // `in`, unknown ops: let the Runtime diagnose
+      return a >> b;
+    case BinaryOp::Eq: return a == b;
+    case BinaryOp::Ne: return a != b;
+    case BinaryOp::Lt: return a < b;
+    case BinaryOp::Le: return a <= b;
+    case BinaryOp::Gt: return a > b;
+    case BinaryOp::Ge: return a >= b;
+    case BinaryOp::And: return a != 0 && b != 0;
+    default: return a != 0 || b != 0;  // Or
   }
+}
+
+inline bool Vm::int_binary(BinaryOp op, std::int64_t a, std::int64_t b,
+                           std::uint32_t loc_idx, Operand& out) const {
+  if (op > BinaryOp::Or) return false;  // `in`, unknown ops: let the Runtime diagnose
+  const std::int64_t r = int_value(op, a, b, loc_idx);
+  out = yields_bool(op) ? Operand(r != 0) : Operand(r);
+  return true;
 }
 
 inline bool Vm::float_binary(BinaryOp op, const Operand& lhs,
@@ -342,24 +411,26 @@ void Vm::run() {
 
 namespace {
 
-/// How a run that ends in a BinaryApply continues (Vm::Kind): push the
-/// result, branch on it (`JumpIfFalse`), or store it (`Assign*`).
-enum class Ending { Push, Branch, Assign };
-template <Ending E>
-using EndingTag = std::integral_constant<Ending, E>;
-constexpr EndingTag<Ending::Push> kPush{};
-constexpr EndingTag<Ending::Branch> kBranch{};
-constexpr EndingTag<Ending::Assign> kAssign{};
-
-/// The dispatch code of `op` run alone, and of a fused Vm::Kind. The loop
+/// The dispatch code of `op` run alone, and of a decoded Vm::Kind. The loop
 /// switches on the code, because most codes name an Op, not a Kind.
 constexpr std::uint8_t alone(Op op) { return static_cast<std::uint8_t>(op); }
 template <typename Kind>
-constexpr std::uint8_t fused(Kind kind) {
+constexpr std::uint8_t decoded_kind(Kind kind) {
   return static_cast<std::uint8_t>(kind);
 }
 
-BinaryOp binary_op(const Instr& in) { return static_cast<BinaryOp>(in.a); }
+/// `a op b` of two strings, for the comparisons Runtime::classical_binary
+/// defines on them.
+bool compare_strings(BinaryOp op, const std::string& a, const std::string& b) {
+  switch (op) {
+    case BinaryOp::Eq: return a == b;
+    case BinaryOp::Ne: return a != b;
+    case BinaryOp::Lt: return a < b;
+    case BinaryOp::Le: return a <= b;
+    case BinaryOp::Gt: return a > b;
+    default: return a >= b;
+  }
+}
 
 }  // namespace
 
@@ -368,7 +439,7 @@ void Vm::exec_loop() {
   // call or a return, and a call saves the caller's pc in its Frame first.
   Frame* fr = nullptr;
   const Instr* code = nullptr;
-  const Kind* kinds = nullptr;
+  const Entry* entries = nullptr;
   std::size_t size = 0;
   std::size_t pc = 0;
   ValuePtr* locals = nullptr;
@@ -376,7 +447,7 @@ void Vm::exec_loop() {
   const auto enter = [&] {
     fr = &frames_[depth_ - 1];
     code = fr->chunk->code.data();
-    kinds = fr->kinds;
+    entries = fr->entries;
     size = fr->chunk->code.size();
     pc = fr->pc;
     locals = fr->slots.data();
@@ -422,97 +493,65 @@ void Vm::exec_loop() {
     if (!slot) fail_undeclared("assignment to", owner_of(as, Op::AssignGlobal), as);
     assign(slot, std::move(rhs), as.loc);
   };
-  // Continue after the BinaryApply at `bin`, whose result is `out`, the
-  // way the run's kind ends. Each ending covers one more instruction.
-  const auto finish = [&](auto ending, Operand&& out, std::size_t bin) {
-    if constexpr (decltype(ending)::value == Ending::Push) {
-      stack_.push_back(std::move(out));
-      pc = bin + 1;
-    } else if constexpr (decltype(ending)::value == Ending::Branch) {
-      ++steps;
-      const Instr& jump = code[bin + 1];
-      pc = truthy(out, jump.loc) ? bin + 2 : static_cast<std::size_t>(jump.a);
-    } else {
-      ++steps;
-      store(code[bin + 1], std::move(out));
-      pc = bin + 2;
+  // The run at pc - 1, whose head is `head`: false, with nothing done, when
+  // a slot it reads is unbound or not an Int, or the top of the stack it
+  // reads is not an Int.
+  const auto run_ints = [&](const Run& run,
+                            const Instr& head) __attribute__((always_inline)) {
+    if ((head.op == Op::CheckLocal || head.op == Op::CheckGlobal) &&
+        !slot_of(head, Op::CheckGlobal)) {
+      return false;
     }
-  };
-  // BinaryApply `in` at pc - 1: inline for Ints and Floats, else through the
-  // Runtime.
-  const auto binary = [&](const Instr& in, auto ending) {
-    if (stack_.size() < 2) fail("bytecode: stack underflow", in.loc);
-    Operand& rhs = stack_.back();
-    Operand& lhs = stack_[stack_.size() - 2];
-    const BinaryOp op = binary_op(in);
-    Operand out;
-    const std::int64_t* a = if_int(lhs);
-    const std::int64_t* b = a ? if_int(rhs) : nullptr;
-    if (!(b && int_binary(op, *a, *b, in.loc, out)) &&
-        !float_binary(op, lhs, rhs, in.loc, out)) {
-      out = Operand(runtime_.evaluate_binary(op, box(std::move(lhs)),
-                                             box(std::move(rhs)),
-                                             loc_of(in.loc)));
+    std::int64_t v[kRunInputs + kRunOps];
+    const RunInput* in = runs_.inputs.data() + run.first_input;
+    std::size_t k = 0;
+    for (; k < run.slots; ++k) {
+      const ValuePtr& cell =
+          (in[k].source == RunInput::Global ? globals : locals)[in[k].slot];
+      const std::int64_t* p = cell ? cell->if_int() : nullptr;
+      if (p == nullptr) return false;
+      v[k] = *p;
     }
-    stack_.pop_back();
-    if constexpr (decltype(ending)::value == Ending::Push) {
-      stack_.back() = std::move(out);  // in the lhs's place
-    } else {
-      stack_.pop_back();
-      finish(ending, std::move(out), pc - 1);
+    if (run.reads_top) {
+      const std::int64_t* p = stack_.empty() ? nullptr : if_int(stack_.back());
+      if (p == nullptr) return false;
+      v[k++] = *p;
     }
-  };
-  // `Load s; PushInt k | Load t; BinaryApply op` from the Load `in` at
-  // pc - 1. Over Ints the result comes straight from the slots, with no copy
-  // of either cell; otherwise the Load runs alone, as a value load.
-  const auto load_binary = [&](const Instr& in, auto ending) {
-    const ValuePtr& v = slot_of(in, Op::LoadGlobal);
-    if (!v) fail_undeclared("use of", owner_of(in, Op::LoadGlobal), in);
-    const std::int64_t* a = v->if_int();
-    if (a == nullptr) {
-      stack_.emplace_back(v);
-      return;
+    for (; k < run.inputs; ++k) v[k] = in[k].value;
+    // Each op counts the instructions up to its BinaryApply before it can
+    // trap. Only the last op can be a comparison, whose 0 or 1 is a Bool.
+    const std::uint64_t base = steps - 1;
+    const RunOp* op = runs_.ops.data() + run.first_op;
+    std::int64_t r = 0;
+    for (std::size_t m = 0; m < run.ops; ++m) {
+      steps = base + op[m].upto;
+      r = v[kRunInputs + m] = int_value(op[m].op, v[op[m].lhs], v[op[m].rhs], op[m].loc);
     }
-    const Instr& second = code[pc];
-    const std::int64_t* b = &second.a;
-    if (second.op != Op::PushInt) {
-      const ValuePtr& w = slot_of(second, Op::LoadGlobal);
-      b = w ? w->if_int() : nullptr;
-    }
-    if (b != nullptr) {
-      const Instr& bin = code[pc + 1];
-      steps += 2;
-      Operand out;
-      if (int_binary(binary_op(bin), *a, *b, bin.loc, out)) {
-        finish(ending, std::move(out), pc + 1);
-        return;
+    steps = base + run.length;
+    pc += run.length - 1;
+    const Instr& last = code[pc - 1];
+    const auto result = [&] { return run.bool_result ? Operand(r != 0) : Operand(r); };
+    if (run.end == Run::End::Push) {
+      if (run.reads_top) {
+        stack_.back() = result();
+      } else {
+        stack_.push_back(result());
       }
-      steps -= 2;
+      return true;
     }
-    stack_.emplace_back(*a);
-  };
-  // `PushInt k; BinaryApply op` from the PushInt `in` at pc - 1, on an Int
-  // top of stack; otherwise the PushInt runs alone.
-  const auto push_binary = [&](const Instr& in, auto ending) {
-    if (!stack_.empty()) {
-      if (const std::int64_t* a = if_int(stack_.back())) {
-        const Instr& bin = code[pc];
-        ++steps;
-        Operand out;
-        if (int_binary(binary_op(bin), *a, in.a, bin.loc, out)) {
-          if constexpr (decltype(ending)::value == Ending::Push) {
-            stack_.back() = std::move(out);  // in the operand's place
-            ++pc;
-          } else {
-            stack_.pop_back();
-            finish(ending, std::move(out), pc);
-          }
-          return;
-        }
-        --steps;
-      }
+    if (run.reads_top) stack_.pop_back();
+    if (run.end == Run::End::Branch) {
+      if (r == 0) pc = static_cast<std::size_t>(last.a);
+    } else if (run.end == Run::End::Compound) {
+      // The slot is an input, so it holds an Int.
+      slot_of(last, Op::CompoundGlobal)->set_int(r);
+    } else if (const ValuePtr& slot = slot_of(last, Op::AssignGlobal);
+               slot && slot->kind() == TypeKind::Int && !run.bool_result) {
+      slot->set_int(r);  // what assign() does for an Int into an Int
+    } else {
+      store(last, result());
     }
-    stack_.emplace_back(in.a);
+    return true;
   };
 
   try {
@@ -523,70 +562,25 @@ void Vm::exec_loop() {
         continue;
       }
       const Instr& in = code[pc];
-      const std::uint8_t kind = static_cast<std::uint8_t>(kinds[pc]);
+      const Entry& entry = entries[pc];
+      std::uint8_t kind = static_cast<std::uint8_t>(entry.kind);
       ++pc;
       ++steps;
+      if (kind == decoded_kind(Kind::Run)) {
+        if (run_ints(runs_.runs[entry.run], in)) continue;
+        kind = alone(in.op);  // the head runs alone
+      }
       switch (kind) {
-        // ---- fused kinds (decode) --------------------------------------------
-        case fused(Kind::LoadValue): {
-          const ValuePtr& v = slot_of(in, Op::LoadGlobal);
-          if (!v) fail_undeclared("use of", owner_of(in, Op::LoadGlobal), in);
-          if (const std::int64_t* i = v->if_int()) {
-            stack_.emplace_back(*i);
-          } else {
-            stack_.emplace_back(v);
-          }
-          break;
-        }
-        case fused(Kind::LoadBinary):
-          load_binary(in, kPush);
-          break;
-        case fused(Kind::LoadBinaryBranch):
-          load_binary(in, kBranch);
-          break;
-        case fused(Kind::LoadBinaryAssign):
-          load_binary(in, kAssign);
-          break;
-        case fused(Kind::PushBinary):
-          push_binary(in, kPush);
-          break;
-        case fused(Kind::PushBinaryBranch):
-          push_binary(in, kBranch);
-          break;
-        case fused(Kind::PushBinaryAssign):
-          push_binary(in, kAssign);
-          break;
-        case fused(Kind::BinaryBranch):
-          binary(in, kBranch);
-          break;
-        case fused(Kind::BinaryAssign):
-          binary(in, kAssign);
-          break;
-        case fused(Kind::CheckPushCompound): {
-          const ValuePtr& slot = slot_of(in, Op::CheckGlobal);
-          if (!slot) {
-            fail_undeclared("assignment to", owner_of(in, Op::CheckGlobal), in);
-          }
-          if (const std::int64_t* a = slot->if_int()) {
-            const Instr& update = code[pc + 1];
-            Operand out;
-            steps += 2;
-            if (int_binary(binary_op(update), *a, code[pc].a, update.loc, out) &&
-                out.kind == TypeKind::Int) {
-              slot->set_int(out.i);
-              pc += 2;
-              break;
-            }
-            steps -= 2;
-          }
-          break;
-        }
-        case fused(Kind::BumpJump):
+        // ---- decoded kinds (decode) ------------------------------------------
+        case decoded_kind(Kind::BumpJump):
           if (++fr->loops[in.b] > kMaxWhileIterations) {
             fail("while loop exceeded the iteration budget", in.loc);
           }
           ++steps;
           pc = static_cast<std::size_t>(code[pc].a);
+          break;
+        case decoded_kind(Kind::PooledString):
+          stack_.emplace_back(&bc_.strings[in.b]);
           break;
 
         // ---- one instruction -------------------------------------------------
@@ -804,9 +798,32 @@ void Vm::exec_loop() {
           }
           break;
         }
-        case alone(Op::BinaryApply):
-          binary(in, kPush);
+        case alone(Op::BinaryApply): {
+          // Inline for Ints, Floats and two strings compared, else through
+          // the Runtime.
+          if (stack_.size() < 2) fail("bytecode: stack underflow", in.loc);
+          Operand& rhs = stack_.back();
+          Operand& lhs = stack_[stack_.size() - 2];
+          const BinaryOp op = binary_op(in);
+          Operand out;
+          const std::int64_t* a = if_int(lhs);
+          const std::int64_t* b = a ? if_int(rhs) : nullptr;
+          if (!(b && int_binary(op, *a, *b, in.loc, out)) &&
+              !float_binary(op, lhs, rhs, in.loc, out)) {
+            const std::string* sa = if_string(lhs);
+            const std::string* sb = if_string(rhs);
+            if (sa && sb && is_comparison(op)) {
+              out = Operand(compare_strings(op, *sa, *sb));
+            } else {
+              out = Operand(runtime_.evaluate_binary(op, box(std::move(lhs)),
+                                                     box(std::move(rhs)),
+                                                     loc_of(in.loc)));
+            }
+          }
+          stack_.pop_back();
+          stack_.back() = std::move(out);  // in the lhs's place
           break;
+        }
         case alone(Op::ToBool):
           stack_.emplace_back(truthy(pop(in.loc), in.loc));
           break;

@@ -17,6 +17,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qutes/circuit/qasm.hpp"
@@ -304,13 +305,13 @@ TEST(VmParity, ReferenceSemanticsMatch) {
 
 // ---- fused int sequences ------------------------------------------------------
 //
-// The VM runs int instruction sequences as one dispatch (vm.hpp, Vm::Kind):
-// `Load s; PushInt k | Load t; BinaryApply`, `PushInt k; BinaryApply` on the
-// top of stack, a result feeding JumpIfFalse or an Assign, `Check s;
-// PushInt k; Compound s`, and `LoopBump; Jump`. Any other operand must fall
-// back to one instruction at a time with the Runtime deciding, so each
-// sequence meets every kind of operand it can see here, and both engines
-// must print or fail identically, message and location included.
+// The VM runs a straight-line int expression as one dispatch (vm.hpp,
+// Vm::Kind::Run), from its loads, literals and BinaryApply ops to a
+// JumpIfFalse, an Assign or a Compound that takes its result, and `LoopBump;
+// Jump` as another. Any other operand must fall back to one instruction at
+// a time with the Runtime deciding, so each shape meets every kind of
+// operand it can see here, and both engines must print or fail
+// identically, message and location included.
 
 TEST(VmParity, FusedSequencesMatchOnEveryOperandKind) {
   // Variables of every kind a fused operand can meet.
@@ -496,8 +497,8 @@ TEST(VmParity, FusedSequencesKeepTheStepCount) {
 // ---- the decoded form ----------------------------------------------------------
 //
 // The VM decodes each chunk once into one kind per pc (vm.hpp, Vm::Kind):
-// the pc's own Op, or a fused kind at the head of a run. Each fused kind
-// meets each of its fallbacks here through expect_parity: both engines
+// the pc's own Op, or a decoded kind such as the run that starts there.
+// Each shape meets each of its fallbacks here through expect_parity: both engines
 // must print the same output (also before a failure), log the same circuit
 // and raise the same diagnostic (text and location), while lang.vm_steps
 // keeps the count of every instruction.
@@ -680,6 +681,313 @@ TEST(DecodedForm, JumpIntoAFusedRunRunsItsInstructionsOneAtATime) {
   lang::Vm vm(bc, {.seed = 7});
   vm.run();
   EXPECT_EQ(vm.runtime().captured_output(), "13\n96\n0\n5\n0\n42\n");
+}
+
+TEST(DecodedForm, JumpIntoARunWhereItReadsTheTopOfStack) {
+  // A hand-built artifact: each Jump lands on an instruction whose run reads
+  // the operand below its own pushes from the stack. That operand is what
+  // the jump left there: an Int (the run goes on), a Float (the landing
+  // instruction runs alone), or nothing at all (a clean underflow).
+  lang::Bytecode bc;
+  bc.strings = {"", "x", "y"};
+  bc.types = {lang::QType::scalar(lang::TypeKind::Void),
+              lang::QType::scalar(lang::TypeKind::Int)};
+  bc.floats = {2.5};
+  bc.locations = {qutes::SourceLocation{}, qutes::SourceLocation{1, 1}};
+  lang::Chunk main_chunk;
+  main_chunk.num_slots = 2;
+  main_chunk.slot_names = {1, 2};
+  const auto add = [&](lang::Op op, std::int64_t a = 0, std::uint32_t b = 0,
+                       std::uint32_t c = 0) {
+    main_chunk.code.push_back({op, a, b, c, 1});
+    return main_chunk.code.size() - 1;
+  };
+  const auto land = [&](std::size_t jump, std::size_t target) {
+    main_chunk.code[jump].a = static_cast<std::int64_t>(target);
+  };
+  const auto binary = [](lang::BinaryOp op) { return static_cast<std::int64_t>(op); };
+  using lang::BinaryOp;
+  using lang::Op;
+  add(Op::DeclareDefault, 0, 0, 1);  // int x = 0
+  add(Op::DeclareDefault, 0, 1, 1);  // int y = 0
+  add(Op::CheckLocal, 0, 1);
+  add(Op::PushInt, 4);
+  add(Op::AssignLocal, 0, 1);        // y = 4
+  // 1. 100 and 7 on the stack, into `Load x; Load y; PushInt 2; * ; +` at
+  //    its PushInt: 7 * 2 = 14, then 100 + 14; prints 114.
+  add(Op::PushInt, 100);
+  add(Op::PushInt, 7);
+  std::size_t jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  add(Op::LoadLocal, 0, 1);
+  land(jump, add(Op::PushInt, 2));
+  add(Op::BinaryApply, binary(BinaryOp::Mul));
+  add(Op::BinaryApply, binary(BinaryOp::Add));
+  add(Op::Print);
+  // 2. 50 on the stack, into `Load x; Load y; PushInt 3; *; -` at its second
+  //    Load: 50 - 4 * 3; prints 38.
+  add(Op::PushInt, 50);
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  land(jump, add(Op::LoadLocal, 0, 1));
+  add(Op::PushInt, 3);
+  add(Op::BinaryApply, binary(BinaryOp::Mul));
+  add(Op::BinaryApply, binary(BinaryOp::Sub));
+  add(Op::Print);
+  // 3. 9 on the stack, into `Check x; Load x; PushInt 2; +; Assign x` at its
+  //    PushInt: x = 9 + 2; prints 11.
+  add(Op::PushInt, 9);
+  jump = add(Op::Jump);
+  add(Op::CheckLocal, 0, 0);
+  add(Op::LoadLocal, 0, 0);
+  land(jump, add(Op::PushInt, 2));
+  add(Op::BinaryApply, binary(BinaryOp::Add));
+  add(Op::AssignLocal, 0, 0);
+  add(Op::LoadLocal, 0, 0);
+  add(Op::Print);
+  // 4. 7 on the stack, into `Load y; PushInt 5; <; JumpIfFalse` at its
+  //    PushInt: 7 < 5 fails; prints 0, where y < 5 would print 1.
+  add(Op::PushInt, 7);
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 1);
+  land(jump, add(Op::PushInt, 5));
+  add(Op::BinaryApply, binary(BinaryOp::Lt));
+  std::size_t branch = add(Op::JumpIfFalse);
+  add(Op::PushInt, 1);
+  add(Op::Print);
+  std::size_t skip = add(Op::Jump);
+  land(branch, add(Op::PushInt, 0));
+  add(Op::Print);
+  land(skip, main_chunk.code.size());
+  // 5. 12 on the stack, into `Check y; PushInt 5; Compound += y` at its
+  //    PushInt, then `Load y; PushInt 3; /` reads the 12 left below: y = 9,
+  //    and 12 / 3 prints 4 after y prints 9.
+  add(Op::PushInt, 12);
+  jump = add(Op::Jump);
+  add(Op::CheckLocal, 0, 1);
+  land(jump, add(Op::PushInt, 5));
+  add(Op::CompoundLocal, binary(BinaryOp::Add), 1);
+  add(Op::LoadLocal, 0, 1);
+  add(Op::Print);
+  add(Op::PushInt, 3);
+  add(Op::BinaryApply, binary(BinaryOp::Div));
+  add(Op::Print);
+  // 6. A Float on the stack, into `PushInt 2; *` at its PushInt: the Float
+  //    multiplies through the float rules; prints 5.
+  add(Op::PushFloat, 0, 0);
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  land(jump, add(Op::PushInt, 2));
+  add(Op::BinaryApply, binary(BinaryOp::Mul));
+  add(Op::Print);
+  // 7. Nothing on the stack, into `PushInt 2; *`: a clean underflow at the
+  //    BinaryApply, after everything above printed.
+  jump = add(Op::Jump);
+  add(Op::LoadLocal, 0, 0);
+  land(jump, add(Op::PushInt, 2));
+  add(Op::BinaryApply, binary(BinaryOp::Mul));
+  add(Op::Print);
+  bc.chunks.push_back(std::move(main_chunk));
+  ASSERT_NO_THROW(bc.validate());
+
+  lang::Vm vm(bc, {.seed = 7});
+  try {
+    vm.run();
+    ADD_FAILURE() << "the underflow was not detected";
+  } catch (const LangError& e) {
+    EXPECT_NE(std::string(e.what()).find("stack underflow"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(vm.runtime().captured_output(), "114\n38\n11\n0\n9\n4\n5\n");
+}
+
+// ---- runs against the tree-walk ----------------------------------------------
+//
+// Straight-line int expressions run as one dispatch each (vm.hpp, Kind::Run).
+// A generated sweep puts random expression trees in every statement shape a
+// run can end in, over leaves of every kind a run can meet, and compares
+// both engines statement by statement; its lang.vm_steps total was recorded
+// with the VM of the int-only fused kinds, before runs existed.
+
+namespace {
+
+/// Random expression trees over the int leaves a run reads (slots holding
+/// 0, -1, 63 and INT64_MIN, locals and globals, and literals) and the
+/// leaves it must not (a Float, a Bool, a String, a quint, an unbound
+/// global, and `h()`, which assigns the global leaf `gb`).
+class SweepGen {
+public:
+  explicit SweepGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+  /// A tree of depth <= `depth`; `mixed` admits the non-int leaves.
+  std::string expr(int depth, bool mixed) {
+    if (depth == 0 || below(4) == 0) return leaf(mixed);
+    static const char* const ops[] = {"+",  "-",  "*", "/",  "%", "<<", ">>", "==",
+                                      "!=", "<",  "<=", ">", ">=", "&&", "||"};
+    // `&&` and `||` short-circuit, so they are drawn less often.
+    const std::size_t op = below(std::size(ops) + 11);
+    const char* name = ops[op < std::size(ops) ? op : op % 7];
+    return "(" + expr(depth - 1, mixed) + " " + name + " " + expr(depth - 1, mixed) + ")";
+  }
+
+private:
+  std::string leaf(bool mixed) {
+    static const char* const ints[] = {"a", "b", "e", "d", "ga", "gb", "ge", "gd"};
+    static const char* const literals[] = {"0", "1", "2", "3", "7", "62", "63", "64", "-1", "-5"};
+    static const char* const others[] = {"fl", "bo", "st", "qq", "ub", "h()"};
+    const std::uint64_t pick = below(mixed ? 10 : 8);
+    if (pick < 5) return ints[below(std::size(ints))];
+    if (pick < 8) return literals[below(std::size(literals))];
+    return others[below(std::size(others))];
+  }
+
+  std::mt19937_64 rng_;
+};
+
+}  // namespace
+
+TEST(Runs, GeneratedSweepMatchesTheTreeWalk) {
+  const bool metrics_were_enabled = qutes::obs::metrics_enabled();
+  qutes::obs::set_metrics_enabled(true);
+  const std::string globals =
+      "int ga = 0; int gb = -1; int ge = 63; int gd = -9223372036854775807 - 1;\n"
+      "float fl = 1.5; bool bo = true; string st = \"ab\"; quint<3> qq = 5q;"
+      " int gc = 7;\n"
+      "int h() { gb = 7; return 3; }\n";
+  const std::string locals =
+      "  int a = 0; int b = -1; int e = 63; int d = -9223372036854775807 - 1;"
+      " int c = 7;\n";
+  static const char* const compound_ops[] = {"+=", "-=", "*=", "/=", "%=", "<<=", ">>="};
+  SweepGen gen(0x5eedc0de);
+  std::uint64_t steps = 0;
+  int statements = 0;
+  for (int i = 0; i < 2400; ++i) {
+    const bool mixed = gen.below(2) == 0;
+    const std::string e = gen.expr(1 + static_cast<int>(gen.below(4)), mixed);
+    const std::string target = gen.below(3) == 0 ? "gc" : "c";
+    std::string statement;
+    switch (i % 4) {
+      case 0: statement = target + " = " + e + "; print " + target + ";"; break;
+      case 1: statement = "if (" + e + ") { print 1; } else { print 0; }"; break;
+      case 2:
+        statement = target + " " + compound_ops[gen.below(std::size(compound_ops))] +
+                    " " + e + "; print " + target + ";";
+        break;
+      default: statement = "print " + e + ";"; break;
+    }
+    // Inside a function, so that `ub` is a global whose declaration has
+    // not run yet; what `h` left in `gb` prints at the end.
+    steps += expect_parity(globals + "void t() {\n" + locals + "  " + statement +
+                           "\n}\nt();\nint ub = 1;\nprint gb; print gc;\n");
+    ++statements;
+  }
+  EXPECT_EQ(statements, 2400);
+  EXPECT_EQ(steps, 128531u) << "lang.vm_steps of the sweep";
+  qutes::obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+TEST(Runs, LongExpressionsSplitIntoRunsThatReadTheTopOfStack) {
+  // 40 terms are more than one run holds: the runs after the first read the
+  // previous run's result from the top of the stack. A trap in a later run
+  // keeps its own location.
+  const bool metrics_were_enabled = qutes::obs::metrics_enabled();
+  qutes::obs::set_metrics_enabled(true);
+  std::string sum = "x";
+  std::string mixed = "x";
+  for (int i = 1; i < 40; ++i) {
+    sum += (i % 3 == 0 ? " - " : " + ") + std::string(i % 2 ? "x" : "y");
+    mixed += std::string(i % 4 == 1 ? " * " : " + ") + std::to_string(i % 5 + 1);
+  }
+  const std::string decls = "int x = 3; int y = 5; int z = 0; int c = 1;\n";
+  std::uint64_t steps = 0;
+  steps += expect_parity(decls + "c = " + sum + "; print c;");
+  steps += expect_parity(decls + "print " + mixed + ";");
+  steps += expect_parity(decls + "if (" + sum + " > 40) { print 1; } else { print 0; }");
+  steps += expect_parity(decls + "c += " + mixed + "; print c;");
+  steps += expect_parity(decls + "c = " + sum + " + x / z; print c;");
+  steps += expect_parity(decls + "c = " + mixed + " + x % z + " + sum + "; print c;");
+  steps += expect_parity(decls + "float w = 0.5; c = " + sum + " + w; print c;");
+  EXPECT_EQ(run_mode(decls + "c = " + sum + "; print c;", ExecMode::Vm).text, "56\n");
+  EXPECT_EQ(steps, 613u);
+  qutes::obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+TEST(Runs, AnOperandThatFailsTheCheckKeepsTheDiagnosticOrder) {
+  // `ub` is unbound and `fl` a Float, so the run's head runs alone and each
+  // instruction raises what it raises on its own: the division traps first.
+  const std::pair<const char*, const char*> cases[] = {
+      {"c = x / z + ub;", "division by zero"},
+      {"c = x / z + fl;", "division by zero"},
+      {"if (x % z < ub) { print 1; }", "modulo by zero"},
+      {"c += x / z * ub;", "division by zero"},
+      {"c = ub + x / z;", "use of undeclared variable 'ub'"},
+      {"ub = x / z;", "assignment to undeclared variable 'ub'"},
+      {"ub = x + 1;", "assignment to undeclared variable 'ub'"},
+  };
+  for (const auto& [body, expected] : cases) {
+    const std::string source = "float fl = 0.5;\nint f() { int x = 7; int z = 0; int c = 1; " +
+                               std::string(body) + " return c; }\nprint f();\nint ub = 1;\n";
+    expect_parity(source);
+    EXPECT_NE(run_mode(source, ExecMode::Vm).text.find(expected), std::string::npos) << body;
+  }
+}
+
+TEST(Runs, ABoolResultStoredInAnIntSlotIsCoerced) {
+  // A comparison ends its run with a Bool; an Int slot takes it through the
+  // coerce path (true stores 1), as do a Float slot and a compound.
+  for (const char* body : {
+           "int c = 5; c = x < 9; print c; c = x == 9; print c;",
+           "c0 = x >= 3; print c0; c0 = x != x; print c0;",
+           "float w = 1.5; w = x > 1; print w;",
+           "bool t = false; t = x * 2 < 9; print t;",
+           "int c = 5; c += x < 9; print c;",
+           "int c = 5; c = (x < 9) + 1; print c;",
+       }) {
+    expect_parity("int x = 4; int c0 = 8;\n" + std::string(body));
+  }
+}
+
+TEST(VmParity, StringLiteralsMatchInEveryOperandPosition) {
+  // A string literal that only a comparison reads is compared where it lies
+  // in the string pool; every other use gets a cell of its own.
+  const std::string decls =
+      "string s = \"ab\"; string t = \"b\"; int i = 3; float f = 1.5; bool b = true;"
+      " quint<2> q = 2q; qustring qs = \"10\";\n"
+      "string id(string v) { return v; }\n";
+  const std::vector<std::string> operands = {"s",  "t",  "i",     "f",      "b",
+                                             "q",  "qs", "id(s)", "\"ab\"", "\"\""};
+  const std::vector<std::string> shapes = {
+      "print X == \"ab\";", "print \"ab\" != X;", "print X < \"b\";", "print \"b\" <= X;",
+      "print X > \"\";",    "print \"ab\" >= X;", "if (X == \"ab\") { print 1; } else { print 0; }",
+      "if (\"a\" < X) { print 1; }", "bool r = X != \"b\"; print r;",
+      "print X + \"c\";",   "print \"c\" + X;",   "print X == X;",
+      "print X in \"ab\";", "print X * \"ab\";",
+  };
+  for (const std::string& shape : shapes) {
+    for (const std::string& operand : operands) {
+      std::string body = shape;
+      for (std::size_t at = body.find('X'); at != std::string::npos;
+           at = body.find('X', at + operand.size())) {
+        body.replace(at, 1, operand);
+      }
+      expect_parity(decls + body);
+    }
+  }
+  // A literal that is bound, passed, returned, stored or printed is a value
+  // of its own: nothing that changes one use shows in another.
+  for (const char* body : {
+           "string u = \"ab\"; string w = \"ab\"; u += \"x\"; print u; print w;",
+           "void m(string p) { p += \"!\"; print p; } m(\"ab\"); m(\"ab\");",
+           "int k = 0; while (k < 3) { string u = \"ab\"; u += \"x\"; print u; k += 1; }",
+           "string[] xs = [\"ab\", \"ab\"]; xs[0] += \"x\"; print xs;",
+           "string u = \"a\"; u = \"ab\"; u += \"c\"; print u; print \"ab\";",
+           "print id(\"ab\") == \"ab\"; print id(\"ab\") + \"ab\";",
+           "int k = 0; while (k < 3) { if (s == \"ab\") { s += \"\"; } print s == \"ab\"; k += 1; }",
+       }) {
+    expect_parity(decls + body);
+  }
 }
 
 TEST(VmParity, QuantumProgramsMatchBitForBit) {

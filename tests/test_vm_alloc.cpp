@@ -135,6 +135,21 @@ lang::Bytecode nested_foreach_loop(int trips) {
       /*include_stdlib=*/false);
 }
 
+/// A string compared with literals, in both operand positions, per trip.
+lang::Bytecode string_compare_loop(int trips) {
+  return lang::lower_source(
+      "string s = \"ab\";\n"
+      "int acc = 0;\n"
+      "int j = 0;\n"
+      "while (j < " + std::to_string(trips) + ") {\n"
+      "  if (s == \"ab\") { acc += 1; }\n"
+      "  if (\"b\" > s) { acc += 2; }\n"
+      "  j += 1;\n"
+      "}\n"
+      "print acc;\n",
+      /*include_stdlib=*/false);
+}
+
 /// Allocations made by constructing and running one VM over `bytecode`.
 std::size_t allocations_of_run(const lang::Bytecode& bytecode) {
   const std::size_t before = g_allocations.load();
@@ -192,6 +207,12 @@ TEST(VmAllocations, BuiltinCallAllocatesOnlyItsResultPerTrip) {
 TEST(VmAllocations, NestedForeachAllocatesNothingPerEntry) {
   // The iterator's snapshot of the array is refilled in place.
   expect_flat_allocations(&nested_foreach_loop, 100, 1000, "trips");
+}
+
+TEST(VmAllocations, StringComparisonAllocatesNothingPerTrip) {
+  // The literals are read from the string pool and the comparisons' Bools
+  // stay inline.
+  expect_flat_allocations(&string_compare_loop, 100, 1000, "trips");
 }
 
 TEST(VmAllocations, UserCallsAllocateNothingPerCall) {
